@@ -10,8 +10,8 @@ Three subcommands share one flag vocabulary:
   one error column per beta, at fixed ``-j``
 
 Exit codes: 0 success, 2 configuration error (nothing written), 3 solver
-failure.  Inside a sweep a failing cell becomes a NaN sentinel row and the
-sweep keeps going.
+failure.  Inside a sweep a failing cell becomes a NaN sentinel row, its
+exception is named on stderr, and the sweep keeps going.
 """
 
 from __future__ import annotations
@@ -152,8 +152,13 @@ def _run_cell(cell: _Cell) -> TableRow:
             condition_estimate=rep.condition_estimate,
             runtime_ms=ms,
         )
-    except Exception:
+    except Exception as exc:
         ms = (time.perf_counter() - start) * 1e3
+        # one write per line, so lines from parallel cells do not interleave
+        sys.stderr.write(
+            f"cell s={cfg.s} j={cfg.j} beta={cfg.beta:g} gamma={cfg.gamma:g}: "
+            f"{type(exc).__name__}: {exc}\n"
+        )
         return TableRow(
             s=cfg.s,
             j=cfg.j,

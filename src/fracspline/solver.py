@@ -1,10 +1,13 @@
 """End-to-end solve: assemble, constrain, least-squares, measure.
 
 The time discretisation is collocation in a redundant translate family, so
-the discrete system is solved in the least-squares sense.  The homogeneous
-initial condition is enforced exactly by eliminating one coefficient per
-spatial mode (a null-space substitution that preserves the Kronecker
-structure); the t = 0 collocation row is kept as well but becomes inert.
+the discrete system is solved in the least-squares sense, one spatial
+eigenmode at a time (``linalg.modal_lstsq_solve``).  That minimises the
+residual in the ``mass^-1 (x) I`` norm rather than the Euclidean norm.  The
+homogeneous initial condition is enforced exactly by eliminating one
+coefficient per spatial member (a null-space substitution that preserves
+the Kronecker structure); the t = 0 collocation row is kept as well but
+becomes inert.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy import integrate
 from .assembly import QuadratureRule, assemble_system
 from .basis import SpatialBasis, TemporalBasis, build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
-from .linalg import LeastSquaresReport, lstsq_solve, materialize_kron_sum
+from .linalg import LeastSquaresReport, modal_lstsq_solve
 from .problems import ProblemSpec
 from .specfun import ConvergenceError
 from .specfun import gamma as _gamma
@@ -47,11 +50,12 @@ class SolveConfig:
     as many collocation nodes as time translates per unit); ``ic_row``
     keeps the explicit t = 0 constraint row and the exact coefficient
     elimination that goes with it.  ``rcond`` is the relative R-diagonal
-    cutoff of the least-squares solve: the non-integer translate family is
-    redundant by construction (R-diagonal spreads past 1e12 at table sizes),
-    and the default cutoff filters the near-null directions that otherwise
-    put a conditioning floor under every error column.  Pass ``None`` for
-    the raw machine-precision cutoff.
+    cutoff of the least-squares solve, one global threshold over all
+    spatial modes (``rcond`` times the largest leading pivot of any mode):
+    the non-integer translate family is redundant by construction, and the
+    default cutoff filters the near-null directions that otherwise put a
+    conditioning floor under every error column.  Pass ``None`` for the
+    raw machine-precision cutoff.
     """
 
     gamma: float
@@ -120,9 +124,10 @@ class ErrorReport:
 def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSquaresReport]:
     """Discretise and solve one manufactured (or user) problem.
 
-    Returns the solution together with the least-squares diagnostics; an
-    R-diagonal condition estimate beyond 1e12 triggers a warning, matching
-    the observed breakdown regime of the redundant translate family.
+    Returns the solution together with the least-squares diagnostics; a
+    condition estimate beyond 1e12 (``cond(mass)`` times the R-diagonal
+    spread over all modes) triggers a warning, matching the observed
+    breakdown regime of the redundant translate family.
     """
     if abs(problem.order - config.gamma) > 1e-12:
         raise ValueError(
@@ -148,19 +153,16 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
 
     a_mat = system.collocation.derivative
     g_mat = system.collocation.value
-    rhs = system.load
 
     z = _ic_nullspace(tbasis) if config.ic_row else None
     if z is not None:
         a_mat = a_mat @ z
         g_mat = g_mat @ z
 
-    big = materialize_kron_sum(system.mass, a_mat, system.stiffness, g_mat)
-    x, report = lstsq_solve(big, rhs.ravel(), rcond=config.rcond)
-    del big
-
+    coeffs, report = modal_lstsq_solve(
+        system.mass, system.stiffness, a_mat, g_mat, system.load, rcond=config.rcond
+    )
     n_cols = a_mat.shape[1]
-    coeffs = x.reshape(sbasis.size, n_cols)
     if z is not None:
         coeffs = coeffs @ z.T
 

@@ -149,7 +149,9 @@ class TestTableCommand:
 
         monkeypatch.setattr(cli, "solve", flaky)
         assert main(["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        captured = capsys.readouterr()
+        assert captured.err == "cell s=3 j=4 beta=3.5 gamma=0.5: RuntimeError: synthetic breakdown\n"
+        lines = captured.out.strip().splitlines()
         good = lines[1].split(",")
         bad = lines[2].split(",")
         assert float(good[4]) > 0.0

@@ -1,15 +1,15 @@
-"""Pivoted QR, least-squares, and Kronecker helpers."""
+"""Pivoted QR, least squares, the modal Kronecker solve and its dense oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from dense_oracle import materialize_kron_sum
 from fracspline.linalg import (
     LeastSquaresReport,
-    kron_apply,
     lstsq_solve,
-    materialize_kron_sum,
+    modal_lstsq_solve,
     pivoted_qr,
 )
 
@@ -211,8 +211,7 @@ class TestLstsqSolve:
 
 class TestKron:
     def test_exhaustive_small_shapes(self):
-        # every factor shape up to 8: materialised sum equals np.kron and
-        # the matrix-free apply equals the dense product
+        # every factor shape up to 8: materialised sum equals np.kron
         rng = np.random.default_rng(151)
         for mr, mc, ar, ac in itertools.product(range(1, 9), repeat=4):
             m = rng.standard_normal((mr, mc))
@@ -222,19 +221,70 @@ class TestKron:
             dense = materialize_kron_sum(m, a, l, g)
             ref = np.kron(m, a) + np.kron(l, g)
             assert np.allclose(dense, ref, atol=1e-13)
-            x = rng.standard_normal((mc, ac))
-            assert np.allclose(
-                kron_apply(m, a, x).ravel(), np.kron(m, a) @ x.ravel(), atol=1e-12
-            )
 
     def test_materialize_is_fortran_ordered(self):
         out = materialize_kron_sum(np.eye(3), np.eye(4), np.eye(3), np.eye(4))
         assert out.flags.f_contiguous
 
-    def test_kron_apply_shape_mismatch(self):
-        with pytest.raises(ValueError, match="coefficient block"):
-            kron_apply(np.eye(3), np.eye(4), np.zeros((4, 3)))
-
     def test_materialize_shape_mismatch(self):
         with pytest.raises(ValueError, match="factor shape"):
             materialize_kron_sum(np.eye(3), np.eye(4), np.eye(2), np.eye(4))
+
+
+def _spd(rng, n, decades):
+    """Random symmetric positive definite matrix with eigenvalues 10**0 .. 10**-decades."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0.0, -float(decades), n)) @ q.T
+
+
+class TestModalLstsq:
+    def test_minimises_the_mass_inverse_weighted_residual(self):
+        # full rank: the modal solution is the least-squares solution of the
+        # dense system weighted by chol(mass)^-1 (x) I
+        rng = np.random.default_rng(157)
+        nk, npts, nc = 5, 11, 4
+        mass = _spd(rng, nk, 2)
+        stiffness = _spd(rng, nk, 1)
+        a = rng.standard_normal((npts, nc))
+        g = rng.standard_normal((npts, nc))
+        load = rng.standard_normal((nk, npts))
+        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load)
+        w = np.kron(np.linalg.inv(np.linalg.cholesky(mass)), np.eye(npts))
+        big = materialize_kron_sum(mass, a, stiffness, g)
+        ref = np.linalg.lstsq(w @ big, w @ load.ravel(), rcond=None)[0]
+        assert np.allclose(c.ravel(), ref, rtol=1e-10, atol=1e-12)
+        assert rep.rank == nk * nc
+        assert not rep.rank_deficient
+        weighted = np.linalg.norm(w @ (big @ c.ravel() - load.ravel()))
+        assert rep.residual_norm == pytest.approx(weighted, rel=1e-9)
+
+    def test_rank_threshold_is_global_over_modes(self):
+        # the weak mode's block sits wholly below rcond times the strong
+        # mode's leading pivot, so it is dropped although it is well
+        # conditioned on its own
+        rng = np.random.default_rng(167)
+        a = rng.standard_normal((12, 4))
+        g = rng.standard_normal((12, 4))
+        mass = np.eye(2)
+        stiffness = np.diag([0.0, 1e6])
+        load = rng.standard_normal((2, 12))
+        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load, rcond=1e-3)
+        assert rep.rank == 4
+        assert rep.rank_deficient
+        assert np.abs(c[0]).max() == 0.0
+        assert lstsq_solve(a.copy(), load[0], rcond=1e-3)[1].rank == 4
+
+    def test_condition_estimate_carries_cond_of_mass(self):
+        rng = np.random.default_rng(173)
+        a = rng.standard_normal((10, 3))
+        g = rng.standard_normal((10, 3))
+        mass = np.diag([1.0, 1e-3])
+        _, rep = modal_lstsq_solve(mass, np.zeros((2, 2)), a, g, rng.standard_normal((2, 10)))
+        spread = lstsq_solve(a.copy(), np.ones(10))[1].condition_estimate
+        assert rep.condition_estimate == pytest.approx(1e3 * spread, rel=1e-10)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="factor shape"):
+            modal_lstsq_solve(np.eye(3), np.eye(2), np.eye(4), np.eye(4), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="load has shape"):
+            modal_lstsq_solve(np.eye(3), np.eye(3), np.eye(4), np.eye(4), np.zeros((4, 3)))

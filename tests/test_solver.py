@@ -6,6 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from dense_oracle import dense_lstsq_solve
+from fracspline import solver
+from fracspline.assembly import assemble_system
+from fracspline.basis import build_spatial, build_temporal
+from fracspline.bspline import DEFAULT_TAIL_TOL
+from fracspline.linalg import modal_lstsq_solve
 from fracspline.problems import ProblemSpec, example1, example2
 from fracspline.solver import (
     SolveConfig,
@@ -76,6 +82,42 @@ class TestSolveBasics:
     def test_condition_warning_reports_truncation(self):
         with pytest.warns(UserWarning, match="rank-truncated"):
             solve(example1(0.5), SolveConfig(gamma=0.5, j=3, s=5))
+
+    def test_full_rank_cubic_cell_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, rep = solve(example1(0.5), SolveConfig(gamma=0.5, j=3, s=5, beta=3.0))
+        assert not rep.rank_deficient
+        assert rep.condition_estimate < 1e12
+
+
+class TestModalSolve:
+    @pytest.mark.parametrize("ic_row", [True, False])
+    @pytest.mark.parametrize("beta", [3.0, 3.5])
+    @pytest.mark.parametrize("j, s", [(3, 3), (3, 4)])
+    def test_no_worse_than_dense_oracle(self, monkeypatch, j, s, beta, ic_row):
+        problem = example1(0.5)
+        config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta, ic_row=ic_row)
+        modal, _ = _solve_quiet(problem, config)
+        monkeypatch.setattr(solver, "modal_lstsq_solve", dense_lstsq_solve)
+        dense, _ = _solve_quiet(problem, config)
+        ratio = l2_error(modal, problem.exact) / l2_error(dense, problem.exact)
+        assert ratio <= 1.05, ratio
+
+    def test_consistent_load_recovers_coefficients(self):
+        # cubic temporal family: the system has full column rank
+        sbasis = build_spatial(3, 3)
+        tbasis = build_temporal(4, 3.0, 1, DEFAULT_TAIL_TOL)
+        system = assemble_system(
+            sbasis, tbasis, _null_problem().forcing, 0.5, 5, include_ic_row=False
+        )
+        a = system.collocation.derivative
+        g = system.collocation.value
+        c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
+        load = system.mass @ c_star @ a.T + system.stiffness @ c_star @ g.T
+        c, rep = modal_lstsq_solve(system.mass, system.stiffness, a, g, load, rcond=1e-8)
+        assert rep.rank == c_star.size
+        assert np.abs(c - c_star).max() <= 1e-10 * np.abs(c_star).max()
 
 
 class TestSolveConfig:
