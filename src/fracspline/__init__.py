@@ -2,9 +2,11 @@
 time-fractional diffusion equation on a space-time cylinder."""
 
 from .bspline import DEFAULT_TAIL_TOL, FractionalBSpline
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
+
+# The kernels are plain NumPy; the name stays for callers that record it.
+KERNEL_BACKEND = "numpy"
 
 __all__ = [
     "DEFAULT_TAIL_TOL",

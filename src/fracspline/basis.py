@@ -110,6 +110,18 @@ class SpatialBasis:
         """Inclusive translate index range covered by the columns."""
         return (-self.degree, 2**self.level - 1)
 
+    def _value_args(self) -> tuple:
+        """Kernel arguments after the points of the translate value table."""
+        n = self.degree
+        return (
+            float(2**self.level),
+            float(-n),
+            2**self.level + n,
+            self._spline.value_weights,
+            float(n),
+            float(n + 1),
+        )
+
     def translate_values(self, x, deriv: int = 0) -> np.ndarray:
         """Raw translate table ``B(2**j x - k)`` (or its first derivative),
         one column per translate in ``translate_range``."""
@@ -117,15 +129,7 @@ class SpatialBasis:
         n = self.degree
         ncols = 2**self.level + n
         if deriv == 0:
-            return kernels.basis_matrix(
-                x,
-                float(2**self.level),
-                float(-n),
-                ncols,
-                self._spline.value_weights,
-                float(n),
-                float(n + 1),
-            )
+            return kernels.basis_matrix(x, *self._value_args())
         if deriv == 1:
             # first derivative = difference of two degree-(n-1) translates
             w = kernels.basis_matrix(
@@ -139,6 +143,12 @@ class SpatialBasis:
             )
             return (w[:, :-1] - w[:, 1:]) * float(2**self.level)
         raise ValueError(f"deriv must be 0 or 1, got {deriv!r}")
+
+    def supported_translates(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Values and ``translate_values`` columns of the ``degree + 2``
+        translates that can be nonzero at each x (see
+        ``kernels.supported_translates``)."""
+        return kernels.supported_translates(np.atleast_1d(x), *self._value_args())
 
     def eval_many(self, x, deriv: int = 0) -> np.ndarray:
         """Member-function table of shape (len(x), size)."""
@@ -230,20 +240,28 @@ class TemporalBasis:
     r_max: int
     spline: FractionalBSpline = field(repr=False)
 
+    def _value_args(self) -> tuple:
+        """Kernel arguments after the points of the member value table."""
+        return (
+            float(2**self.level),
+            float(self.r_min),
+            self.size,
+            self.spline.value_weights,
+            self.degree,
+            float(self.spline.effective_support),
+        )
+
+    def supported_translates(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Values and member indices of the ``S + 1`` translates that can be
+        nonzero at each t (see ``kernels.supported_translates``)."""
+        return kernels.supported_translates(np.atleast_1d(t), *self._value_args())
+
     def eval_many(self, t, order: float = 0.0) -> np.ndarray:
         """Table of member values (order 0) or fractional derivatives."""
         t = np.ascontiguousarray(np.atleast_1d(t), dtype=np.float64)
         scale = float(2**self.level)
         if order == 0.0:
-            return kernels.basis_matrix(
-                t,
-                scale,
-                float(self.r_min),
-                self.size,
-                self.spline.value_weights,
-                self.degree,
-                float(self.spline.effective_support),
-            )
+            return kernels.basis_matrix(t, *self._value_args())
         u_hi = scale * float(t.max(initial=0.0)) - self.r_min
         k_max = max(0, math.floor(u_hi))
         w = self.spline.derivative_weights(order, k_max)

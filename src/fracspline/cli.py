@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import _blas
 from .basis import build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
@@ -113,7 +114,6 @@ def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
             alpha=args.alpha,
             beta=beta,
             q=args.q,
-            horizon=args.horizon,
             tail_tol=args.tail_tol,
             quad_points=args.quad_points,
             ic_row=not args.no_ic_row,
@@ -174,7 +174,9 @@ def _run_cell(cell: _Cell) -> TableRow:
 def _run_cells(cells: list[_Cell], threads: int) -> list[TableRow]:
     if threads <= 1 or len(cells) <= 1:
         return [_run_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Every cell's solve calls BLAS: the workers share the cores rather than
+    # each driving a BLAS pool as large as the machine.
+    with _blas.limited_threads(max(1, _blas.cores() // threads)), ThreadPoolExecutor(max_workers=threads) as pool:
         # map() preserves submission order, so output order never depends on
         # which cell finishes first.
         return list(pool.map(_run_cell, cells))
@@ -248,7 +250,6 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("-j", default=None, help="spatial level(s)" if sweep else "spatial level")
     p.add_argument("-s", default=None, help="temporal level(s)" if sweep else "temporal level")
     p.add_argument("-q", type=int, default=None, help="collocation level (default s+1)")
-    p.add_argument("-T", dest="horizon", type=int, default=1, help="time horizon (default 1)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--quad-points", type=int, default=8)
     p.add_argument("--no-ic-row", action="store_true", help="drop the explicit t=0 constraint row")

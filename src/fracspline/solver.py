@@ -197,7 +197,12 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
 
 
 def evaluate(sol: Solution, t, x):
-    """Point value(s) of the solution field; domain-checked."""
+    """Point value(s) of the solution field; domain-checked.
+
+    Local-support evaluation: each point touches only the ``S + 1`` time
+    and ``alpha + 2`` space translates that can be nonzero there, never a
+    full points x translates table.
+    """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(t_arr < 0.0) or np.any(t_arr > sol.config.horizon):
@@ -209,9 +214,12 @@ def evaluate(sol: Solution, t, x):
     x_flat = np.atleast_1d(x_arr).ravel()
     if t_flat.shape != x_flat.shape:
         raise ValueError("t and x must have matching shapes (or be scalars)")
-    xt = sol.temporal.eval_many(t_flat)
-    phi = sol.spatial.eval_many(x_flat)
-    vals = np.einsum("pr,kr,pk->p", xt, sol.coeffs, phi)
+    # Only the translates supported at a point contribute: contract their
+    # values with the coefficients of each (space, time) translate pair.
+    xv, xc = sol.spatial.supported_translates(x_flat)
+    tv, tc = sol.temporal.supported_translates(t_flat)
+    pair_coeffs = sol.spatial.combinations.T @ sol.coeffs
+    vals = np.einsum("pa,pb,pab->p", xv, tv, pair_coeffs[xc[:, :, None], tc[:, None, :]])
     return float(vals[0]) if scalar else vals.reshape(t_arr.shape)
 
 

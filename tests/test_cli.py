@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import fracspline.cli as cli
+from fracspline import _blas
 from fracspline.cli import CSV_COLUMNS, main
 
 # the tiny sweep cells used here sit in the warning regime on purpose;
@@ -239,6 +241,28 @@ class TestTableCommand:
         assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
         assert _strip_runtime(one.read_text()) == _strip_runtime(env.read_text())
 
+    def test_threads_share_blas_cores(self, monkeypatch):
+        controls = _blas.thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread controls in this process")
+        before = [get() for get, _ in controls]
+        seen = []
+        run_cell = cli._run_cell
+
+        def recording(cell):
+            seen.append([get() for get, _ in controls])
+            return run_cell(cell)
+
+        monkeypatch.setattr(cli, "_run_cell", recording)
+        monkeypatch.setattr(_blas, "cores", lambda: 2)
+        args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3", "--out", os.devnull]
+        assert main([*args, "--threads", "2"]) == 0
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
+        assert [get() for get, _ in controls] == before
+        seen.clear()
+        assert main([*args, "--threads", "1"]) == 0
+        assert seen and all(counts == before for counts in seen)
+
     def test_bad_threads_env(self, monkeypatch, capsys):
         monkeypatch.setenv("FRACSPLINE_THREADS", "many")
         assert main(["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3"]) == 2
@@ -320,3 +344,12 @@ class TestCurvesCommand:
             == 2
         )
         assert "single -j" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "table", "curves"])
+def test_horizon_flag_is_rejected(command, capsys):
+    # the built-in examples are posed on [0, 1], so there is no -T flag
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FAST, "-T", "2"])
+    assert exc.value.code == 2
+    assert "-T" in capsys.readouterr().err

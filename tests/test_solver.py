@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import dense_lstsq_solve
-from fracspline import solver
+from fracspline import kernels, solver
 from fracspline.assembly import assemble_system
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
@@ -179,6 +179,35 @@ class TestEvaluate:
         assert out[1] == pytest.approx(evaluate(sol, 0.5, 0.3), rel=1e-14)
         with pytest.raises(ValueError, match="matching shapes"):
             evaluate(sol, np.array([0.2, 0.5]), np.array([0.3]))
+
+    @pytest.mark.parametrize("beta", [3.0, 3.5, 2.5])
+    def test_matches_grid_values(self, beta):
+        # random coefficients exercise every translate pair, edges included
+        config = SolveConfig(gamma=0.5, j=3, s=4, beta=beta)
+        spatial = build_spatial(config.j, config.alpha)
+        temporal = build_temporal(config.s, config.beta)
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((spatial.size, temporal.size))
+        sol = solver.Solution(coeffs=coeffs, spatial=spatial, temporal=temporal, config=config)
+        t_edge = np.arange(2**config.s + 1) / 2**config.s  # 0, knots, 1
+        x_edge = np.arange(2**config.j + 1) / 2**config.j
+        tt, xx = np.meshgrid(t_edge, x_edge, indexing="ij")
+        ref = sol.grid_values(t_edge, x_edge)
+        scale = np.abs(ref).max()
+        assert np.abs(evaluate(sol, tt, xx) - ref).max() <= 1e-13 * scale
+        t, x = rng.uniform(0.0, 1.0, (2, 400))
+        ref = np.diag(sol.grid_values(t, x))
+        assert np.abs(evaluate(sol, t, x) - ref).max() <= 1e-13 * scale
+
+    def test_builds_no_dense_table(self, proxy, monkeypatch):
+        sol, _ = proxy
+        want = evaluate(sol, np.array([0.3, 0.7]), np.array([0.2, 0.9]))
+
+        def dense(*args):
+            raise AssertionError("evaluate built a dense translate table")
+
+        monkeypatch.setattr(kernels, "basis_matrix", dense)
+        assert np.array_equal(evaluate(sol, np.array([0.3, 0.7]), np.array([0.2, 0.9])), want)
 
     def test_grid_values_shape(self, proxy):
         sol, _ = proxy
