@@ -8,6 +8,7 @@ Temporal operators are collocation tables on the dyadic node grid.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "assemble_load_matrix",
     "assemble_collocation",
     "assemble_system",
-    "dump_matrix",
 ]
 
 
@@ -75,7 +75,13 @@ def assemble_stiffness(
 def _forcing_on_grid(forcing, t: float, x: np.ndarray) -> np.ndarray:
     try:
         vals = np.asarray(forcing(t, x), dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
+        warnings.warn(
+            f"forcing raised {type(exc).__name__} on an array of x; "
+            "falling back to one call per quadrature point",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         vals = np.array([forcing(t, xi) for xi in x], dtype=np.float64)
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape)
@@ -193,13 +199,3 @@ def assemble_system(
     else:
         load = assemble_load_matrix(sbasis, forcing, coll.nodes, quad)
     return DiscreteSystem(mass=mass, stiffness=stiffness, collocation=coll, load=load)
-
-
-def dump_matrix(mat: np.ndarray, fh, include_zeros: bool = False) -> None:
-    """Write a dense matrix as ``row col value`` triplet lines (debug aid)."""
-    mat = np.atleast_2d(mat)
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            v = mat[i, j]
-            if include_zeros or v != 0.0:
-                fh.write(f"{i} {j} {v:.17g}\n")

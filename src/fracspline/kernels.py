@@ -80,6 +80,27 @@ def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):
     return out
 
 
+def _unit_step_sum(u, w, expo):
+    """``_power_sum`` of every entry of ``u``, shape (slots, points), for
+    points whose arguments step by exactly 1 from slot to slot.
+
+    Where ``u[i] == u[0] + i`` holds exactly and ``0 <= u[0] < 1``, term k of
+    slot i has argument ``u[i] - k == u[i - k]`` for k <= i and a negative
+    one for k > i, so one truncated power per entry serves every term; the
+    terms are added in the order of ``_power_sum``.  Entries that are not
+    positive (negative, for the zeroth power) carry power 0 and so add
+    nothing, which keeps ``0**expo`` out of every sum.
+    """
+    pos = u >= 0.0 if expo == 0.0 else u > 0.0
+    power = np.zeros_like(u)
+    power[pos] = 1.0 if expo == 0.0 else u[pos] ** expo
+    out = np.zeros_like(u)
+    n = u.shape[0]
+    for k in range(min(w.shape[0], n)):
+        out[k:] += w[k] * power[: n - k]
+    return out
+
+
 def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff):
     """The translates of ``basis_matrix`` that can be nonzero at each point.
 
@@ -90,15 +111,28 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff):
     ``values[p, i]`` is bit-identical to ``basis_matrix(...)[p, cols[p,
     i]]``.  Translates outside ``0 .. n_cols-1`` get value 0 and column 0.
     ``cutoff`` must be finite.
+
+    The arguments of a point are ``u[i] = scale * t - r``, a fraction plus
+    i.  Where that sum is exact, the point needs one truncated power per
+    slot instead of one per slot and term (``_unit_step_sum``); the other
+    points, whose fraction has bits below the unit in the last place of
+    ``u[i]`` (small or negative ``scale * t``), are summed term by term.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
     st = scale * t
-    r = np.floor(st)[:, None] - np.arange(int(cutoff) + 1)
+    steps = np.arange(int(cutoff) + 1)[:, None]
+    # slot-major (slot, point) layout: each slot is one contiguous row
+    r = np.floor(st) - steps
     cols = (r - shift0).astype(np.intp)
     valid = (cols >= 0) & (cols < n_cols)
-    u = st[:, None] - r
+    u = st - r
     live = valid & _live(u, expo, cutoff)
-    values = np.zeros_like(u)
-    values[live] = _power_sum(u[live], np.ascontiguousarray(weights, dtype=np.float64), expo)
+    # u[0] >= 0 always; u[0] == 1 can come from rounding when scale * t < 0
+    exact = (u[0] < 1.0) & (u - steps == u[0]).all(axis=0)
+    values = _unit_step_sum(u, w, expo)
+    rest = live & ~exact
+    values[rest] = _power_sum(u[rest], w, expo)
+    values[~live] = 0.0
     cols[~valid] = 0
-    return values, cols
+    return np.ascontiguousarray(values.T), np.ascontiguousarray(cols.T)

@@ -26,7 +26,6 @@ from scipy.linalg import eigh, lapack, solve_triangular
 
 __all__ = [
     "LeastSquaresReport",
-    "pivoted_qr",
     "lstsq_solve",
     "modal_lstsq_solve",
 ]
@@ -40,22 +39,6 @@ class LeastSquaresReport:
     condition_estimate: float
     rank: int
     rank_deficient: bool
-
-
-def pivoted_qr(a: np.ndarray):
-    """Householder QR with column pivoting; returns (q, r, perm) with
-    ``a[:, perm] == q @ r`` (economic sizes)."""
-    a = np.asarray(a, dtype=np.float64)
-    qr, jpvt, tau, _, info = lapack.dgeqp3(a)
-    if info != 0:
-        raise RuntimeError(f"dgeqp3 failed with info={info}")
-    m, n = a.shape
-    k = min(m, n)
-    r = np.triu(qr[:k, :])
-    q, _, info = lapack.dorgqr(qr[:, :k].copy(order="F"), tau)
-    if info != 0:
-        raise RuntimeError(f"dorgqr failed with info={info}")
-    return q, r, jpvt - 1
 
 
 def lstsq_solve(

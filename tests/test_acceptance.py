@@ -34,13 +34,14 @@ import numpy as np
 import pytest
 import scipy.interpolate
 
+from caputo_oracle import caputo_oracle
 from dense_oracle import materialize_kron_sum
 from fracspline.assembly import assemble_mass
 from fracspline.basis import build_spatial
 from fracspline.bspline import FractionalBSpline, mask
 from fracspline.linalg import lstsq_solve
 from fracspline.problems import example1, example2
-from fracspline.solver import SolveConfig, caputo_oracle, l2_error, solve
+from fracspline.solver import SolveConfig, l2_error, solve
 
 # reference L2 errors and dof counts, example 1, gamma=0.5: (s, j) -> (err, dof)
 TABLE1 = {  # beta = 3.5

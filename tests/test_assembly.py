@@ -1,4 +1,5 @@
-import io
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,9 @@ from fracspline.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_system,
-    dump_matrix,
 )
 from fracspline.basis import build_spatial, build_temporal
+from fracspline.problems import example1, example2
 
 # Gram values of the cardinal cubic family: the autocorrelation of B_3 is
 # B_7, and the derivative Gram is -B_7'' at the integers.
@@ -139,9 +140,30 @@ def test_load_accepts_scalar_only_forcing():
             raise TypeError("scalar only")
         return float(x) ** 2
 
-    vec = assemble_load(basis, forcing, t=0.0)
+    with pytest.warns(RuntimeWarning, match="TypeError"):
+        vec = assemble_load(basis, forcing, t=0.0)
     smooth = assemble_load(basis, lambda t, x: np.asarray(x) ** 2, t=0.0)
     np.testing.assert_allclose(vec, smooth, rtol=1e-14)
+
+
+def test_scalar_forcing_fallback_warns_and_matches_vectorised_twin():
+    basis = build_spatial(3, 3)
+    times = np.array([0.0, 0.25, 0.7, 1.0])
+    scalar = lambda t, x: math.exp(-t) * math.sin(math.pi * x)
+    vectorised = lambda t, x: np.exp(-t) * np.sin(np.pi * x)
+    with pytest.warns(RuntimeWarning, match="TypeError"):
+        cols = assemble_load_matrix(basis, scalar, times)
+    np.testing.assert_allclose(
+        cols, assemble_load_matrix(basis, vectorised, times), rtol=1e-14, atol=1e-17
+    )
+
+
+@pytest.mark.parametrize("example", [example1, example2])
+def test_example_forcings_take_the_vectorised_path(example):
+    basis = build_spatial(3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_load_matrix(basis, example(0.5).forcing, np.array([0.0, 0.3, 1.0]))
 
 
 def test_collocation_interior_nodes():
@@ -191,22 +213,3 @@ def test_assemble_system_shapes_and_ic_column():
     system2 = assemble_system(sb, tb, forcing, 0.5, q=4, include_ic_row=False)
     assert system2.load.shape == (sb.size, 16)
     assert np.any(system2.load[:, 0] != 0.0)
-
-
-def test_dump_matrix_round_trip():
-    rng = np.random.default_rng(7)
-    mat = rng.standard_normal((4, 5))
-    mat[1, 2] = 0.0
-    buf = io.StringIO()
-    dump_matrix(mat, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 19  # one zero entry skipped
-    rebuilt = np.zeros_like(mat)
-    for line in lines:
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    np.testing.assert_array_equal(rebuilt, mat)  # 17 digits round-trips exactly
-
-    buf2 = io.StringIO()
-    dump_matrix(mat, buf2, include_zeros=True)
-    assert len(buf2.getvalue().strip().splitlines()) == 20

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+from caputo_oracle import caputo_oracle
 from fracspline.bspline import (
     DEFAULT_TAIL_TOL,
     FractionalBSpline,
@@ -11,7 +12,6 @@ from fracspline.bspline import (
     mask,
     truncated_power,
 )
-from fracspline.solver import caputo_oracle
 from fracspline.specfun import gen_binomial
 
 

@@ -108,3 +108,27 @@ def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, c
     assert np.array_equal(values[valid], dense[np.arange(t.size)[:, None], cols][valid])
     # ... and the slots hold every nonzero of the row
     assert np.array_equal(_scatter(values, cols, n_cols), dense)
+
+
+def test_supported_translates_random_weights_and_shifts():
+    rng = np.random.default_rng(13)
+    # -1e-20: the fraction of scale * t rounds up to 1, so the zeroth power
+    # counts one term more than the slot index
+    t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200), [-1e-20]])
+    rows = np.arange(t.size)[:, None]
+    for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0)):
+        width = math.floor(cutoff) + 1
+        # weight vectors shorter and longer than the window of a point
+        for n_weights in (max(width - 2, 1), width + 4):
+            w = rng.standard_normal(n_weights)
+            for scale in (8.0, 16.0, 32.0):
+                shift0 = float(rng.integers(-12, 4))
+                n_cols = int(rng.integers(3, 45))
+                args = (scale, shift0, n_cols, w, expo, cutoff)
+                values, cols = kernels.supported_translates(t, *args)
+                dense = column_loop_basis_matrix(t, *args)
+                r = np.floor(scale * t)[:, None] - np.arange(width)
+                valid = (r >= shift0) & (r < shift0 + n_cols)
+                assert not values[~valid].any()
+                assert np.array_equal(values[valid], dense[rows, cols][valid])
+                assert np.array_equal(_scatter(values, cols, n_cols), dense)

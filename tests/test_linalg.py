@@ -1,4 +1,4 @@
-"""Pivoted QR, least squares, the modal Kronecker solve and its dense oracle."""
+"""Least squares, the modal Kronecker solve and its dense oracle."""
 
 import itertools
 
@@ -10,7 +10,6 @@ from fracspline.linalg import (
     LeastSquaresReport,
     lstsq_solve,
     modal_lstsq_solve,
-    pivoted_qr,
 )
 
 
@@ -46,46 +45,6 @@ def _graded_matrix(rng, m, n, decades):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = np.logspace(0.0, -float(decades), n)
     return u @ np.diag(s) @ v.T
-
-
-class TestPivotedQr:
-    @pytest.mark.parametrize("shape", [(12, 7), (40, 25), (120, 60), (200, 100)])
-    def test_reconstruction_and_orthogonality(self, shape):
-        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-        a = rng.standard_normal(shape)
-        q, r, perm = pivoted_qr(a)
-        m, n = shape
-        k = min(m, n)
-        assert q.shape == (m, k)
-        assert r.shape == (k, n)
-        ortho = np.abs(q.T @ q - np.eye(k)).max()
-        assert ortho < 1e-13
-        recon = np.linalg.norm(a[:, perm] - q @ r) / np.linalg.norm(a)
-        assert recon < 1e-13
-
-    def test_r_triangular_with_ordered_diagonal(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((30, 18))
-        _, r, _ = pivoted_qr(a)
-        assert np.tril(r, -1).max() == 0.0
-        diag = np.abs(np.diag(r))
-        # non-increasing up to roundoff: the pivot picks the column of
-        # largest remaining norm, which dominates its own diagonal entry
-        assert np.all(diag[1:] <= diag[:-1] * (1.0 + 1e-12))
-
-    def test_perm_is_a_permutation(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((15, 9))
-        _, _, perm = pivoted_qr(a)
-        assert sorted(perm.tolist()) == list(range(9))
-
-    def test_wide_matrix(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((6, 9))
-        q, r, perm = pivoted_qr(a)
-        assert q.shape == (6, 6)
-        assert r.shape == (6, 9)
-        assert np.allclose(a[:, perm], q @ r, atol=1e-13)
 
 
 class TestLstsqSolve:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from caputo_oracle import caputo_oracle
 from fracspline.problems import ProblemSpec, example1, example2
-from fracspline.solver import caputo_oracle
 
 
 class TestExample1:

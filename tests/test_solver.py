@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
 from fracspline import kernels, solver
 from fracspline.assembly import assemble_system
@@ -15,7 +16,6 @@ from fracspline.linalg import modal_lstsq_solve
 from fracspline.problems import ProblemSpec, example1, example2
 from fracspline.solver import (
     SolveConfig,
-    caputo_oracle,
     error_report,
     evaluate,
     l2_error,
