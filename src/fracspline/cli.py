@@ -174,9 +174,9 @@ def _run_cell(cell: _Cell) -> TableRow:
 def _run_cells(cells: list[_Cell], threads: int) -> list[TableRow]:
     if threads <= 1 or len(cells) <= 1:
         return [_run_cell(c) for c in cells]
-    # Every cell's solve calls BLAS: the workers share the cores rather than
-    # each driving a BLAS pool as large as the machine.
-    with _blas.limited_threads(max(1, _blas.cores() // threads)), ThreadPoolExecutor(max_workers=threads) as pool:
+    # Every cell calls BLAS: each worker drives one BLAS thread rather than
+    # a pool as large as the machine, as each solve's mode loop does anyway.
+    with _blas.single_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         # map() preserves submission order, so output order never depends on
         # which cell finishes first.
         return list(pool.map(_run_cell, cells))

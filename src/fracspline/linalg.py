@@ -14,6 +14,13 @@ Each mode is solved by Householder QR with column pivoting.  Column
 pivoting matters: the fractional translate tails make trailing columns
 nearly dependent at high refinement, and the pivoted factorisation both
 flags that and survives it.
+
+``modal_lstsq_solve`` runs entirely at one BLAS thread (``_blas``): the
+blocks are small enough that a second thread only adds overhead, and the
+rounding of the factorisation then depends on neither the caller's thread
+count nor the machine's core count.  The cap is process-wide while it is
+held, so BLAS calls from other threads of the process also see one thread
+during a solve.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, lapack, solve_triangular
+from scipy.linalg import eigh, lapack
+
+from . import _blas
 
 __all__ = [
     "LeastSquaresReport",
@@ -89,19 +98,25 @@ def lstsq_solve(
         return x, report
 
     c = b.reshape(m, 1).copy(order="F")
-    # reflector block only: dormqr reads the reflector count off the width
-    cq, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, c, 8192, overwrite_c=1)
+    # reflector block only: dormqr reads the reflector count off the width.
+    # A one-column workspace selects the unblocked path, which for a single
+    # right-hand side skips forming the blocked reflectors' triangular factors.
+    cq, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, c, 1, overwrite_c=1)
     if info != 0:
         raise RuntimeError(f"dormqr failed with info={info}")
-    cq = cq[:, 0]
 
-    y = solve_triangular(qr[:rank, :rank], cq[:rank], lower=False)
+    # The leading `rank` columns, read with leading dimension m, hold R's
+    # top rank x rank block in place; dtrtrs solves for cq's first `rank`
+    # entries and returns a copy, so cq keeps the residual part.
+    y, info = lapack.dtrtrs(qr[:, :rank], cq)
+    if info != 0:
+        raise RuntimeError(f"dtrtrs failed with info={info}")
     xp = np.zeros(n)
-    xp[:rank] = y
+    xp[:rank] = y[:rank, 0]
     x = np.empty(n)
     x[jpvt - 1] = xp  # jpvt is 1-based
 
-    residual = float(np.linalg.norm(cq[rank:])) if m > rank else 0.0
+    residual = float(np.linalg.norm(cq[rank:, 0])) if m > rank else 0.0
     # full-diagonal spread, not just the kept block: the estimate should keep
     # reporting how unstable the column family is even when rcond cut it
     cond = float(diag[0] / diag[-1]) if diag[-1] > 0 else np.inf
@@ -157,30 +172,31 @@ def modal_lstsq_solve(
     if rcond is None:
         rcond = max(nk * npts, nk * nc) * np.finfo(np.float64).eps
 
-    lam, v = eigh(stiffness, mass)
-    rhs = v.T @ load
-    colmax = np.array([np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam])
-    top = colmax.max()
+    with _blas.single_thread():
+        lam, v = eigh(stiffness, mass)
+        rhs = v.T @ load
+        colmax = np.array([np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam])
+        top = colmax.max()
 
-    d = np.empty((nk, nc))
-    block = np.empty((npts, nc), order="F")
-    rank = 0
-    residual2 = 0.0
-    floor = math.inf  # smallest trailing pivot over all modes
-    for k, lam_k in enumerate(lam):
-        np.multiply(g, lam_k, out=block)
-        block += a
-        d[k], rep = lstsq_solve(block, rhs[k], rcond=rcond * top / colmax[k])
-        rank += rep.rank
-        residual2 += rep.residual_norm**2
-        floor = min(floor, colmax[k] / rep.condition_estimate)
+        d = np.empty((nk, nc))
+        block = np.empty((npts, nc), order="F")
+        rank = 0
+        residual2 = 0.0
+        floor = math.inf  # smallest trailing pivot over all modes
+        for k, lam_k in enumerate(lam):
+            np.multiply(g, lam_k, out=block)
+            block += a
+            d[k], rep = lstsq_solve(block, rhs[k], rcond=rcond * top / colmax[k])
+            rank += rep.rank
+            residual2 += rep.residual_norm**2
+            floor = min(floor, colmax[k] / rep.condition_estimate)
 
-    mass_eigs = np.linalg.eigvalsh(mass)
-    spread = top / floor if floor > 0.0 else math.inf
-    report = LeastSquaresReport(
-        residual_norm=math.sqrt(residual2),
-        condition_estimate=float(mass_eigs[-1] / mass_eigs[0] * spread),
-        rank=rank,
-        rank_deficient=rank < nk * nc,
-    )
-    return v @ d, report
+        mass_eigs = np.linalg.eigvalsh(mass)
+        spread = top / floor if floor > 0.0 else math.inf
+        report = LeastSquaresReport(
+            residual_norm=math.sqrt(residual2),
+            condition_estimate=float(mass_eigs[-1] / mass_eigs[0] * spread),
+            rank=rank,
+            rank_deficient=rank < nk * nc,
+        )
+        return v @ d, report

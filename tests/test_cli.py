@@ -240,6 +240,16 @@ class TestTableCommand:
         assert main([*args, "--out", str(env)]) == 0
         assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
         assert _strip_runtime(one.read_text()) == _strip_runtime(env.read_text())
+        # The (7, 7) cell's 257x136 blocks are large enough for a two-thread
+        # dgeqp3 to round differently from a one-thread one, so a BLAS pool
+        # sized by --threads or by the core count would show in the output.
+        # Two cells, because a one-cell sweep never starts the pool.  A
+        # 1-core box runs every pool at one thread either way, so there this
+        # case cannot show the fault.
+        args = ["table", "--example", "1", "--gamma", "0.5", "--beta", "3.5", "-j", "3,7", "-s", "7"]
+        assert main([*args, "--threads", "1", "--out", str(one)]) == 0
+        assert main([*args, "--threads", "2", "--out", str(two)]) == 0
+        assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
 
     def test_threads_share_blas_cores(self, monkeypatch):
         controls = _blas.thread_controls()
@@ -254,7 +264,6 @@ class TestTableCommand:
             return run_cell(cell)
 
         monkeypatch.setattr(cli, "_run_cell", recording)
-        monkeypatch.setattr(_blas, "cores", lambda: 2)
         args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3", "--out", os.devnull]
         assert main([*args, "--threads", "2"]) == 0
         assert seen and all(counts == [1] * len(controls) for counts in seen)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import materialize_kron_sum
+from fracspline import _blas, linalg
 from fracspline.linalg import (
     LeastSquaresReport,
     lstsq_solve,
@@ -247,3 +248,29 @@ class TestModalLstsq:
             modal_lstsq_solve(np.eye(3), np.eye(2), np.eye(4), np.eye(4), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="load has shape"):
             modal_lstsq_solve(np.eye(3), np.eye(3), np.eye(4), np.eye(4), np.zeros((4, 3)))
+
+    def test_blocks_run_at_one_blas_thread(self, monkeypatch):
+        controls = _blas.thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread controls in this process")
+        before = [get() for get, _ in controls]
+        seen = []
+        solve_block = linalg.lstsq_solve
+
+        def recording(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return solve_block(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "lstsq_solve", recording)
+        rng = np.random.default_rng(179)
+        nk, npts, nc = 6, 40, 20
+        modal_lstsq_solve(
+            _spd(rng, nk, 2),
+            _spd(rng, nk, 1),
+            rng.standard_normal((npts, nc)),
+            rng.standard_normal((npts, nc)),
+            rng.standard_normal((nk, npts)),
+        )
+        assert len(seen) == nk
+        assert all(counts == [1] * len(controls) for counts in seen)
+        assert [get() for get, _ in controls] == before
