@@ -3,7 +3,9 @@
 Spatial Gram matrices (mass, stiffness) and load vectors are integrated by
 composite Gauss-Legendre quadrature on the dyadic cells; with 8 points per
 cell the spline-times-spline integrands are handled exactly (up to roundoff).
-Temporal operators are collocation tables on the dyadic node grid.
+Temporal operators are collocation tables on the interior dyadic nodes
+``t = p 2**-q``, p >= 1; the initial condition u(0, .) = 0 is not a row
+here but is imposed by the solver's coefficient elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "DiscreteSystem",
     "assemble_mass",
     "assemble_stiffness",
-    "assemble_load",
     "assemble_load_matrix",
     "assemble_collocation",
     "assemble_system",
@@ -30,23 +31,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Composite Gauss-Legendre rule on a dyadic cell partition of [0, 1].
+    """Composite Gauss-Legendre rule on the dyadic cells of [0, span].
 
-    ``level=None`` means "use the basis level", which is what every Galerkin
-    integral here wants: spline kinks sit on the cell boundaries and each
-    cell sees a polynomial.
+    The Galerkin integrals take the basis level, so spline kinks sit on the
+    cell boundaries and each cell sees a polynomial; the error norms take a
+    finer one.
     """
 
     points_per_cell: int = 8
-    level: int | None = None
 
-    def nodes(self, default_level: int) -> tuple[np.ndarray, np.ndarray]:
-        lvl = self.level if self.level is not None else default_level
+    def nodes(self, level: int, span: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights on [0, span], ``2**level`` cells per unit."""
         if self.points_per_cell < 1:
             raise ValueError("points_per_cell must be at least 1")
-        ncells = 2**lvl
+        ncells = span * 2**level
         ref_x, ref_w = np.polynomial.legendre.leggauss(self.points_per_cell)
-        h = 1.0 / ncells
+        h = 1.0 / 2**level
         left = np.arange(ncells) * h
         x = (left[:, None] + (ref_x + 1.0) * (h / 2.0)).ravel()
         w = np.tile(ref_w * (h / 2.0), ncells)
@@ -88,16 +88,6 @@ def _forcing_on_grid(forcing, t: float, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def assemble_load(
-    basis: SpatialBasis, forcing, t: float, quad: QuadratureRule | None = None
-) -> np.ndarray:
-    """Load vector of the forcing against the spatial basis at one time."""
-    quad = quad or QuadratureRule()
-    x, w = quad.nodes(basis.level)
-    v = basis.eval_many(x)
-    return v.T @ (w * _forcing_on_grid(forcing, float(t), x))
-
-
 def assemble_load_matrix(
     basis: SpatialBasis,
     forcing,
@@ -116,48 +106,35 @@ def assemble_load_matrix(
 
 @dataclass(frozen=True, eq=False)
 class CollocationSystem:
-    """Temporal collocation tables on the dyadic node grid.
+    """Temporal collocation tables on the interior dyadic nodes.
 
     ``derivative[p, r]`` holds the fractional derivative of translate r at
-    node p and ``value[p, r]`` its plain value.  When the initial-condition
-    row is included, node 0 is t = 0 and its derivative row is identically
-    zero by construction: that row encodes the constraint u(0, .) = 0, not
-    the equation.
+    node p and ``value[p, r]`` its plain value.  There is no t = 0 row: the
+    solver imposes u(0, .) = 0 by eliminating one coefficient per spatial
+    member.
     """
 
     derivative: np.ndarray
     value: np.ndarray
     nodes: np.ndarray
-    has_ic_row: bool
 
 
 def assemble_collocation(
     tbasis: TemporalBasis,
     order: float,
     q: int,
-    include_ic_row: bool = True,
 ) -> CollocationSystem:
-    """Collocate values and order-``order`` derivatives at ``t = p 2**-q``.
-
-    Interior nodes run p = 1 .. 2**q T; the optional leading t = 0 row
-    enforces the homogeneous initial condition.
-    """
+    """Collocate values and order-``order`` derivatives at ``t = p 2**-q``,
+    p = 1 .. 2**q T."""
     if not (isinstance(q, int) and q >= tbasis.level):
         raise ValueError(
             f"collocation level q={q!r} must be an integer >= time level "
             f"{tbasis.level}"
         )
-    n_interior = 2**q * tbasis.horizon
-    interior = np.arange(1, n_interior + 1, dtype=np.float64) / 2**q
-    a_in = tbasis.eval_many(interior, order)
-    g_in = tbasis.eval_many(interior)
-    if include_ic_row:
-        nodes = np.concatenate(([0.0], interior))
-        a = np.vstack([np.zeros((1, tbasis.size)), a_in])
-        g = np.vstack([tbasis.initial_values()[None, :], g_in])
-    else:
-        nodes, a, g = interior, a_in, g_in
-    return CollocationSystem(derivative=a, value=g, nodes=nodes, has_ic_row=include_ic_row)
+    nodes = np.arange(1, 2**q * tbasis.horizon + 1, dtype=np.float64) / 2**q
+    return CollocationSystem(
+        derivative=tbasis.eval_many(nodes, order), value=tbasis.eval_many(nodes), nodes=nodes
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +148,6 @@ class DiscreteSystem:
     collocation: CollocationSystem
     load: np.ndarray  # shape (spatial size, number of nodes)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        n_rows = self.mass.shape[0] * self.collocation.nodes.size
-        n_cols = self.mass.shape[0] * self.collocation.value.shape[1]
-        return (n_rows, n_cols)
-
 
 def assemble_system(
     sbasis: SpatialBasis,
@@ -185,17 +156,11 @@ def assemble_system(
     order: float,
     q: int,
     quad: QuadratureRule | None = None,
-    include_ic_row: bool = True,
 ) -> DiscreteSystem:
     """Assemble all discrete operators for one solve."""
     quad = quad or QuadratureRule()
     mass = assemble_mass(sbasis, quad)
     stiffness = assemble_stiffness(sbasis, quad)
-    coll = assemble_collocation(tbasis, order, q, include_ic_row)
-    if include_ic_row:
-        load = np.empty((sbasis.size, coll.nodes.size))
-        load[:, 0] = 0.0  # constraint row: u(0, .) = 0
-        load[:, 1:] = assemble_load_matrix(sbasis, forcing, coll.nodes[1:], quad)
-    else:
-        load = assemble_load_matrix(sbasis, forcing, coll.nodes, quad)
+    coll = assemble_collocation(tbasis, order, q)
+    load = assemble_load_matrix(sbasis, forcing, coll.nodes, quad)
     return DiscreteSystem(mass=mass, stiffness=stiffness, collocation=coll, load=load)

@@ -22,8 +22,6 @@ __all__ = [
     "TemporalBasis",
     "build_spatial",
     "build_temporal",
-    "eval_spatial",
-    "eval_temporal",
 ]
 
 
@@ -92,23 +90,14 @@ class SpatialBasis:
     combinations : ndarray, shape (size, 2**level + degree)
         Row c gives the translate coefficients of member c over the
         translate range ``k = -degree .. 2**level - 1``.
-    dropped : ndarray, shape (2, 2**level + degree)
-        Translate coefficients of the two discarded endpoint profiles; the
-        kept family plus these two sums to one on [0, 1].
     """
 
     level: int
     degree: int
     size: int
     combinations: np.ndarray
-    dropped: np.ndarray
     _spline: FractionalBSpline = field(repr=False)
     _dspline: FractionalBSpline = field(repr=False)
-
-    @property
-    def translate_range(self) -> tuple[int, int]:
-        """Inclusive translate index range covered by the columns."""
-        return (-self.degree, 2**self.level - 1)
 
     def _value_args(self) -> tuple:
         """Kernel arguments after the points of the translate value table."""
@@ -124,7 +113,7 @@ class SpatialBasis:
 
     def translate_values(self, x, deriv: int = 0) -> np.ndarray:
         """Raw translate table ``B(2**j x - k)`` (or its first derivative),
-        one column per translate in ``translate_range``."""
+        one column per translate ``k = -degree .. 2**level - 1``."""
         x = np.ascontiguousarray(np.atleast_1d(x), dtype=np.float64)
         n = self.degree
         ncols = 2**self.level + n
@@ -153,10 +142,6 @@ class SpatialBasis:
     def eval_many(self, x, deriv: int = 0) -> np.ndarray:
         """Member-function table of shape (len(x), size)."""
         return self.translate_values(x, deriv) @ self.combinations.T
-
-    def eval_dropped(self, x, deriv: int = 0) -> np.ndarray:
-        """Values of the two discarded endpoint profiles, shape (len(x), 2)."""
-        return self.translate_values(x, deriv) @ self.dropped.T
 
 
 def build_spatial(j: int, n: int = 3) -> SpatialBasis:
@@ -194,31 +179,14 @@ def build_spatial(j: int, n: int = 3) -> SpatialBasis:
         for coeff, k in zip(c, ks):
             c_mat[size - m, col(2**j - n - 1 - k)] = coeff
 
-    dropped = np.zeros((2, n_translates))
-    for k in range(-n, 0):
-        dropped[0, col(k)] = 1.0
-        dropped[1, col(2**j - n - 1 - k)] = 1.0
-    dropped[0] -= c_mat[: n - 1].sum(axis=0)
-    dropped[1] -= c_mat[size - (n - 1) :].sum(axis=0)
-
     return SpatialBasis(
         level=j,
         degree=n,
         size=size,
         combinations=c_mat,
-        dropped=dropped,
         _spline=FractionalBSpline(float(n)),
         _dspline=FractionalBSpline(float(n - 1)),
     )
-
-
-def eval_spatial(basis: SpatialBasis, k: int, x, deriv: int = 0):
-    """Value (or first derivative) of member function ``k`` at ``x``."""
-    if not 0 <= k < basis.size:
-        raise IndexError(f"member index {k} outside 0..{basis.size - 1}")
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = basis.eval_many(np.atleast_1d(x_arr).ravel(), deriv)[:, k]
-    return float(out[0]) if x_arr.ndim == 0 else out.reshape(x_arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +274,3 @@ def build_temporal(
         spline=spline,
     )
 
-
-def eval_temporal(basis: TemporalBasis, r: int, t, order: float = 0.0):
-    """Value (order 0) or fractional derivative of translate ``r`` at ``t``."""
-    if not basis.r_min <= r <= basis.r_max:
-        raise IndexError(f"translate {r} outside {basis.r_min}..{basis.r_max}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    out = basis.eval_many(np.atleast_1d(t_arr).ravel(), order)[:, r - basis.r_min]
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

@@ -21,15 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .specfun import binomial_row
 from .specfun import gamma as _gamma
 
-__all__ = [
-    "DEFAULT_TAIL_TOL",
-    "FractionalBSpline",
-    "truncated_power",
-    "finite_diff_weights",
-    "mask",
-]
+__all__ = ["DEFAULT_TAIL_TOL", "FractionalBSpline"]
 
 # Calibrated so that degree 3.5 gets effective support 10 (the tail maxima
 # per unit window sit at 2.1e-7 on (9, 10] and 1.0e-7 on (10, 11]); that is
@@ -40,41 +35,12 @@ _SUPPORT_CAP = 64
 _SCAN_STEP = 1.0 / 32.0
 
 
-def _binomial_row(a: float, k_max: int) -> np.ndarray:
-    """C(a, k) for k = 0..k_max via the multiplicative recurrence."""
-    if k_max < 0:
-        return np.empty(0)
-    k = np.arange(1, k_max + 1, dtype=np.float64)
-    out = np.empty(k_max + 1, dtype=np.float64)
-    out[0] = 1.0
-    if k_max:
-        out[1:] = np.cumprod((a - k + 1.0) / k)
-    return out
-
-
-def truncated_power(alpha: float, t):
-    """One-sided power ``t_+**alpha``: ``t**alpha`` for t > 0, else 0.
-
-    The zero-degree case is the right-continuous step (``0**0 == 1``), so
-    that the degree-0 spline is the indicator of ``[0, 1)``.
-    """
-    t_arr = np.asarray(t, dtype=np.float64)
-    scalar = t_arr.ndim == 0
-    out = kernels.truncated_power_sum(
-        np.atleast_1d(t_arr), np.ones(1), float(alpha), math.inf
-    )
-    return float(out[0]) if scalar else out.reshape(t_arr.shape)
-
-
-def finite_diff_weights(alpha: float, k_max: int) -> np.ndarray:
-    """Weights ``(-1)**k C(alpha, k)`` of the fractional forward difference."""
+def _weight_row(degree: float, k_max: int, order: float = 0.0) -> np.ndarray:
+    """Truncated-power weights ``(-1)**k C(degree+1, k) / gamma(degree -
+    order + 1)``, k = 0..k_max, of the order-``order`` derivative (order 0:
+    the value)."""
     signs = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
-    return signs * _binomial_row(alpha, k_max)
-
-
-def mask(alpha: float, k_max: int) -> np.ndarray:
-    """Two-scale mask ``2**-alpha C(alpha+1, k)``; its full sum is 2."""
-    return 2.0 ** (-alpha) * _binomial_row(alpha + 1.0, k_max)
+    return signs * binomial_row(degree + 1.0, k_max) / _gamma(degree - order + 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,15 +81,12 @@ class FractionalBSpline:
         else:
             s = self._scan_support(d)
         object.__setattr__(self, "effective_support", s)
-        signs = np.where(np.arange(s + 1) % 2 == 0, 1.0, -1.0)
-        w = signs * _binomial_row(d + 1.0, s) / _gamma(d + 1.0)
-        object.__setattr__(self, "_vweights", w)
+        object.__setattr__(self, "_vweights", _weight_row(d, s))
 
     def _scan_support(self, d: float) -> int:
         lo = math.ceil(d) + 1
         t = np.arange(lo, _SUPPORT_CAP + _SCAN_STEP / 2, _SCAN_STEP)
-        signs = np.where(np.arange(_SUPPORT_CAP + 1) % 2 == 0, 1.0, -1.0)
-        w = signs * _binomial_row(d + 1.0, _SUPPORT_CAP) / _gamma(d + 1.0)
+        w = _weight_row(d, _SUPPORT_CAP)
         vals = kernels.truncated_power_sum(t, w, d, math.inf)
         above = t[np.abs(vals) >= self.tail_tol]
         if above.size == 0:
@@ -151,21 +114,11 @@ class FractionalBSpline:
         derivative decays more slowly than the value, and the collocation
         matrices need the full sum.
         """
-        order = float(order)
-        if not 0.0 < order < self.degree + 0.5:
-            raise ValueError(
-                f"derivative order must lie in (0, degree + 1/2), got {order!r} "
-                f"for degree {self.degree!r}"
-            )
         t_arr = np.asarray(t, dtype=np.float64)
         scalar = t_arr.ndim == 0
         flat = np.atleast_1d(t_arr).ravel()
-        k_max = self._k_max(flat)
-        signs = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
-        w = signs * _binomial_row(self.degree + 1.0, k_max) / _gamma(
-            self.degree - order + 1.0
-        )
-        out = kernels.truncated_power_sum(flat, w, self.degree - order, math.inf)
+        w = self.derivative_weights(order, self._k_max(flat))
+        out = kernels.truncated_power_sum(flat, w, self.degree - float(order), math.inf)
         return float(out[0]) if scalar else out.reshape(t_arr.shape)
 
     @staticmethod
@@ -182,18 +135,12 @@ class FractionalBSpline:
         order = float(order)
         if not 0.0 < order < self.degree + 0.5:
             raise ValueError(
-                f"derivative order must lie in (0, degree + 1/2), got {order!r}"
+                f"derivative order must lie in (0, degree + 1/2), got {order!r} "
+                f"for degree {self.degree!r}"
             )
-        signs = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
-        return signs * _binomial_row(self.degree + 1.0, k_max) / _gamma(
-            self.degree - order + 1.0
-        )
+        return _weight_row(self.degree, k_max, order)
 
     @property
     def value_weights(self) -> np.ndarray:
         """Truncated-power weights of the value sum (length support + 1)."""
         return self._vweights
-
-    def refinement_mask(self, k_max: int) -> np.ndarray:
-        """Mask of the two-scale relation for this degree."""
-        return mask(self.degree, k_max)

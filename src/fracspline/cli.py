@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _blas
-from .basis import build_temporal
+from .basis import build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
 from .solver import SolveConfig, error_report, l2_error_at_time, solve
@@ -36,8 +36,6 @@ CSV_COLUMNS = ("s", "j", "beta", "gamma", "l2_error", "dof", "condition_estimate
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bound; the library itself accepts any level that fits in memory.
 LEVEL_RANGE = (2, 8)
-
-_SPATIAL_DEGREE_OFFSET = 2  # dirichlet family size is 2^j + alpha - 2
 
 
 class ConfigError(ValueError):
@@ -116,7 +114,6 @@ def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
             q=args.q,
             tail_tol=args.tail_tol,
             quad_points=args.quad_points,
-            ic_row=not args.no_ic_row,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -128,11 +125,11 @@ def _fallback_dof(cell: _Cell) -> int:
     # even for sentinel rows whenever the bases can still be built.
     cfg = cell.config
     try:
-        tb = build_temporal(cfg.s, cfg.beta, cfg.horizon, cfg.tail_tol)
+        n_x = build_spatial(cfg.j, cfg.alpha).size
+        n_t = build_temporal(cfg.s, cfg.beta, cfg.horizon, cfg.tail_tol).size
     except Exception:
         return 0
-    n_x = 2**cfg.j + cfg.alpha - _SPATIAL_DEGREE_OFFSET
-    return n_x * tb.size
+    return n_x * n_t
 
 
 def _run_cell(cell: _Cell) -> TableRow:
@@ -252,7 +249,6 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("-q", type=int, default=None, help="collocation level (default s+1)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--quad-points", type=int, default=8)
-    p.add_argument("--no-ic-row", action="store_true", help="drop the explicit t=0 constraint row")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--threads", type=int, default=None, help="parallel sweep cells (default: FRACSPLINE_THREADS or 1)")
 

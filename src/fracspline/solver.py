@@ -6,8 +6,8 @@ eigenmode at a time (``linalg.modal_lstsq_solve``).  That minimises the
 residual in the ``mass^-1 (x) I`` norm rather than the Euclidean norm.  The
 homogeneous initial condition is enforced exactly by eliminating one
 coefficient per spatial member (a null-space substitution that preserves
-the Kronecker structure); the t = 0 collocation row is kept as well but
-becomes inert.
+the Kronecker structure); that is the only place it enters, and the
+collocation tables hold the interior nodes alone.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ class SolveConfig:
     """Discretisation parameters of one solve.
 
     ``q`` is the dyadic collocation level (defaults to ``s + 1``, i.e. twice
-    as many collocation nodes as time translates per unit); ``ic_row``
-    keeps the explicit t = 0 constraint row and the exact coefficient
-    elimination that goes with it.  ``rcond`` is the relative R-diagonal
+    as many collocation nodes as time translates per unit).  ``rcond`` is the relative R-diagonal
     cutoff of the least-squares solve, one global threshold over all
     spatial modes (``rcond`` times the largest leading pivot of any mode):
     the non-integer translate family is redundant by construction, and the
@@ -63,7 +61,6 @@ class SolveConfig:
     horizon: int = 1
     tail_tol: float = DEFAULT_TAIL_TOL
     quad_points: int = 8
-    ic_row: bool = True
     rcond: Optional[float] = 1e-8
 
     def __post_init__(self):
@@ -144,13 +141,12 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         config.gamma,
         config.collocation_level,
         quad,
-        include_ic_row=config.ic_row,
     )
 
     a_mat = system.collocation.derivative
     g_mat = system.collocation.value
 
-    z = _ic_nullspace(tbasis) if config.ic_row else None
+    z = _ic_nullspace(tbasis)
     if z is not None:
         a_mat = a_mat @ z
         g_mat = g_mat @ z
@@ -201,9 +197,10 @@ def evaluate(sol: Solution, t, x):
     """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > sol.config.horizon):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all((0.0 <= t_arr) & (t_arr <= sol.config.horizon)):
         raise ValueError(f"t outside [0, {sol.config.horizon}]")
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+    if not np.all((0.0 <= x_arr) & (x_arr <= 1.0)):
         raise ValueError("x outside [0, 1]")
     scalar = t_arr.ndim == 0 and x_arr.ndim == 0
     t_flat = np.atleast_1d(t_arr).ravel()
@@ -219,16 +216,6 @@ def evaluate(sol: Solution, t, x):
     return float(vals[0]) if scalar else vals.reshape(t_arr.shape)
 
 
-def _tensor_gauss(level: int, cells0: int, points: int) -> tuple[np.ndarray, np.ndarray]:
-    ref_x, ref_w = np.polynomial.legendre.leggauss(points)
-    ncells = cells0 * 2**level
-    h = cells0 / ncells
-    left = np.arange(ncells) * h
-    nodes = (left[:, None] + (ref_x + 1.0) * (h / 2.0)).ravel()
-    weights = np.tile(ref_w * (h / 2.0), ncells)
-    return nodes, weights
-
-
 def l2_error(sol: Solution, exact: Callable, points_per_cell: int = 4) -> float:
     """Space-time L2 distance to ``exact`` over [0, horizon] x [0, 1].
 
@@ -237,8 +224,9 @@ def l2_error(sol: Solution, exact: Callable, points_per_cell: int = 4) -> float:
     the reference field.
     """
     level = max(sol.config.j, sol.config.s) + 1
-    t_nodes, t_w = _tensor_gauss(level, sol.config.horizon, points_per_cell)
-    x_nodes, x_w = _tensor_gauss(level, 1, points_per_cell)
+    quad = QuadratureRule(points_per_cell)
+    t_nodes, t_w = quad.nodes(level, sol.config.horizon)
+    x_nodes, x_w = quad.nodes(level)
     num = sol.grid_values(t_nodes, x_nodes)
     ref = exact(t_nodes[:, None], x_nodes[None, :])
     diff2 = (num - ref) ** 2
@@ -250,7 +238,7 @@ def l2_error_at_time(
 ) -> float:
     """Space-only L2 distance at a fixed time (diagnostic)."""
     level = max(sol.config.j, sol.config.s) + 1
-    x_nodes, x_w = _tensor_gauss(level, 1, points_per_cell)
+    x_nodes, x_w = QuadratureRule(points_per_cell).nodes(level)
     num = sol.grid_values(np.array([t]), x_nodes)[0]
     ref = exact(float(t), x_nodes)
     return float(math.sqrt(x_w @ (num - ref) ** 2))

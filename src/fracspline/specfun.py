@@ -1,4 +1,4 @@
-"""Scalar special functions used by the spline machinery.
+"""Special functions used by the spline machinery.
 
 Self-contained on purpose: the gamma function is the one knob the whole
 construction turns on (normalisation of every truncated power), so it is
@@ -9,11 +9,13 @@ whatever libm happens to provide.
 import cmath
 import math
 
+import numpy as np
+
 __all__ = [
     "PoleError",
     "ConvergenceError",
+    "binomial_row",
     "gamma",
-    "gen_binomial",
     "kummer_1f1",
 ]
 
@@ -67,20 +69,22 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def gen_binomial(alpha: float, k: int) -> float:
-    """Generalised binomial coefficient ``alpha choose k``.
+def binomial_row(alpha: float, k_max: int) -> np.ndarray:
+    """Generalised binomial coefficients ``alpha choose k``, k = 0..k_max.
 
     Computed by the multiplicative recurrence
     ``C(alpha, k) = C(alpha, k-1) * (alpha - k + 1) / k`` so that no gamma
     evaluation near a pole is involved; for integer ``alpha`` the product
     hits an exact zero factor once ``k > alpha`` instead of a 0/0.
     """
-    if k < 0:
-        raise ValueError(f"binomial order must be non-negative, got {k}")
-    acc = 1.0
-    for i in range(1, k + 1):
-        acc *= (alpha - i + 1) / i
-    return acc
+    if k_max < 0:
+        raise ValueError(f"binomial order must be non-negative, got {k_max}")
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    out = np.empty(k_max + 1, dtype=np.float64)
+    out[0] = 1.0
+    if k_max:
+        out[1:] = np.cumprod((alpha - k + 1.0) / k)
+    return out
 
 
 def kummer_1f1(

@@ -9,7 +9,6 @@ from scipy import integrate
 from fracspline.assembly import (
     QuadratureRule,
     assemble_collocation,
-    assemble_load,
     assemble_load_matrix,
     assemble_mass,
     assemble_stiffness,
@@ -31,12 +30,11 @@ def test_quadrature_nodes_and_weights():
     assert w.sum() == pytest.approx(1.0, rel=1e-14)
     # composite 8-point Gauss is exact through degree 15
     assert (w @ x**15) == pytest.approx(1.0 / 16.0, rel=1e-13)
-
-
-def test_quadrature_level_override():
-    rule = QuadratureRule(points_per_cell=4, level=2)
-    x, _ = rule.nodes(6)
-    assert x.shape == (16,)  # override wins over the basis level
+    # a span of 2 keeps the cell width and doubles the cells
+    x2, w2 = rule.nodes(3, 2)
+    assert x2.shape == w2.shape == (128,)
+    np.testing.assert_array_equal(x2[:64], x)
+    assert w2.sum() == pytest.approx(2.0, rel=1e-14)
 
 
 def test_quadrature_validation():
@@ -108,7 +106,7 @@ def test_gram_centro_symmetry():
 def test_load_against_adaptive_quadrature():
     basis = build_spatial(3, 3)
     forcing = lambda t, x: (1.0 + t) * np.sin(2.0 * np.pi * x)
-    vec = assemble_load(basis, forcing, t=0.3)
+    vec = assemble_load_matrix(basis, forcing, np.array([0.3]))[:, 0]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     for k in (0, 1, 4, 8):
         ref, err = integrate.quad(
@@ -122,16 +120,6 @@ def test_load_against_adaptive_quadrature():
         assert vec[k] == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
-def test_load_matrix_stacks_single_loads():
-    basis = build_spatial(3, 3)
-    forcing = lambda t, x: np.exp(t) * x * (1.0 - x)
-    times = np.array([0.1, 0.45, 0.8])
-    cols = assemble_load_matrix(basis, forcing, times)
-    assert cols.shape == (basis.size, 3)
-    for p, t in enumerate(times):
-        np.testing.assert_allclose(cols[:, p], assemble_load(basis, forcing, t), rtol=1e-14)
-
-
 def test_load_accepts_scalar_only_forcing():
     basis = build_spatial(3, 3)
 
@@ -141,8 +129,8 @@ def test_load_accepts_scalar_only_forcing():
         return float(x) ** 2
 
     with pytest.warns(RuntimeWarning, match="TypeError"):
-        vec = assemble_load(basis, forcing, t=0.0)
-    smooth = assemble_load(basis, lambda t, x: np.asarray(x) ** 2, t=0.0)
+        vec = assemble_load_matrix(basis, forcing, np.zeros(1))
+    smooth = assemble_load_matrix(basis, lambda t, x: np.asarray(x) ** 2, np.zeros(1))
     np.testing.assert_allclose(vec, smooth, rtol=1e-14)
 
 
@@ -168,26 +156,16 @@ def test_example_forcings_take_the_vectorised_path(example):
 
 def test_collocation_interior_nodes():
     tb = build_temporal(3, 3.0)
-    sys_ = assemble_collocation(tb, 0.5, q=4, include_ic_row=False)
+    sys_ = assemble_collocation(tb, 0.5, q=4)
     np.testing.assert_allclose(sys_.nodes, np.arange(1, 17) / 16.0)
     assert sys_.derivative.shape == (16, tb.size)
     np.testing.assert_allclose(sys_.value, tb.eval_many(sys_.nodes), atol=1e-15)
     np.testing.assert_allclose(sys_.derivative, tb.eval_many(sys_.nodes, 0.5), atol=1e-15)
-    assert not sys_.has_ic_row
-
-
-def test_collocation_ic_row():
-    tb = build_temporal(3, 3.0)
-    sys_ = assemble_collocation(tb, 0.5, q=4)
-    assert sys_.has_ic_row
-    assert sys_.nodes[0] == 0.0
-    np.testing.assert_array_equal(sys_.derivative[0], 0.0)
-    np.testing.assert_allclose(sys_.value[0], tb.initial_values(), atol=1e-16)
 
 
 def test_collocation_horizon_scales_node_count():
     tb = build_temporal(3, 3.0, T=2)
-    sys_ = assemble_collocation(tb, 0.5, q=3, include_ic_row=False)
+    sys_ = assemble_collocation(tb, 0.5, q=3)
     assert sys_.nodes.size == 16
     assert sys_.nodes[-1] == pytest.approx(2.0)
 
@@ -205,11 +183,8 @@ def test_assemble_system_shapes_and_ic_column():
     tb = build_temporal(3, 3.5)
     forcing = lambda t, x: t * np.sin(np.pi * np.asarray(x))
     system = assemble_system(sb, tb, forcing, 0.5, q=4)
-    n_nodes = 16 + 1
-    assert system.load.shape == (sb.size, n_nodes)
-    np.testing.assert_array_equal(system.load[:, 0], 0.0)
-    assert system.shape == (sb.size * n_nodes, sb.size * tb.size)
-    # without the constraint row the first column is a genuine load column
-    system2 = assemble_system(sb, tb, forcing, 0.5, q=4, include_ic_row=False)
-    assert system2.load.shape == (sb.size, 16)
-    assert np.any(system2.load[:, 0] != 0.0)
+    assert system.mass.shape == system.stiffness.shape == (sb.size, sb.size)
+    assert system.collocation.derivative.shape == system.collocation.value.shape == (16, tb.size)
+    # no t = 0 constraint column: the first column is the load at t = 1/16
+    assert system.load.shape == (sb.size, 16)
+    assert np.any(system.load[:, 0] != 0.0)

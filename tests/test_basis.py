@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
-from fracspline.basis import (
-    build_spatial,
-    build_temporal,
-    eval_spatial,
-    eval_temporal,
-)
+from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import FractionalBSpline
 
 
 # ---------------------------------------------------------------- spatial
+
+
+def dropped_profiles(basis):
+    """Translate coefficients of the two endpoint profiles the Dirichlet
+    family leaves out: all cut translates at an end minus that end's
+    combinations.  The kept family plus these two sums to one on [0, 1]."""
+    n, c = basis.degree, basis.combinations
+    d = np.zeros((2, c.shape[1]))
+    d[0, :n] = 1.0
+    d[1, -n:] = 1.0
+    d[0] -= c[: n - 1].sum(axis=0)
+    d[1] -= c[-(n - 1) :].sum(axis=0)
+    return d
 
 
 @pytest.mark.parametrize("j,expected", [(3, 9), (4, 17), (5, 33), (6, 65)])
@@ -25,9 +33,13 @@ def test_spatial_size_other_degrees(j, n, expected):
 
 def test_translate_range():
     basis = build_spatial(4, 3)
-    assert basis.translate_range == (-3, 15)
+    # columns run over translates k = -3 .. 15: B(16 x + 3) first, B(16 x - 15) last
+    ends = basis.translate_values(np.array([0.0, 1.0]))
+    b = FractionalBSpline(3.0)
+    assert ends[0, 0] == pytest.approx(b(3.0))
+    assert ends[1, -1] == pytest.approx(b(1.0))
     assert basis.combinations.shape == (17, 19)
-    assert basis.dropped.shape == (2, 19)
+    assert dropped_profiles(basis).shape == (2, 19)
 
 
 def test_dirichlet_ends():
@@ -38,14 +50,15 @@ def test_dirichlet_ends():
 
 def test_dropped_profiles_carry_the_endpoint_values():
     basis = build_spatial(4, 3)
-    d = basis.eval_dropped(np.array([0.0, 1.0]))
+    d = basis.translate_values(np.array([0.0, 1.0])) @ dropped_profiles(basis).T
     np.testing.assert_allclose(d, np.eye(2), atol=1e-13)
 
 
 def test_partition_of_unity_with_dropped():
     basis = build_spatial(4, 3)
     x = np.linspace(0.0, 1.0, 257)
-    total = basis.eval_many(x).sum(axis=1) + basis.eval_dropped(x).sum(axis=1)
+    dropped = basis.translate_values(x) @ dropped_profiles(basis).T
+    total = basis.eval_many(x).sum(axis=1) + dropped.sum(axis=1)
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
 
@@ -63,17 +76,6 @@ def test_first_derivative_by_finite_difference():
     h = 1e-6
     fd = (basis.eval_many(x + h) - basis.eval_many(x - h)) / (2.0 * h)
     np.testing.assert_allclose(basis.eval_many(x, deriv=1), fd, atol=5e-4)
-
-
-def test_eval_spatial_scalar_and_errors():
-    basis = build_spatial(3, 3)
-    v = eval_spatial(basis, 4, 0.5)
-    assert isinstance(v, float)
-    assert v == pytest.approx(basis.eval_many(np.array([0.5]))[0, 4])
-    with pytest.raises(IndexError):
-        eval_spatial(basis, 9, 0.5)
-    with pytest.raises(IndexError):
-        eval_spatial(basis, -1, 0.5)
 
 
 def test_build_spatial_validation():
@@ -137,7 +139,7 @@ def test_temporal_matches_direct_spline_eval():
     t = np.linspace(0.0, 1.0, 33)
     for r in (-5, -1, 0, 7):
         np.testing.assert_allclose(
-            eval_temporal(tb, r, t), b(2.0**4 * t - r), atol=1e-14
+            tb.eval_many(t)[:, r - tb.r_min], b(2.0**4 * t - r), atol=1e-14
         )
 
 
@@ -149,15 +151,8 @@ def test_temporal_derivative_scaling(order):
     t = np.linspace(0.05, 1.0, 17)
     for r in (-4, 0, 3):
         direct = 2.0 ** (s * order) * b.frac_derivative(order, 2.0**s * t - r)
-        np.testing.assert_allclose(eval_temporal(tb, r, t, order), direct, rtol=1e-12, atol=1e-12)
-
-
-def test_eval_temporal_index_errors():
-    tb = build_temporal(3, 3.0)
-    with pytest.raises(IndexError):
-        eval_temporal(tb, tb.r_min - 1, 0.5)
-    with pytest.raises(IndexError):
-        eval_temporal(tb, tb.r_max + 1, 0.5)
+        got = tb.eval_many(t, order)[:, r - tb.r_min]
+        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-12)
 
 
 def test_build_temporal_validation():

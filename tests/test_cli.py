@@ -355,10 +355,13 @@ class TestCurvesCommand:
         assert "single -j" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["-T", "2"], ["--no-ic-row"]], ids=["T", "no-ic-row"])
 @pytest.mark.parametrize("command", ["solve", "table", "curves"])
-def test_horizon_flag_is_rejected(command, capsys):
-    # the built-in examples are posed on [0, 1], so there is no -T flag
+def test_horizon_flag_is_rejected(command, flag, capsys):
+    # removed flags end in argparse's exit 2: the built-in examples are
+    # posed on [0, 1] (no -T), and u(0, .) = 0 is always imposed by
+    # elimination (no --no-ic-row)
     with pytest.raises(SystemExit) as exc:
-        main([command, *FAST, "-T", "2"])
+        main([command, *FAST, *flag])
     assert exc.value.code == 2
-    assert "-T" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err

@@ -1,16 +1,25 @@
-"""Start-up cost: importing the package loads no SciPy subpackage but ``scipy.linalg``.
+"""Import surface of the package.
 
-A fresh interpreter imports every ``fracspline`` module, the CLI included,
-and reports what ended up in ``sys.modules``.  Test helpers such as the
-quadrature oracle of ``tests/caputo_oracle.py`` pull in the heavy SciPy
-subpackages, so they must never be reached from the package.
+Start-up cost: importing the package loads no SciPy subpackage but
+``scipy.linalg``.  A fresh interpreter imports every ``fracspline`` module,
+the CLI included, and reports what ended up in ``sys.modules``.  Test
+helpers such as the quadrature oracle of ``tests/caputo_oracle.py`` pull in
+the heavy SciPy subpackages, so they must never be reached from the package.
+
+Public names: every name a module lists in ``__all__`` exists in it, so a
+deleted function cannot leave a stale entry behind (tools that instrument
+the layers by ``__all__`` would break on one).
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fracspline
 
@@ -56,3 +65,14 @@ def test_package_import_loads_only_scipy_linalg():
     loaded = set(report["modules"])
     assert [name for name in FORBIDDEN if name in loaded] == []
     assert report["scipy"] == ["scipy.linalg"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fracspline"]
+    + [m.name for m in pkgutil.iter_modules(fracspline.__path__, "fracspline.")],
+)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

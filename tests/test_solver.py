@@ -92,12 +92,11 @@ class TestSolveBasics:
 
 
 class TestModalSolve:
-    @pytest.mark.parametrize("ic_row", [True, False])
     @pytest.mark.parametrize("beta", [3.0, 3.5])
     @pytest.mark.parametrize("j, s", [(3, 3), (3, 4)])
-    def test_no_worse_than_dense_oracle(self, monkeypatch, j, s, beta, ic_row):
+    def test_no_worse_than_dense_oracle(self, monkeypatch, j, s, beta):
         problem = example1(0.5)
-        config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta, ic_row=ic_row)
+        config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta)
         modal, _ = _solve_quiet(problem, config)
         monkeypatch.setattr(solver, "modal_lstsq_solve", dense_lstsq_solve)
         dense, _ = _solve_quiet(problem, config)
@@ -108,9 +107,7 @@ class TestModalSolve:
         # cubic temporal family: the system has full column rank
         sbasis = build_spatial(3, 3)
         tbasis = build_temporal(4, 3.0, 1, DEFAULT_TAIL_TOL)
-        system = assemble_system(
-            sbasis, tbasis, _null_problem().forcing, 0.5, 5, include_ic_row=False
-        )
+        system = assemble_system(sbasis, tbasis, _null_problem().forcing, 0.5, 5)
         a = system.collocation.derivative
         g = system.collocation.value
         c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
@@ -169,6 +166,13 @@ class TestEvaluate:
             evaluate(sol, 0.5, -0.01)
         with pytest.raises(ValueError, match="x outside"):
             evaluate(sol, 0.5, 1.01)
+        # NaN fails every comparison, so it must not slip past the check
+        with pytest.raises(ValueError, match="t outside"):
+            evaluate(sol, math.nan, 0.5)
+        with pytest.raises(ValueError, match="x outside"):
+            evaluate(sol, 0.5, math.nan)
+        with pytest.raises(ValueError, match="t outside"):
+            evaluate(sol, np.array([0.5, math.nan]), np.array([0.5, 0.5]))
 
     def test_array_shapes(self, proxy):
         sol, _ = proxy
