@@ -1,9 +1,14 @@
 """Discretisation bases: boundary-adapted splines in space, causal
 fractional-spline translates in time.
 
-Every basis function is stored as a small integer-translate combination, so
-matrix fills reduce to one translate-value table (a single kernel call) times
-a sparse-ish combination matrix.
+Both bases combine the dilated integer translates ``B(2**level t - r)``,
+``r = first .. first + count - 1``, of one spline ``B``.  Every table goes
+through one routine, ``_Translates.translate_values``: it asks the spline's
+derivative rule (``FractionalBSpline._terms``) for the weights, exponent and
+cutoff of the requested order (values, d/dx and D_t^gamma alike), fills the
+translate table with a single kernel call and applies the dilation factor
+``2**(level * order)``.  A spatial table is that table times the combination
+matrix; a temporal table is that table itself.
 """
 
 from __future__ import annotations
@@ -25,36 +30,23 @@ __all__ = [
 ]
 
 
-def _deriv_values_at_integers(n: int, nu: int, points: np.ndarray) -> np.ndarray:
-    """nu-th derivative of the degree-n spline at the given points.
-
-    Uses the difference ladder: each derivative order lowers the degree by
-    one and takes a forward difference, so order nu needs degree n - nu >= 0.
-    """
-    low = FractionalBSpline(float(n - nu))
-    signs = np.where(np.arange(nu + 1) % 2 == 0, 1.0, -1.0)
-    coeff = signs * np.array([math.comb(nu, i) for i in range(nu + 1)], dtype=float)
-    out = np.zeros_like(points, dtype=float)
-    for i, c in enumerate(coeff):
-        out += c * low(points - i)
-    return out
-
-
-def _left_boundary_combos(n: int) -> list[np.ndarray]:
+def _left_boundary_combos(spline: FractionalBSpline) -> list[np.ndarray]:
     """Coefficients of the n-1 endpoint combinations that restore the
-    homogeneous Dirichlet subspace at x = 0.
+    homogeneous Dirichlet subspace at x = 0 for the degree-n ``spline``.
 
     Combination i (1-based) mixes the i+1 deepest cut translates
     k = -(i+1) .. -1 and vanishes to order i at the endpoint; together with
     the untouched interior translates this spans every spline that is zero
     at the boundary.
     """
+    n = int(spline.degree)
     combos = []
     for i in range(1, n):
-        ks = np.arange(-(i + 1), 0)  # translate indexes, deepest first
-        cond = np.empty((i, i + 1))
-        for nu in range(i):
-            cond[nu] = _deriv_values_at_integers(n, nu, -ks.astype(float))
+        # translate k = -m, deepest first, sits at x = 0 with argument m
+        pts = np.arange(i + 1, 0, -1, dtype=float)
+        cond = np.array(
+            [spline.frac_derivative(nu, pts) if nu else spline(pts) for nu in range(i)]
+        )
         ns = null_space(cond)
         if ns.shape[1] != 1:
             raise RuntimeError(
@@ -69,8 +61,34 @@ def _left_boundary_combos(n: int) -> list[np.ndarray]:
     return combos
 
 
+class _Translates:
+    """The translate table shared by both bases.
+
+    A subclass supplies ``spline``, ``level`` and ``_span()``, the first
+    translate and the number of translates.
+    """
+
+    def translate_values(self, t, order: float = 0.0) -> np.ndarray:
+        """Raw translate table ``2**(level*order) B^(order)(2**level t - r)``,
+        one column per translate ``r = first .. first + count - 1``."""
+        t = np.ascontiguousarray(np.atleast_1d(t), dtype=np.float64)
+        first, count = self._span()
+        scale = float(2**self.level)
+        terms = self.spline._terms(order, scale * float(t.max(initial=0.0)) - first)
+        return kernels.basis_matrix(t, scale, float(first), count, *terms) * scale ** float(order)
+
+    def supported_translates(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Values and ``translate_values`` columns of the translates that can
+        be nonzero at each t (see ``kernels.supported_translates``)."""
+        first, count = self._span()
+        terms = self.spline._terms(0.0, math.inf)
+        return kernels.supported_translates(
+            np.atleast_1d(t), float(2**self.level), float(first), count, *terms
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class SpatialBasis:
+class SpatialBasis(_Translates):
     """Galerkin basis of dilated integer-translate splines on [0, 1] with
     homogeneous Dirichlet ends.
 
@@ -96,51 +114,14 @@ class SpatialBasis:
     degree: int
     size: int
     combinations: np.ndarray
-    _spline: FractionalBSpline = field(repr=False)
-    _dspline: FractionalBSpline = field(repr=False)
+    spline: FractionalBSpline = field(repr=False)
 
-    def _value_args(self) -> tuple:
-        """Kernel arguments after the points of the translate value table."""
-        n = self.degree
-        return (
-            float(2**self.level),
-            float(-n),
-            2**self.level + n,
-            self._spline.value_weights,
-            float(n),
-            float(n + 1),
-        )
-
-    def translate_values(self, x, deriv: int = 0) -> np.ndarray:
-        """Raw translate table ``B(2**j x - k)`` (or its first derivative),
-        one column per translate ``k = -degree .. 2**level - 1``."""
-        x = np.ascontiguousarray(np.atleast_1d(x), dtype=np.float64)
-        n = self.degree
-        ncols = 2**self.level + n
-        if deriv == 0:
-            return kernels.basis_matrix(x, *self._value_args())
-        if deriv == 1:
-            # first derivative = difference of two degree-(n-1) translates
-            w = kernels.basis_matrix(
-                x,
-                float(2**self.level),
-                float(-n),
-                ncols + 1,
-                self._dspline.value_weights,
-                float(n - 1),
-                float(n),
-            )
-            return (w[:, :-1] - w[:, 1:]) * float(2**self.level)
-        raise ValueError(f"deriv must be 0 or 1, got {deriv!r}")
-
-    def supported_translates(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Values and ``translate_values`` columns of the ``degree + 2``
-        translates that can be nonzero at each x (see
-        ``kernels.supported_translates``)."""
-        return kernels.supported_translates(np.atleast_1d(x), *self._value_args())
+    def _span(self) -> tuple[int, int]:
+        return -self.degree, 2**self.level + self.degree
 
     def eval_many(self, x, deriv: int = 0) -> np.ndarray:
-        """Member-function table of shape (len(x), size)."""
+        """Member-function table (order-``deriv`` derivative) of shape
+        (len(x), size)."""
         return self.translate_values(x, deriv) @ self.combinations.T
 
 
@@ -163,7 +144,8 @@ def build_spatial(j: int, n: int = 3) -> SpatialBasis:
     def col(k: int) -> int:
         return k + n
 
-    combos = _left_boundary_combos(n)
+    spline = FractionalBSpline(float(n))
+    combos = _left_boundary_combos(spline)
     c_mat = np.zeros((size, n_translates))
     # left endpoint combinations
     for m, c in enumerate(combos, start=1):
@@ -184,13 +166,12 @@ def build_spatial(j: int, n: int = 3) -> SpatialBasis:
         degree=n,
         size=size,
         combinations=c_mat,
-        _spline=FractionalBSpline(float(n)),
-        _dspline=FractionalBSpline(float(n - 1)),
+        spline=spline,
     )
 
 
 @dataclass(frozen=True, eq=False)
-class TemporalBasis:
+class TemporalBasis(_Translates):
     """Causal fractional-spline collocation basis on [0, T].
 
     Members are the dilated translates ``B(2**s t - r)`` for
@@ -208,41 +189,12 @@ class TemporalBasis:
     r_max: int
     spline: FractionalBSpline = field(repr=False)
 
-    def _value_args(self) -> tuple:
-        """Kernel arguments after the points of the member value table."""
-        return (
-            float(2**self.level),
-            float(self.r_min),
-            self.size,
-            self.spline.value_weights,
-            self.degree,
-            float(self.spline.effective_support),
-        )
-
-    def supported_translates(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Values and member indices of the ``S + 1`` translates that can be
-        nonzero at each t (see ``kernels.supported_translates``)."""
-        return kernels.supported_translates(np.atleast_1d(t), *self._value_args())
+    def _span(self) -> tuple[int, int]:
+        return self.r_min, self.size
 
     def eval_many(self, t, order: float = 0.0) -> np.ndarray:
         """Table of member values (order 0) or fractional derivatives."""
-        t = np.ascontiguousarray(np.atleast_1d(t), dtype=np.float64)
-        scale = float(2**self.level)
-        if order == 0.0:
-            return kernels.basis_matrix(t, *self._value_args())
-        u_hi = scale * float(t.max(initial=0.0)) - self.r_min
-        k_max = max(0, math.floor(u_hi))
-        w = self.spline.derivative_weights(order, k_max)
-        tab = kernels.basis_matrix(
-            t,
-            scale,
-            float(self.r_min),
-            self.size,
-            w,
-            self.degree - order,
-            math.inf,
-        )
-        return tab * scale**order
+        return self.translate_values(t, order)
 
     def initial_values(self) -> np.ndarray:
         """Member values at t = 0 (nonzero only for negative translates)."""

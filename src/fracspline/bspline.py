@@ -6,11 +6,16 @@ For integer degree it reduces to the classical compactly supported B-spline;
 for fractional degree the support is the whole half line and evaluation is
 truncated at an effective support determined by a tail tolerance.
 
-Fractional derivatives (Riemann-Liouville / Caputo, which coincide for these
-causal functions) come from differentiating each truncated power:
-the exponent drops by ``gamma`` and the normalisation becomes
-``gamma(alpha - gamma + 1)``.  This stays valid through ``gamma = 1`` and
-beyond, up to ``gamma < alpha + 1/2``.
+Derivatives of every order ``nu >= 0`` (Riemann-Liouville / Caputo, which
+coincide for these causal functions; ``nu`` = 1, 2, ... the ordinary ones)
+share one closed form, the generalized finite difference of a truncated
+power: weights ``(-1)**k C(alpha+1, k) / gamma(alpha - nu + 1)`` on ``(u -
+k)_+**(alpha - nu)``.  Order 0 is the value.  The sum vanishes beyond the
+support ``alpha + 1`` only when both the degree and the order are integers;
+otherwise it has an infinite tail.  ``FractionalBSpline._terms`` is the one
+place that turns an order into weights, exponent and cutoff, for the
+spline's own evaluation and for every basis table.  The rule holds up to
+``nu < alpha + 1/2``.
 """
 
 from __future__ import annotations
@@ -93,44 +98,53 @@ class FractionalBSpline:
             return lo
         return min(_SUPPORT_CAP, max(lo, math.ceil(above.max())))
 
+    def _terms(self, order: float, u_max: float) -> tuple[np.ndarray, float, float]:
+        """``(weights, exponent, cutoff)`` of the order-``order`` derivative
+        as a truncated-power sum, for arguments up to ``u_max``.
+
+        Order 0 is the value, cut at the effective support.  A positive
+        order is cut at the support only when degree and order are both
+        integers (the generalized difference of an integer power then
+        vanishes beyond it); otherwise its tail is infinite.  The weight row
+        stops at ``min(u_max, cutoff)``: later terms cannot reach a point.
+        """
+        order = float(order)
+        if order == 0.0:
+            return self._vweights, self.degree, float(self.effective_support)
+        if self.degree.is_integer() and order.is_integer():
+            cutoff = float(self.effective_support)
+        else:
+            cutoff = math.inf
+        k_max = max(0, math.floor(min(u_max, cutoff)))
+        return self.derivative_weights(order, k_max), self.degree - order, cutoff
+
+    def _sum(self, order: float, t):
+        """Order-``order`` derivative (order 0: value) at scalar or array ``t``."""
+        t_arr = np.asarray(t, dtype=np.float64)
+        flat = np.atleast_1d(t_arr).ravel()
+        out = kernels.truncated_power_sum(flat, *self._terms(order, float(flat.max(initial=0.0))))
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+
     def __call__(self, t):
         """Value at ``t`` (scalar or array); exactly 0 outside
         ``[0, effective_support]``."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        scalar = t_arr.ndim == 0
-        out = kernels.truncated_power_sum(
-            np.atleast_1d(t_arr).ravel(),
-            self._vweights,
-            self.degree,
-            float(self.effective_support),
-        )
-        return float(out[0]) if scalar else out.reshape(t_arr.shape)
+        return self._sum(0.0, t)
 
     def frac_derivative(self, order: float, t):
         """Fractional derivative of the given order at ``t``.
 
-        Valid for ``0 < order < degree + 1/2``; the order-1 case is the
-        ordinary derivative.  No tail truncation is applied here: the
-        derivative decays more slowly than the value, and the collocation
-        matrices need the full sum.
+        Valid for ``0 < order < degree + 1/2``; integer orders are the
+        ordinary derivatives.  No tail tolerance is applied: where the
+        derivative has an infinite tail it decays more slowly than the
+        value, and the collocation matrices need the full sum.
         """
-        t_arr = np.asarray(t, dtype=np.float64)
-        scalar = t_arr.ndim == 0
-        flat = np.atleast_1d(t_arr).ravel()
-        w = self.derivative_weights(order, self._k_max(flat))
-        out = kernels.truncated_power_sum(flat, w, self.degree - float(order), math.inf)
-        return float(out[0]) if scalar else out.reshape(t_arr.shape)
-
-    @staticmethod
-    def _k_max(t: np.ndarray) -> int:
-        hi = float(t.max(initial=0.0))
-        return max(0, math.floor(hi))
+        if float(order) == 0.0:
+            raise ValueError("derivative order must be positive; order 0 is the value")
+        return self._sum(order, t)
 
     def derivative_weights(self, order: float, k_max: int) -> np.ndarray:
-        """Signed, normalised truncated-power weights of the derivative sum.
-
-        Exposed so matrix fills can call the kernel directly on many points
-        without rebuilding the row per call.
+        """Signed, normalised truncated-power weights ``k = 0 .. k_max`` of
+        the order-``order`` derivative sum (exponent and cutoff: ``_terms``).
         """
         order = float(order)
         if not 0.0 < order < self.degree + 0.5:

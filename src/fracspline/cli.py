@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -229,16 +228,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _threads_default() -> int:
-    env = os.environ.get("FRACSPLINE_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"FRACSPLINE_THREADS={env!r} is not an integer") from None
-
-
 def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
     p.add_argument("--gamma", required=True, help="derivative order(s), comma list" if sweep else "derivative order")
@@ -250,7 +239,7 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--quad-points", type=int, default=8)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--threads", type=int, default=None, help="parallel sweep cells (default: FRACSPLINE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="parallel sweep cells (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,16 +259,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curves = sub.add_parser("curves", help="error-vs-s data files, one per gamma")
     _add_common(p_curves, sweep=True)
-    p_curves.add_argument("--format", choices=("csv", "json"), default=None, help=argparse.SUPPRESS)
 
     return parser
 
 
 def _resolve_threads(args) -> int:
-    threads = args.threads if args.threads is not None else _threads_default()
-    if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _cmd_solve(args) -> int:

@@ -77,6 +77,8 @@ class SolveConfig:
                 f"{self.quad_points} quadrature points cannot integrate degree-"
                 f"{self.alpha} splines exactly; need at least {self.alpha + 1}"
             )
+        if not 0.0 < self.tail_tol < 1.0:
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
         if self.rcond is not None and not 0.0 < self.rcond < 1.0:
             raise ValueError(f"rcond must lie in (0, 1), got {self.rcond!r}")
 

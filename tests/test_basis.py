@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import binom
 
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import FractionalBSpline
@@ -42,10 +45,19 @@ def test_translate_range():
     assert dropped_profiles(basis).shape == (2, 19)
 
 
-def test_dirichlet_ends():
-    basis = build_spatial(4, 3)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dirichlet_ends(n):
+    basis = build_spatial(4, n)
     ends = basis.eval_many(np.array([0.0, 1.0]))
-    assert np.max(np.abs(ends)) < 1e-14
+    # at x = 1 the last translate sits at the end of its support, where the
+    # truncated-power terms that cancel to 0 grow about 2x per degree
+    assert np.max(np.abs(ends)) < 1e-14 * 2.0 ** (n - 3)
+    # left combination i vanishes to order i at x = 0: its derivatives of
+    # order < i are zero there (order nu carries the factor 2**(4 nu))
+    for i in range(1, n):
+        for nu in range(i):
+            d = basis.eval_many(np.zeros(1), nu)[0, i - 1]
+            assert abs(d) < 1e-14 * 2.0 ** (4 * nu), (i, nu, d)
 
 
 def test_dropped_profiles_carry_the_endpoint_values():
@@ -76,6 +88,18 @@ def test_first_derivative_by_finite_difference():
     h = 1e-6
     fd = (basis.eval_many(x + h) - basis.eval_many(x - h)) / (2.0 * h)
     np.testing.assert_allclose(basis.eval_many(x, deriv=1), fd, atol=5e-4)
+    # d/dx of a degree-n translate is the difference of two degree-(n-1)
+    # translates: 2**j (B(2**j x - k) - B(2**j x - k - 1))
+    x = np.linspace(0.0, 1.0, 97)
+    for n in (2, 3, 4):
+        lower = FractionalBSpline(n - 1.0)
+        for j in (3, 5):
+            basis = build_spatial(j, n)
+            u = 2.0**j * x[:, None] - np.arange(-n, 2**j)
+            diff = 2.0**j * (lower(u) - lower(u - 1.0))
+            np.testing.assert_allclose(
+                basis.eval_many(x, 1), diff @ basis.combinations.T, rtol=1e-12, atol=1e-12
+            )
 
 
 def test_build_spatial_validation():
@@ -143,16 +167,30 @@ def test_temporal_matches_direct_spline_eval():
         )
 
 
-@pytest.mark.parametrize("order", [0.5, 1.0])
-def test_temporal_derivative_scaling(order):
+def _derivative_sum(beta, order, u):
+    """Order-``order`` derivative of the degree-``beta`` spline at ``u``: the
+    truncated-power sum written out in full, with no cutoff."""
+    k = np.arange(math.floor(u.max()) + 1)
+    w = (-1.0) ** k * binom(beta + 1.0, k) / math.gamma(beta - order + 1.0)
+    return (w * np.clip(u[:, None] - k, 0.0, None) ** (beta - order)).sum(axis=1)
+
+
+# ids of the beta = 3.5 cases are the bare order; beta = 3 has an integer
+# degree, whose fractional derivative still has an infinite tail
+@pytest.mark.parametrize(
+    "order, beta",
+    [(0.5, 3.5), (1.0, 3.5), (0.5, 3.0), (1.0, 3.0)],
+    ids=["0.5", "1.0", "0.5-beta3", "1.0-beta3"],
+)
+def test_temporal_derivative_scaling(order, beta):
     s = 3
-    tb = build_temporal(s, 3.5)
-    b = FractionalBSpline(3.5)
+    tb = build_temporal(s, beta)
     t = np.linspace(0.05, 1.0, 17)
-    for r in (-4, 0, 3):
-        direct = 2.0 ** (s * order) * b.frac_derivative(order, 2.0**s * t - r)
+    for r in (-3, 0, 3):
+        u = 2.0**s * t - r  # reaches 11, far beyond the support of beta = 3
+        direct = 2.0 ** (s * order) * _derivative_sum(beta, order, u)
         got = tb.eval_many(t, order)[:, r - tb.r_min]
-        np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-10)
 
 
 def test_build_temporal_validation():

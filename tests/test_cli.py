@@ -221,6 +221,9 @@ class TestTableCommand:
             ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "1"],
             ["table", "--example", "2", "--gamma", "1.0", "-j", "3", "-s", "3"],
             ["table", "--example", "1", "--gamma", "0.5", "-s", "3"],
+            ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--tail-tol", "2"],
+            ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--tail-tol", "2"],
+            ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--threads", "0"],
         ],
     )
     def test_bad_configs_exit_2(self, argv, capsys):
@@ -231,15 +234,12 @@ class TestTableCommand:
         with pytest.raises(SystemExit):
             main(["table", "--example", "3", "--gamma", "0.5", "-j", "3", "-s", "3"])
 
-    def test_threads_equivalence(self, tmp_path, monkeypatch):
+    def test_threads_equivalence(self, tmp_path):
         args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3"]
-        one, two, env = (tmp_path / n for n in ("one.csv", "two.csv", "env.csv"))
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main([*args, "--threads", "1", "--out", str(one)]) == 0
         assert main([*args, "--threads", "2", "--out", str(two)]) == 0
-        monkeypatch.setenv("FRACSPLINE_THREADS", "2")
-        assert main([*args, "--out", str(env)]) == 0
         assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
-        assert _strip_runtime(one.read_text()) == _strip_runtime(env.read_text())
         # The (7, 7) cell's 257x136 blocks are large enough for a two-thread
         # dgeqp3 to round differently from a one-thread one, so a BLAS pool
         # sized by --threads or by the core count would show in the output.
@@ -271,11 +271,6 @@ class TestTableCommand:
         seen.clear()
         assert main([*args, "--threads", "1"]) == 0
         assert seen and all(counts == before for counts in seen)
-
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("FRACSPLINE_THREADS", "many")
-        assert main(["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3"]) == 2
-        assert "FRACSPLINE_THREADS" in capsys.readouterr().err
 
 
 class TestCurvesCommand:
@@ -355,12 +350,19 @@ class TestCurvesCommand:
         assert "single -j" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["-T", "2"], ["--no-ic-row"]], ids=["T", "no-ic-row"])
-@pytest.mark.parametrize("command", ["solve", "table", "curves"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(command, flag, id=f"{command}-{name}")
+        for command in ("solve", "table", "curves")
+        for name, flag in (("T", ["-T", "2"]), ("no-ic-row", ["--no-ic-row"]))
+    ]
+    + [pytest.param("curves", ["--format", "json"], id="curves-format")],
+)
 def test_horizon_flag_is_rejected(command, flag, capsys):
     # removed flags end in argparse's exit 2: the built-in examples are
-    # posed on [0, 1] (no -T), and u(0, .) = 0 is always imposed by
-    # elimination (no --no-ic-row)
+    # posed on [0, 1] (no -T), u(0, .) = 0 is always imposed by elimination
+    # (no --no-ic-row), and curves writes gnuplot files only (no --format)
     with pytest.raises(SystemExit) as exc:
         main([command, *FAST, *flag])
     assert exc.value.code == 2

@@ -128,6 +128,7 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, quad_points=3), "quadrature points"),
             (dict(gamma=0.5, j=3, s=3, rcond=0.0), "rcond"),
             (dict(gamma=0.5, j=3, s=3, rcond=1.5), "rcond"),
+            (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
