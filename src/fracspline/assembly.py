@@ -1,32 +1,37 @@
-"""Assembly of the discrete operators.
+"""Spatial Galerkin operators: the Gram matrices and the load.
 
-Spatial Gram matrices (mass, stiffness) and load vectors are integrated by
+The mass and stiffness matrices and the load vectors are integrated by
 composite Gauss-Legendre quadrature on the dyadic cells; with 8 points per
 cell the spline-times-spline integrands are handled exactly (up to roundoff).
-Temporal operators are collocation tables on the interior dyadic nodes
-``t = p 2**-q``, p >= 1; the initial condition u(0, .) = 0 is not a row
-here but is imposed by the solver's coefficient elimination.
+The temporal collocation tables are plain basis tables
+(``TemporalBasis.eval_many``), which the solver takes directly.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpatialBasis, TemporalBasis
+from .basis import SpatialBasis
 
 __all__ = [
     "QuadratureRule",
-    "CollocationSystem",
-    "DiscreteSystem",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_load_matrix",
-    "assemble_collocation",
-    "assemble_system",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class QuadratureRule:
         if self.points_per_cell < 1:
             raise ValueError("points_per_cell must be at least 1")
         ncells = span * 2**level
-        ref_x, ref_w = np.polynomial.legendre.leggauss(self.points_per_cell)
+        ref_x, ref_w = _reference_rule(self.points_per_cell)
         h = 1.0 / 2**level
         left = np.arange(ncells) * h
         x = (left[:, None] + (ref_x + 1.0) * (h / 2.0)).ravel()
@@ -102,65 +107,3 @@ def assemble_load_matrix(
     for p, t in enumerate(times):
         cols[:, p] = vw.T @ _forcing_on_grid(forcing, float(t), x)
     return cols
-
-
-@dataclass(frozen=True, eq=False)
-class CollocationSystem:
-    """Temporal collocation tables on the interior dyadic nodes.
-
-    ``derivative[p, r]`` holds the fractional derivative of translate r at
-    node p and ``value[p, r]`` its plain value.  There is no t = 0 row: the
-    solver imposes u(0, .) = 0 by eliminating one coefficient per spatial
-    member.
-    """
-
-    derivative: np.ndarray
-    value: np.ndarray
-    nodes: np.ndarray
-
-
-def assemble_collocation(
-    tbasis: TemporalBasis,
-    order: float,
-    q: int,
-) -> CollocationSystem:
-    """Collocate values and order-``order`` derivatives at ``t = p 2**-q``,
-    p = 1 .. 2**q T."""
-    if not (isinstance(q, int) and q >= tbasis.level):
-        raise ValueError(
-            f"collocation level q={q!r} must be an integer >= time level "
-            f"{tbasis.level}"
-        )
-    nodes = np.arange(1, 2**q * tbasis.horizon + 1, dtype=np.float64) / 2**q
-    return CollocationSystem(
-        derivative=tbasis.eval_many(nodes, order), value=tbasis.eval_many(nodes), nodes=nodes
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteSystem:
-    """Everything the least-squares solve needs, in factored Kronecker form:
-    ``(mass (x) derivative + stiffness (x) value) vec(coeffs) = vec(load)``.
-    """
-
-    mass: np.ndarray
-    stiffness: np.ndarray
-    collocation: CollocationSystem
-    load: np.ndarray  # shape (spatial size, number of nodes)
-
-
-def assemble_system(
-    sbasis: SpatialBasis,
-    tbasis: TemporalBasis,
-    forcing,
-    order: float,
-    q: int,
-    quad: QuadratureRule | None = None,
-) -> DiscreteSystem:
-    """Assemble all discrete operators for one solve."""
-    quad = quad or QuadratureRule()
-    mass = assemble_mass(sbasis, quad)
-    stiffness = assemble_stiffness(sbasis, quad)
-    coll = assemble_collocation(tbasis, order, q)
-    load = assemble_load_matrix(sbasis, forcing, coll.nodes, quad)
-    return DiscreteSystem(mass=mass, stiffness=stiffness, collocation=coll, load=load)

@@ -106,16 +106,20 @@ class FractionalBSpline:
         order is cut at the support only when degree and order are both
         integers (the generalized difference of an integer power then
         vanishes beyond it); otherwise its tail is infinite.  The weight row
-        stops at ``min(u_max, cutoff)``: later terms cannot reach a point.
+        stops at ``u_max``, as later terms cannot reach a point, and for an
+        integer degree at ``degree + 1``, beyond which ``C(degree + 1, k)``
+        is 0.
         """
         order = float(order)
         if order == 0.0:
             return self._vweights, self.degree, float(self.effective_support)
-        if self.degree.is_integer() and order.is_integer():
-            cutoff = float(self.effective_support)
+        if self.degree.is_integer():
+            k_max = math.floor(min(u_max, self.effective_support))
+            cutoff = float(self.effective_support) if order.is_integer() else math.inf
         else:
+            k_max = math.floor(u_max)
             cutoff = math.inf
-        k_max = max(0, math.floor(min(u_max, cutoff)))
+        k_max = max(0, k_max)
         return self.derivative_weights(order, k_max), self.degree - order, cutoff
 
     def _sum(self, order: float, t):

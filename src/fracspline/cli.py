@@ -22,16 +22,15 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from . import _blas
 from .basis import build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
-from .solver import SolveConfig, error_report, l2_error_at_time, solve
+from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
 
-CSV_COLUMNS = ("s", "j", "beta", "gamma", "l2_error", "dof", "condition_estimate", "runtime_ms")
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bound; the library itself accepts any level that fits in memory.
 LEVEL_RANGE = (2, 8)
@@ -43,6 +42,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TableRow:
+    """One output row; its fields are the CSV columns, in order.
+
+    ``runtime_ms`` is the cell's solve plus its error report.
+    """
+
     s: int
     j: int
     beta: float
@@ -51,6 +55,9 @@ class TableRow:
     dof: int
     condition_estimate: float
     runtime_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 def _f17(x: float) -> str:
@@ -131,23 +138,23 @@ def _fallback_dof(cell: _Cell) -> int:
     return n_x * n_t
 
 
+def _measure(cell: _Cell) -> tuple[TableRow, Solution, ErrorReport]:
+    """Solve one cell and report its errors, both under the row's timer."""
+    cfg = cell.config
+    start = time.perf_counter()
+    sol, lsq = solve(cell.problem, cfg)
+    rep = error_report(sol, lsq, cell.problem.exact)
+    ms = (time.perf_counter() - start) * 1e3
+    row = TableRow(cfg.s, cfg.j, cfg.beta, cfg.gamma, rep.l2_error, rep.dof, rep.condition_estimate, ms)
+    return row, sol, rep
+
+
 def _run_cell(cell: _Cell) -> TableRow:
+    """A sweep cell's row; a failing cell becomes a NaN sentinel row."""
     cfg = cell.config
     start = time.perf_counter()
     try:
-        sol, lsq = solve(cell.problem, cfg)
-        rep = error_report(sol, lsq, cell.problem.exact)
-        ms = (time.perf_counter() - start) * 1e3
-        return TableRow(
-            s=cfg.s,
-            j=cfg.j,
-            beta=cfg.beta,
-            gamma=cfg.gamma,
-            l2_error=rep.l2_error,
-            dof=rep.dof,
-            condition_estimate=rep.condition_estimate,
-            runtime_ms=ms,
-        )
+        return _measure(cell)[0]
     except Exception as exc:
         ms = (time.perf_counter() - start) * 1e3
         # one write per line, so lines from parallel cells do not interleave
@@ -155,16 +162,7 @@ def _run_cell(cell: _Cell) -> TableRow:
             f"cell s={cfg.s} j={cfg.j} beta={cfg.beta:g} gamma={cfg.gamma:g}: "
             f"{type(exc).__name__}: {exc}\n"
         )
-        return TableRow(
-            s=cfg.s,
-            j=cfg.j,
-            beta=cfg.beta,
-            gamma=cfg.gamma,
-            l2_error=math.nan,
-            dof=_fallback_dof(cell),
-            condition_estimate=math.nan,
-            runtime_ms=ms,
-        )
+        return TableRow(cfg.s, cfg.j, cfg.beta, cfg.gamma, math.nan, _fallback_dof(cell), math.nan, ms)
 
 
 def _run_cells(cells: list[_Cell], threads: int) -> list[TableRow]:
@@ -181,37 +179,14 @@ def _run_cells(cells: list[_Cell], threads: int) -> list[TableRow]:
 def _csv_lines(rows: Sequence[TableRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.s),
-                    str(r.j),
-                    _f17(r.beta),
-                    _f17(r.gamma),
-                    _f17(r.l2_error),
-                    str(r.dof),
-                    _f17(r.condition_estimate),
-                    _f17(r.runtime_ms),
-                )
-            )
-        )
+        values = (getattr(r, name) for name in CSV_COLUMNS)
+        lines.append(",".join(str(v) if isinstance(v, int) else _f17(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
 def _row_object(r: TableRow) -> dict:
-    def clean(x: float) -> Optional[float]:
-        return None if math.isnan(x) else x
-
-    return {
-        "s": r.s,
-        "j": r.j,
-        "beta": r.beta,
-        "gamma": r.gamma,
-        "l2_error": clean(r.l2_error),
-        "dof": r.dof,
-        "condition_estimate": clean(r.condition_estimate),
-        "runtime_ms": r.runtime_ms,
-    }
+    values = ((name, getattr(r, name)) for name in CSV_COLUMNS)
+    return {name: None if isinstance(v, float) and math.isnan(v) else v for name, v in values}
 
 
 def _json_text(rows: Sequence[TableRow], single: bool) -> str:
@@ -239,7 +214,8 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--quad-points", type=int, default=8)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--threads", type=int, default=1, help="parallel sweep cells (default 1)")
+    if sweep:
+        p.add_argument("--threads", type=int, default=1, help="parallel sweep cells (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,25 +257,11 @@ def _cmd_solve(args) -> int:
     _check_levels(js, "-j")
     _check_levels(ss, "-s")
     cell = _build_cell(args, gammas[0], betas[0], js[0], ss[0])
-
-    start = time.perf_counter()
     try:
-        sol, lsq = solve(cell.problem, cell.config)
+        row, sol, rep = _measure(cell)
     except Exception as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    ms = (time.perf_counter() - start) * 1e3
-    rep = error_report(sol, lsq, cell.problem.exact)
-    row = TableRow(
-        s=cell.config.s,
-        j=cell.config.j,
-        beta=cell.config.beta,
-        gamma=cell.config.gamma,
-        l2_error=rep.l2_error,
-        dof=rep.dof,
-        condition_estimate=rep.condition_estimate,
-        runtime_ms=ms,
-    )
 
     if args.format == "csv":
         _emit(_csv_lines([row]), args.out)
@@ -322,7 +284,7 @@ def _cmd_solve(args) -> int:
             f"  l2 error at t={final_t:g}    {err_t_text}   (space only)\n"
             f"  condition estimate {rep.condition_estimate:.5e}\n"
             f"  lsq residual       {rep.residual_norm:.5e}\n"
-            f"  runtime            {ms:.1f} ms\n"
+            f"  runtime            {row.runtime_ms:.1f} ms\n"
         )
         _emit(summary, args.out)
     return 0

@@ -8,6 +8,12 @@ homogeneous initial condition is enforced exactly by eliminating one
 coefficient per spatial member (a null-space substitution that preserves
 the Kronecker structure); that is the only place it enters, and the
 collocation tables hold the interior nodes alone.
+
+``solve`` builds that system in factored Kronecker form, ``(mass (x) A +
+stiffness (x) G) vec(coeffs) = vec(load)``: the spatial Gram matrices and
+the load come from ``assembly``, and the temporal tables ``A`` (order-gamma
+derivatives) and ``G`` (values) are the time basis evaluated at the
+interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import QuadratureRule, assemble_system
+from .assembly import QuadratureRule, assemble_load_matrix, assemble_mass, assemble_stiffness
 from .basis import SpatialBasis, TemporalBasis, build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .linalg import LeastSquaresReport, modal_lstsq_solve
@@ -70,8 +76,10 @@ class SolveConfig:
             raise ValueError(
                 f"gamma={self.gamma!r} needs beta > gamma - 1/2, got beta={self.beta!r}"
             )
-        if self.q is not None and self.q < self.s:
-            raise ValueError(f"collocation level q={self.q!r} must be >= s={self.s!r}")
+        if self.q is not None and not (isinstance(self.q, int) and self.q >= self.s):
+            raise ValueError(
+                f"collocation level q={self.q!r} must be an integer >= s={self.s!r}"
+            )
         if self.quad_points < self.alpha + 1:
             raise ValueError(
                 f"{self.quad_points} quadrature points cannot integrate degree-"
@@ -136,17 +144,10 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     sbasis = build_spatial(config.j, config.alpha)
     tbasis = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
     quad = QuadratureRule(points_per_cell=config.quad_points)
-    system = assemble_system(
-        sbasis,
-        tbasis,
-        problem.forcing,
-        config.gamma,
-        config.collocation_level,
-        quad,
-    )
-
-    a_mat = system.collocation.derivative
-    g_mat = system.collocation.value
+    q = config.collocation_level
+    nodes = np.arange(1, 2**q * config.horizon + 1, dtype=np.float64) / 2**q
+    a_mat = tbasis.eval_many(nodes, config.gamma)
+    g_mat = tbasis.eval_many(nodes)
 
     z = _ic_nullspace(tbasis)
     if z is not None:
@@ -154,7 +155,12 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         g_mat = g_mat @ z
 
     coeffs, report = modal_lstsq_solve(
-        system.mass, system.stiffness, a_mat, g_mat, system.load, rcond=config.rcond
+        assemble_mass(sbasis, quad),
+        assemble_stiffness(sbasis, quad),
+        a_mat,
+        g_mat,
+        assemble_load_matrix(sbasis, problem.forcing, nodes, quad),
+        rcond=config.rcond,
     )
     n_cols = a_mat.shape[1]
     if z is not None:

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from fracspline import solver
 from fracspline.assembly import (
     QuadratureRule,
-    assemble_collocation,
     assemble_load_matrix,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
 )
-from fracspline.basis import build_spatial, build_temporal
-from fracspline.problems import example1, example2
+from fracspline.basis import build_spatial
+from fracspline.problems import ProblemSpec, example1, example2
 
 # Gram values of the cardinal cubic family: the autocorrelation of B_3 is
 # B_7, and the derivative Gram is -B_7'' at the integers.
@@ -35,6 +34,12 @@ def test_quadrature_nodes_and_weights():
     assert x2.shape == w2.shape == (128,)
     np.testing.assert_array_equal(x2[:64], x)
     assert w2.sum() == pytest.approx(2.0, rel=1e-14)
+    # the reference rule is shared between calls, so a caller writing into
+    # a returned array must not change the next call's nodes
+    x[:] = -1.0
+    w[:] = -1.0
+    np.testing.assert_array_equal(rule.nodes(3)[0], x2[:64])
+    np.testing.assert_array_equal(rule.nodes(3)[1], w2[:64])
 
 
 def test_quadrature_validation():
@@ -154,37 +159,55 @@ def test_example_forcings_take_the_vectorised_path(example):
         assemble_load_matrix(basis, example(0.5).forcing, np.array([0.0, 0.3, 1.0]))
 
 
-def test_collocation_interior_nodes():
-    tb = build_temporal(3, 3.0)
-    sys_ = assemble_collocation(tb, 0.5, q=4)
-    np.testing.assert_allclose(sys_.nodes, np.arange(1, 17) / 16.0)
-    assert sys_.derivative.shape == (16, tb.size)
-    np.testing.assert_allclose(sys_.value, tb.eval_many(sys_.nodes), atol=1e-15)
-    np.testing.assert_allclose(sys_.derivative, tb.eval_many(sys_.nodes, 0.5), atol=1e-15)
+# The temporal collocation tables and the load are built inside ``solve``;
+# these tests read them where ``solve`` hands them to the modal solve.
+def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
+    seen = {}
+    real = solver.modal_lstsq_solve
+
+    def capture(mass, stiffness, a, g, load, rcond):
+        seen.update(mass=mass, stiffness=stiffness, a=a, g=g, load=load)
+        return real(mass, stiffness, a, g, load, rcond=rcond)
+
+    monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
+    problem = ProblemSpec(name="capture", order=0.5, forcing=forcing, horizon=horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol, _ = solver.solve(problem, solver.SolveConfig(gamma=0.5, j=3, s=s, q=q, horizon=horizon))
+    return sol, seen
 
 
-def test_collocation_horizon_scales_node_count():
-    tb = build_temporal(3, 3.0, T=2)
-    sys_ = assemble_collocation(tb, 0.5, q=3)
-    assert sys_.nodes.size == 16
-    assert sys_.nodes[-1] == pytest.approx(2.0)
+def _forcing(t, x):
+    return t * np.sin(np.pi * np.asarray(x))
 
 
-def test_collocation_level_validation():
-    tb = build_temporal(4, 3.0)
-    with pytest.raises(ValueError):
-        assemble_collocation(tb, 0.5, q=3)
-    with pytest.raises(ValueError):
-        assemble_collocation(tb, 0.5, q=4.0)  # type: ignore[arg-type]
+def test_collocation_interior_nodes(monkeypatch):
+    sol, seen = _operators_through_solve(monkeypatch, _forcing, 1, s=3, q=4)
+    nodes = np.arange(1, 17) / 16.0
+    # the t = 0 value functional is eliminated, one column fewer
+    z = solver._ic_nullspace(sol.temporal)
+    np.testing.assert_array_equal(seen["a"], sol.temporal.eval_many(nodes, 0.5) @ z)
+    np.testing.assert_array_equal(seen["g"], sol.temporal.eval_many(nodes) @ z)
+    np.testing.assert_array_equal(
+        seen["load"], assemble_load_matrix(sol.spatial, _forcing, nodes, QuadratureRule())
+    )
 
 
-def test_assemble_system_shapes_and_ic_column():
-    sb = build_spatial(3, 3)
-    tb = build_temporal(3, 3.5)
-    forcing = lambda t, x: t * np.sin(np.pi * np.asarray(x))
-    system = assemble_system(sb, tb, forcing, 0.5, q=4)
-    assert system.mass.shape == system.stiffness.shape == (sb.size, sb.size)
-    assert system.collocation.derivative.shape == system.collocation.value.shape == (16, tb.size)
-    # no t = 0 constraint column: the first column is the load at t = 1/16
-    assert system.load.shape == (sb.size, 16)
-    assert np.any(system.load[:, 0] != 0.0)
+def test_collocation_horizon_scales_node_count(monkeypatch):
+    sol, seen = _operators_through_solve(monkeypatch, _forcing, 2, s=3, q=3)
+    nodes = np.arange(1, 17) / 8.0
+    assert seen["a"].shape[0] == seen["g"].shape[0] == seen["load"].shape[1] == 16
+    np.testing.assert_array_equal(
+        seen["load"], assemble_load_matrix(sol.spatial, _forcing, nodes, QuadratureRule())
+    )
+
+
+def test_assemble_system_shapes_and_ic_column(monkeypatch):
+    for horizon in (1, 2):
+        sol, seen = _operators_through_solve(monkeypatch, _forcing, horizon, s=3, q=4)
+        n_x, n_t, rows = sol.spatial.size, sol.temporal.size, 16 * horizon
+        assert seen["mass"].shape == seen["stiffness"].shape == (n_x, n_x)
+        assert seen["a"].shape == seen["g"].shape == (rows, n_t - 1)
+        # no t = 0 constraint column: the first column is the load at t = 1/16
+        assert seen["load"].shape == (n_x, rows)
+        assert np.any(seen["load"][:, 0] != 0.0)

@@ -132,9 +132,14 @@ def test_scalar_and_array_evaluation_agree():
         assert b(float(ti)) == vals[i]
 
 
-def test_value_weights_length_tracks_support():
-    b = FractionalBSpline(3.5)
+@pytest.mark.parametrize("degree, row", [(3.0, 5), (3.5, 101)], ids=["beta3", "beta3.5"])
+def test_value_weights_length_tracks_support(degree, row):
+    b = FractionalBSpline(degree)
     assert b.value_weights.shape == (b.effective_support + 1,)
+    # a fractional order keeps an infinite tail, but an integer degree's
+    # weights C(degree + 1, k) vanish beyond k = degree + 1
+    weights, _, _ = b._terms(0.5, 100.0)
+    assert weights.shape == (row,)
 
 
 def test_degree_validation():

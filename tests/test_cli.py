@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -357,13 +358,33 @@ class TestCurvesCommand:
         for command in ("solve", "table", "curves")
         for name, flag in (("T", ["-T", "2"]), ("no-ic-row", ["--no-ic-row"]))
     ]
-    + [pytest.param("curves", ["--format", "json"], id="curves-format")],
+    + [
+        pytest.param("curves", ["--format", "json"], id="curves-format"),
+        pytest.param("solve", ["--threads", "2"], id="solve-threads"),
+    ],
 )
 def test_horizon_flag_is_rejected(command, flag, capsys):
     # removed flags end in argparse's exit 2: the built-in examples are
     # posed on [0, 1] (no -T), u(0, .) = 0 is always imposed by elimination
-    # (no --no-ic-row), and curves writes gnuplot files only (no --format)
+    # (no --no-ic-row), curves writes gnuplot files only (no --format), and
+    # a single solve has no cells to run in parallel (no --threads)
     with pytest.raises(SystemExit) as exc:
         main([command, *FAST, *flag])
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "table"])
+def test_runtime_covers_error_report(command, monkeypatch, capsys):
+    # runtime_ms is the cell's solve plus its error report, in both commands
+    real_report = cli.error_report
+
+    def slow_report(*args):
+        time.sleep(0.05)
+        return real_report(*args)
+
+    monkeypatch.setattr(cli, "error_report", slow_report)
+    assert main([command, *FAST, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    assert float(lines[1].split(",")[CSV_COLUMNS.index("runtime_ms")]) >= 50.0

@@ -9,7 +9,7 @@ import pytest
 from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
 from fracspline import kernels, solver
-from fracspline.assembly import assemble_system
+from fracspline.assembly import assemble_mass, assemble_stiffness
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
 from fracspline.linalg import modal_lstsq_solve
@@ -107,12 +107,13 @@ class TestModalSolve:
         # cubic temporal family: the system has full column rank
         sbasis = build_spatial(3, 3)
         tbasis = build_temporal(4, 3.0, 1, DEFAULT_TAIL_TOL)
-        system = assemble_system(sbasis, tbasis, _null_problem().forcing, 0.5, 5)
-        a = system.collocation.derivative
-        g = system.collocation.value
+        nodes = np.arange(1, 2**5 + 1) / 2**5
+        a = tbasis.eval_many(nodes, 0.5)
+        g = tbasis.eval_many(nodes)
+        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
         c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
-        load = system.mass @ c_star @ a.T + system.stiffness @ c_star @ g.T
-        c, rep = modal_lstsq_solve(system.mass, system.stiffness, a, g, load, rcond=1e-8)
+        load = mass @ c_star @ a.T + stiffness @ c_star @ g.T
+        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load, rcond=1e-8)
         assert rep.rank == c_star.size
         assert np.abs(c - c_star).max() <= 1e-10 * np.abs(c_star).max()
 
@@ -129,6 +130,7 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, rcond=0.0), "rcond"),
             (dict(gamma=0.5, j=3, s=3, rcond=1.5), "rcond"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
+            (dict(gamma=0.5, j=3, s=3, q=4.0), "collocation level"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
