@@ -79,7 +79,8 @@ class _Translates:
 
     def supported_translates(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Values and ``translate_values`` columns of the translates that can
-        be nonzero at each t (see ``kernels.supported_translates``)."""
+        be nonzero at each t, slot-major (see
+        ``kernels.supported_translates``)."""
         first, count = self._span()
         terms = self.spline._terms(0.0, math.inf)
         return kernels.supported_translates(

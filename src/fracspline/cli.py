@@ -109,6 +109,10 @@ class _Cell:
 
 
 def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
+    # q = LEVEL_RANGE[1] + 1 is the default collocation level of the finest cell
+    q_max = LEVEL_RANGE[1] + 1
+    if args.q is not None and not s <= args.q <= q_max:
+        raise ConfigError(f"-q: collocation level {args.q} outside {s}..{q_max}")
     problem = _make_problem(args.example, gamma)
     try:
         config = SolveConfig(

@@ -91,9 +91,11 @@ def _unit_step_sum(u, w, expo):
     positive (negative, for the zeroth power) carry power 0 and so add
     nothing, which keeps ``0**expo`` out of every sum.
     """
-    pos = u >= 0.0 if expo == 0.0 else u > 0.0
     power = np.zeros_like(u)
-    power[pos] = 1.0 if expo == 0.0 else u[pos] ** expo
+    if expo == 0.0:
+        power[u >= 0.0] = 1.0
+    else:
+        np.power(u, expo, out=power, where=u > 0.0)
     out = np.zeros_like(u)
     n = u.shape[0]
     for k in range(min(w.shape[0], n)):
@@ -107,10 +109,11 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff):
     Translate ``r = shift0 + c`` is live at ``t`` only if ``0 <= scale * t -
     r <= cutoff``, so the ``floor(cutoff) + 1`` translates ``r =
     floor(scale * t) - i`` cover every nonzero entry of a row.  Returns
-    ``(values, cols)``, both of shape ``(len(t), floor(cutoff) + 1)``:
-    ``values[p, i]`` is bit-identical to ``basis_matrix(...)[p, cols[p,
-    i]]``.  Translates outside ``0 .. n_cols-1`` get value 0 and column 0.
-    ``cutoff`` must be finite.
+    ``(values, cols)`` slot-major, both of shape ``(floor(cutoff) + 1,
+    len(t))``, the layout they are computed in: ``values[i, p]`` is
+    bit-identical to ``basis_matrix(...)[p, cols[i, p]]``.  Translates
+    outside ``0 .. n_cols-1`` get value 0 and column 0.  ``cutoff`` must be
+    finite.
 
     The arguments of a point are ``u[i] = scale * t - r``, a fraction plus
     i.  Where that sum is exact, the point needs one truncated power per
@@ -135,4 +138,4 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff):
     values[rest] = _power_sum(u[rest], w, expo)
     values[~live] = 0.0
     cols[~valid] = 0
-    return np.ascontiguousarray(values.T), np.ascontiguousarray(cols.T)
+    return values, cols

@@ -72,6 +72,10 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
+        if not (isinstance(self.alpha, int) and self.alpha >= 1):
+            raise ValueError(f"spatial degree alpha must be an integer >= 1, got {self.alpha!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.gamma >= self.beta + 0.5:
             raise ValueError(
                 f"gamma={self.gamma!r} needs beta > gamma - 1/2, got beta={self.beta!r}"
@@ -201,7 +205,9 @@ def evaluate(sol: Solution, t, x):
 
     Local-support evaluation: each point touches only the ``S + 1`` time
     and ``alpha + 2`` space translates that can be nonzero there, never a
-    full points x translates table.
+    full points x translates table.  The work is one vector pass over the
+    points per (space, time) slot pair; no per-point block of coefficients
+    is gathered.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -215,12 +221,21 @@ def evaluate(sol: Solution, t, x):
     x_flat = np.atleast_1d(x_arr).ravel()
     if t_flat.shape != x_flat.shape:
         raise ValueError("t and x must have matching shapes (or be scalars)")
-    # Only the translates supported at a point contribute: contract their
-    # values with the coefficients of each (space, time) translate pair.
+    # Only the translates supported at a point contribute.  Every step is an
+    # elementwise pass over the points, so a point's sum runs in the same
+    # order whatever batch it comes in.
     xv, xc = sol.spatial.supported_translates(x_flat)
     tv, tc = sol.temporal.supported_translates(t_flat)
     pair_coeffs = sol.spatial.combinations.T @ sol.coeffs
-    vals = np.einsum("pa,pb,pab->p", xv, tv, pair_coeffs[xc[:, :, None], tc[:, None, :]])
+    n_t = pair_coeffs.shape[1]
+    flat = pair_coeffs.ravel()
+    vals = np.zeros(t_flat.shape)
+    for a in range(xv.shape[0]):
+        row = xc[a] * n_t
+        acc = tv[0] * flat.take(row + tc[0])
+        for b in range(1, tv.shape[0]):
+            acc += tv[b] * flat.take(row + tc[b])
+        vals += xv[a] * acc
     return float(vals[0]) if scalar else vals.reshape(t_arr.shape)
 
 

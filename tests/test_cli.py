@@ -225,6 +225,17 @@ class TestTableCommand:
             ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--tail-tol", "2"],
             ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--tail-tol", "2"],
             ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--threads", "0"],
+            *(
+                [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", *bad]
+                for bad in (
+                    ["--alpha", "0"],
+                    ["--beta", "nan"],
+                    ["--beta", "inf"],
+                    ["-q", "40"],  # asks for terabytes if it gets through
+                    ["-q", "10"],
+                )
+                for command in ("solve", "table")
+            ),
         ],
     )
     def test_bad_configs_exit_2(self, argv, capsys):

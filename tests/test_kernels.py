@@ -70,10 +70,11 @@ def test_truncated_power_sum_equals_oracle():
 
 
 def _scatter(values, cols, n_cols):
-    """Dense table from the supported translates; out-of-range slots carry
-    value 0 in column 0, and adding 0.0 leaves every entry unchanged."""
-    out = np.zeros((values.shape[0], n_cols))
-    rows = np.broadcast_to(np.arange(values.shape[0])[:, None], cols.shape)
+    """Dense table from the slot-major supported translates; out-of-range
+    slots carry value 0 in column 0, and adding 0.0 leaves every entry
+    unchanged."""
+    out = np.zeros((values.shape[1], n_cols))
+    rows = np.broadcast_to(np.arange(values.shape[1]), cols.shape)
     np.add.at(out, (rows, cols), values)
     return out
 
@@ -97,15 +98,15 @@ def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, c
     values, cols = kernels.supported_translates(t, *args)
     dense = column_loop_basis_matrix(t, *args)
     width = math.floor(cutoff) + 1
-    assert values.shape == cols.shape == (t.size, width)
+    assert values.shape == cols.shape == (width, t.size)
     assert cols.min() >= 0 and cols.max() < n_cols
     # slot i holds translate floor(scale t) - i when that is a column ...
-    want_cols = np.floor(scale * t)[:, None] - np.arange(width) - shift0
+    want_cols = np.floor(scale * t) - np.arange(width)[:, None] - shift0
     valid = (want_cols >= 0) & (want_cols < n_cols)
     assert np.array_equal(cols[valid], want_cols[valid].astype(int))
     assert not values[~valid].any()
     # ... its value is the dense entry, bit for bit ...
-    assert np.array_equal(values[valid], dense[np.arange(t.size)[:, None], cols][valid])
+    assert np.array_equal(values[valid], dense[np.arange(t.size), cols][valid])
     # ... and the slots hold every nonzero of the row
     assert np.array_equal(_scatter(values, cols, n_cols), dense)
 
@@ -115,7 +116,7 @@ def test_supported_translates_random_weights_and_shifts():
     # -1e-20: the fraction of scale * t rounds up to 1, so the zeroth power
     # counts one term more than the slot index
     t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200), [-1e-20]])
-    rows = np.arange(t.size)[:, None]
+    rows = np.arange(t.size)
     for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0)):
         width = math.floor(cutoff) + 1
         # weight vectors shorter and longer than the window of a point
@@ -127,7 +128,7 @@ def test_supported_translates_random_weights_and_shifts():
                 args = (scale, shift0, n_cols, w, expo, cutoff)
                 values, cols = kernels.supported_translates(t, *args)
                 dense = column_loop_basis_matrix(t, *args)
-                r = np.floor(scale * t)[:, None] - np.arange(width)
+                r = np.floor(scale * t) - np.arange(width)[:, None]
                 valid = (r >= shift0) & (r < shift0 + n_cols)
                 assert not values[~valid].any()
                 assert np.array_equal(values[valid], dense[rows, cols][valid])

@@ -131,6 +131,9 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, rcond=1.5), "rcond"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, q=4.0), "collocation level"),
+            (dict(gamma=0.5, j=3, s=3, alpha=0), "alpha"),
+            (dict(gamma=0.5, j=3, s=3, beta=math.nan), "beta"),
+            (dict(gamma=0.5, j=3, s=3, beta=math.inf), "beta"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
@@ -187,24 +190,46 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="matching shapes"):
             evaluate(sol, np.array([0.2, 0.5]), np.array([0.3]))
 
-    @pytest.mark.parametrize("beta", [3.0, 3.5, 2.5])
-    def test_matches_grid_values(self, beta):
+    @staticmethod
+    def _random_solution(beta, horizon=1):
         # random coefficients exercise every translate pair, edges included
-        config = SolveConfig(gamma=0.5, j=3, s=4, beta=beta)
+        config = SolveConfig(gamma=0.5, j=3, s=4, beta=beta, horizon=horizon)
         spatial = build_spatial(config.j, config.alpha)
-        temporal = build_temporal(config.s, config.beta)
+        temporal = build_temporal(config.s, config.beta, horizon)
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((spatial.size, temporal.size))
-        sol = solver.Solution(coeffs=coeffs, spatial=spatial, temporal=temporal, config=config)
-        t_edge = np.arange(2**config.s + 1) / 2**config.s  # 0, knots, 1
-        x_edge = np.arange(2**config.j + 1) / 2**config.j
+        return solver.Solution(coeffs=coeffs, spatial=spatial, temporal=temporal, config=config), rng
+
+    @pytest.mark.parametrize(
+        "beta, horizon",
+        [
+            pytest.param(3.0, 1, id="3.0"),
+            pytest.param(3.5, 1, id="3.5"),
+            pytest.param(2.5, 1, id="2.5"),
+            pytest.param(3.5, 2, id="3.5-horizon2"),
+        ],
+    )
+    def test_matches_grid_values(self, beta, horizon):
+        sol, rng = self._random_solution(beta, horizon)
+        t_edge = np.arange(2**sol.config.s * horizon + 1) / 2**sol.config.s  # 0, knots, T
+        x_edge = np.arange(2**sol.config.j + 1) / 2**sol.config.j
         tt, xx = np.meshgrid(t_edge, x_edge, indexing="ij")
         ref = sol.grid_values(t_edge, x_edge)
         scale = np.abs(ref).max()
         assert np.abs(evaluate(sol, tt, xx) - ref).max() <= 1e-13 * scale
-        t, x = rng.uniform(0.0, 1.0, (2, 400))
+        t, x = rng.uniform(0.0, 1.0, (2, 400)) * [[horizon], [1.0]]
         ref = np.diag(sol.grid_values(t, x))
         assert np.abs(evaluate(sol, t, x) - ref).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("beta", [2.5, 3.0, 3.5])
+    def test_value_does_not_depend_on_batch(self, beta):
+        # each point's value is summed in the same order whatever the batch
+        sol, rng = self._random_solution(beta)
+        t, x = rng.uniform(0.0, 1.0, (2, 5000))
+        whole = evaluate(sol, t, x)
+        assert np.array_equal(whole, [evaluate(sol, ti, xi) for ti, xi in zip(t, x)])
+        sevens = [evaluate(sol, t[i : i + 7], x[i : i + 7]) for i in range(0, t.size, 7)]
+        assert np.array_equal(whole, np.concatenate(sevens))
 
     def test_builds_no_dense_table(self, proxy, monkeypatch):
         sol, _ = proxy
