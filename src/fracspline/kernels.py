@@ -135,7 +135,8 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff):
     exact = (u[0] < 1.0) & (u - steps == u[0]).all(axis=0)
     values = _unit_step_sum(u, w, expo)
     rest = live & ~exact
-    values[rest] = _power_sum(u[rest], w, expo)
+    if rest.any():
+        values[rest] = _power_sum(u[rest], w, expo)
     values[~live] = 0.0
     cols[~valid] = 0
     return values, cols

@@ -13,7 +13,7 @@ residual in the ``M^-1 (x) I`` norm, not the Euclidean one, because
 Each mode is solved by Householder QR with column pivoting.  Column
 pivoting matters: the fractional translate tails make trailing columns
 nearly dependent at high refinement, and the pivoted factorisation both
-flags that and survives it.
+flags that and survives it.  The rank rule lives here alone (``RCOND``).
 
 ``modal_lstsq_solve`` runs entirely at one BLAS thread (``_blas``): the
 blocks are small enough that a second thread only adds overhead, and the
@@ -34,10 +34,15 @@ from scipy.linalg import eigh, lapack
 from . import _blas
 
 __all__ = [
+    "RCOND",
     "LeastSquaresReport",
     "lstsq_solve",
     "modal_lstsq_solve",
 ]
+
+# The non-integer translate family is redundant by construction; this cut
+# filters the near-null directions that put a floor under every error column.
+RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def modal_lstsq_solve(
     a: np.ndarray,
     g: np.ndarray,
     load: np.ndarray,
-    rcond: float | None = None,
+    rcond: float = RCOND,
 ) -> tuple[np.ndarray, LeastSquaresReport]:
     """Least-squares solve of ``mass C a^T + stiffness C g^T = load`` mode by mode.
 
@@ -148,9 +153,9 @@ def modal_lstsq_solve(
     Rank decisions use one threshold for all modes, ``rcond`` times the
     largest leading pivot of any mode; a per-mode relative cut would keep
     directions in the weak modes that the strong ones swamp.  The leading
-    pivot of a column-pivoted QR is the block's largest column norm, so the
-    threshold is known before any factorisation.  ``rcond=None`` stands for
-    the full system's ``max(m, n) * eps``.
+    pivot of a column-pivoted QR is the block's largest column norm, and
+    the largest over all modes is that of the first or the last mode, so
+    the threshold is known before any factorisation.
 
     ``condition_estimate`` is ``cond(mass)`` times the R-diagonal spread
     over all modes, largest leading pivot over smallest trailing one.  As
@@ -160,8 +165,9 @@ def modal_lstsq_solve(
     """
     mass = np.asarray(mass, dtype=np.float64)
     stiffness = np.asarray(stiffness, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    # Fortran order, so that forming each mode's block is a contiguous pass
+    a = np.asfortranarray(a, dtype=np.float64)
+    g = np.asfortranarray(g, dtype=np.float64)
     load = np.asarray(load, dtype=np.float64)
     nk = mass.shape[0]
     npts, nc = a.shape
@@ -169,14 +175,12 @@ def modal_lstsq_solve(
         raise ValueError("factor shape mismatch")
     if load.shape != (nk, npts):
         raise ValueError(f"load has shape {load.shape}, expected {(nk, npts)}")
-    if rcond is None:
-        rcond = max(nk * npts, nk * nc) * np.finfo(np.float64).eps
 
     with _blas.single_thread():
         lam, v = eigh(stiffness, mass)
         rhs = v.T @ load
-        colmax = np.array([np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam])
-        top = colmax.max()
+        # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
+        top = max(np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam[[0, -1]])
 
         d = np.empty((nk, nc))
         block = np.empty((npts, nc), order="F")
@@ -186,10 +190,11 @@ def modal_lstsq_solve(
         for k, lam_k in enumerate(lam):
             np.multiply(g, lam_k, out=block)
             block += a
-            d[k], rep = lstsq_solve(block, rhs[k], rcond=rcond * top / colmax[k])
+            colmax = np.linalg.norm(block, axis=0).max()
+            d[k], rep = lstsq_solve(block, rhs[k], rcond=rcond * top / colmax)
             rank += rep.rank
             residual2 += rep.residual_norm**2
-            floor = min(floor, colmax[k] / rep.condition_estimate)
+            floor = min(floor, colmax / rep.condition_estimate)
 
         mass_eigs = np.linalg.eigvalsh(mass)
         spread = top / floor if floor > 0.0 else math.inf

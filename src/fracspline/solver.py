@@ -49,13 +49,8 @@ class SolveConfig:
     """Discretisation parameters of one solve.
 
     ``q`` is the dyadic collocation level (defaults to ``s + 1``, i.e. twice
-    as many collocation nodes as time translates per unit).  ``rcond`` is the relative R-diagonal
-    cutoff of the least-squares solve, one global threshold over all
-    spatial modes (``rcond`` times the largest leading pivot of any mode):
-    the non-integer translate family is redundant by construction, and the
-    default cutoff filters the near-null directions that otherwise put a
-    conditioning floor under every error column.  Pass ``None`` for the
-    raw machine-precision cutoff.
+    as many collocation nodes as time translates per unit).  The rank cut
+    of the least-squares solve is fixed in ``linalg`` (``RCOND``).
     """
 
     gamma: float
@@ -67,7 +62,6 @@ class SolveConfig:
     horizon: int = 1
     tail_tol: float = DEFAULT_TAIL_TOL
     quad_points: int = 8
-    rcond: Optional[float] = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -91,8 +85,6 @@ class SolveConfig:
             )
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
-        if self.rcond is not None and not 0.0 < self.rcond < 1.0:
-            raise ValueError(f"rcond must lie in (0, 1), got {self.rcond!r}")
 
     @property
     def collocation_level(self) -> int:
@@ -164,7 +156,6 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         a_mat,
         g_mat,
         assemble_load_matrix(sbasis, problem.forcing, nodes, quad),
-        rcond=config.rcond,
     )
     n_cols = a_mat.shape[1]
     if z is not None:

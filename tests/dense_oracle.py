@@ -2,7 +2,8 @@
 
 ``dense_lstsq_solve`` has the signature of ``linalg.modal_lstsq_solve`` but
 materialises ``kron(mass, a) + kron(stiffness, g)`` and runs one pivoted QR
-on it, minimising the Euclidean residual.  Its memory grows as
+on it, minimising the Euclidean residual.  Its rank cut defaults to the
+library's, ``linalg.RCOND`` times the leading pivot.  Its memory grows as
 n_x**2 * n_pts * n_t, so use it on small cells only.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fracspline.linalg import lstsq_solve
+from fracspline.linalg import RCOND, lstsq_solve
 
 
 def materialize_kron_sum(
@@ -33,7 +34,7 @@ def materialize_kron_sum(
     return out
 
 
-def dense_lstsq_solve(mass, stiffness, a, g, load, rcond=None):
+def dense_lstsq_solve(mass, stiffness, a, g, load, rcond=RCOND):
     """One Euclidean least-squares solve of ``mass C a^T + stiffness C g^T = load``."""
     big = materialize_kron_sum(mass, a, stiffness, g)
     x, report = lstsq_solve(big, np.ravel(load), rcond=rcond)

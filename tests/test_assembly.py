@@ -165,9 +165,9 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     seen = {}
     real = solver.modal_lstsq_solve
 
-    def capture(mass, stiffness, a, g, load, rcond):
+    def capture(mass, stiffness, a, g, load):
         seen.update(mass=mass, stiffness=stiffness, a=a, g=g, load=load)
-        return real(mass, stiffness, a, g, load, rcond=rcond)
+        return real(mass, stiffness, a, g, load)
 
     monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
     problem = ProblemSpec(name="capture", order=0.5, forcing=forcing, horizon=horizon)

@@ -5,14 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
-from fracspline import kernels, solver
+from fracspline import _blas, kernels, solver
 from fracspline.assembly import assemble_mass, assemble_stiffness
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
-from fracspline.linalg import modal_lstsq_solve
+from fracspline.linalg import RCOND, lstsq_solve, modal_lstsq_solve
 from fracspline.problems import ProblemSpec, example1, example2
 from fracspline.solver import (
     SolveConfig,
@@ -103,6 +104,37 @@ class TestModalSolve:
         ratio = l2_error(modal, problem.exact) / l2_error(dense, problem.exact)
         assert ratio <= 1.05, ratio
 
+    @pytest.mark.parametrize("beta", [3.0, 3.5])
+    @pytest.mark.parametrize("j, s", [(3, 3), (3, 4)])
+    def test_threshold_is_rcond_times_largest_column_norm(self, monkeypatch, j, s, beta):
+        # the rule written out: top is the largest column norm over every
+        # mode's block, and each mode cuts below RCOND * top
+        seen = {}
+
+        def capture(*args):
+            seen["args"] = args
+            return modal_lstsq_solve(*args)
+
+        monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
+        _solve_quiet(example1(0.5), SolveConfig(gamma=0.5, j=j, s=s, beta=beta))
+        mass, stiffness, a, g, load = seen["args"]
+        coeffs, rep = modal_lstsq_solve(mass, stiffness, a, g, load)
+
+        with _blas.single_thread():
+            lam, v = eigh(stiffness, mass)
+            blocks = [a + lam_k * g for lam_k in lam]
+            colmax = [np.linalg.norm(block, axis=0).max() for block in blocks]
+            top = max(colmax)
+            rank, d = 0, []
+            for block, cm, rhs in zip(blocks, colmax, v.T @ load):
+                x, block_rep = lstsq_solve(np.asfortranarray(block), rhs, rcond=RCOND * top / cm)
+                rank += block_rep.rank
+                d.append(x)
+            expected = v @ np.array(d)
+        assert np.array_equal(coeffs, expected)
+        assert rep.rank == rank
+        assert rep.rank_deficient == (beta == 3.5)
+
     def test_consistent_load_recovers_coefficients(self):
         # cubic temporal family: the system has full column rank
         sbasis = build_spatial(3, 3)
@@ -127,8 +159,8 @@ class TestSolveConfig:
             (dict(gamma=1.0, j=3, s=3, beta=0.4), "beta"),
             (dict(gamma=0.5, j=3, s=5, q=4), "collocation level"),
             (dict(gamma=0.5, j=3, s=3, quad_points=3), "quadrature points"),
-            (dict(gamma=0.5, j=3, s=3, rcond=0.0), "rcond"),
-            (dict(gamma=0.5, j=3, s=3, rcond=1.5), "rcond"),
+            (dict(gamma=0.5, j=3, s=3, tail_tol=0.0), "tail_tol"),
+            (dict(gamma=0.5, j=3, s=3, alpha=2.5), "alpha"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, q=4.0), "collocation level"),
             (dict(gamma=0.5, j=3, s=3, alpha=0), "alpha"),
@@ -139,6 +171,11 @@ class TestSolveConfig:
     def test_rejects_bad_parameters(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolveConfig(**kwargs)
+
+    def test_has_no_rank_cut_field(self):
+        # the rank cut is fixed in linalg, not a per-solve option
+        with pytest.raises(TypeError, match="rcond"):
+            SolveConfig(gamma=0.5, j=3, s=3, rcond=1e-8)
 
     def test_collocation_level_default(self):
         assert SolveConfig(gamma=0.5, j=3, s=4).collocation_level == 5
