@@ -15,12 +15,14 @@ pivoting matters: the fractional translate tails make trailing columns
 nearly dependent at high refinement, and the pivoted factorisation both
 flags that and survives it.  The rank rule lives here alone (``RCOND``).
 
-``modal_lstsq_solve`` runs entirely at one BLAS thread (``_blas``): the
-blocks are small enough that a second thread only adds overhead, and the
-rounding of the factorisation then depends on neither the caller's thread
-count nor the machine's core count.  The cap is process-wide while it is
-held, so BLAS calls from other threads of the process also see one thread
-during a solve.
+The eigenpairs depend on the spatial operators alone, so they are a step of
+their own (``spatial_modes``) whose result serves every solve at one spatial
+level; ``modal_lstsq_solve`` takes them and runs the mode loop.  Both run
+entirely at one BLAS thread (``_blas``): the blocks are small enough that a
+second thread only adds overhead, and the rounding of the factorisation then
+depends on neither the caller's thread count nor the machine's core count.
+The cap is process-wide while it is held, so BLAS calls from other threads of
+the process also see one thread during a solve.
 """
 
 from __future__ import annotations
@@ -36,8 +38,10 @@ from . import _blas
 __all__ = [
     "RCOND",
     "LeastSquaresReport",
+    "SpatialModes",
     "lstsq_solve",
     "modal_lstsq_solve",
+    "spatial_modes",
 ]
 
 # The non-integer translate family is redundant by construction; this cut
@@ -134,9 +138,40 @@ def lstsq_solve(
     return x, report
 
 
+@dataclass(frozen=True, eq=False)
+class SpatialModes:
+    """Generalized eigenpairs of the spatial pencil and the mass condition.
+
+    ``stiffness v = mass v diag(lam)`` with ``v^T mass v = I`` and ``lam``
+    ascending; ``mass_cond`` is ``cond(mass)``, the largest over the
+    smallest eigenvalue.  They depend on the spatial operators alone, so one
+    set serves every solve at that spatial level.
+    """
+
+    lam: np.ndarray
+    v: np.ndarray
+    mass_cond: float
+
+
+def spatial_modes(mass: np.ndarray, stiffness: np.ndarray) -> SpatialModes:
+    """Eigenpairs of ``(stiffness, mass)`` for ``modal_lstsq_solve``.
+
+    ``mass`` must be symmetric positive definite and ``stiffness``
+    symmetric.  Runs at one BLAS thread, as the mode loop does.
+    """
+    mass = np.asarray(mass, dtype=np.float64)
+    stiffness = np.asarray(stiffness, dtype=np.float64)
+    nk = mass.shape[0]
+    if mass.shape != (nk, nk) or stiffness.shape != mass.shape:
+        raise ValueError("factor shape mismatch")
+    with _blas.single_thread():
+        lam, v = eigh(stiffness, mass)
+        mass_eigs = np.linalg.eigvalsh(mass)
+    return SpatialModes(lam=lam, v=v, mass_cond=float(mass_eigs[-1] / mass_eigs[0]))
+
+
 def modal_lstsq_solve(
-    mass: np.ndarray,
-    stiffness: np.ndarray,
+    modes: SpatialModes,
     a: np.ndarray,
     g: np.ndarray,
     load: np.ndarray,
@@ -144,9 +179,9 @@ def modal_lstsq_solve(
 ) -> tuple[np.ndarray, LeastSquaresReport]:
     """Least-squares solve of ``mass C a^T + stiffness C g^T = load`` mode by mode.
 
-    ``mass`` must be symmetric positive definite and ``stiffness``
-    symmetric; ``load`` has one row per spatial member and one column per
-    row of ``a``.  Returns ``C`` (shape ``(n_x, n_t)``) and a report over all
+    ``modes`` are the spatial pencil's eigenpairs (``spatial_modes``);
+    ``load`` has one row per spatial member and one column per row of
+    ``a``.  Returns ``C`` (shape ``(n_x, n_t)``) and a report over all
     modes.  The residual minimised, and reported as ``residual_norm``, is
     that of the whole system in the ``mass^-1 (x) I`` norm.
 
@@ -163,21 +198,19 @@ def modal_lstsq_solve(
     condition of the whole system.  ``rank`` counts the columns kept over
     all modes.
     """
-    mass = np.asarray(mass, dtype=np.float64)
-    stiffness = np.asarray(stiffness, dtype=np.float64)
+    lam, v = modes.lam, modes.v
     # Fortran order, so that forming each mode's block is a contiguous pass
     a = np.asfortranarray(a, dtype=np.float64)
     g = np.asfortranarray(g, dtype=np.float64)
     load = np.asarray(load, dtype=np.float64)
-    nk = mass.shape[0]
+    nk = lam.shape[0]
     npts, nc = a.shape
-    if mass.shape != (nk, nk) or stiffness.shape != mass.shape or g.shape != a.shape:
+    if v.shape != (nk, nk) or g.shape != a.shape:
         raise ValueError("factor shape mismatch")
     if load.shape != (nk, npts):
         raise ValueError(f"load has shape {load.shape}, expected {(nk, npts)}")
 
     with _blas.single_thread():
-        lam, v = eigh(stiffness, mass)
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
         top = max(np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam[[0, -1]])
@@ -196,11 +229,10 @@ def modal_lstsq_solve(
             residual2 += rep.residual_norm**2
             floor = min(floor, colmax / rep.condition_estimate)
 
-        mass_eigs = np.linalg.eigvalsh(mass)
         spread = top / floor if floor > 0.0 else math.inf
         report = LeastSquaresReport(
             residual_norm=math.sqrt(residual2),
-            condition_estimate=float(mass_eigs[-1] / mass_eigs[0] * spread),
+            condition_estimate=float(modes.mass_cond * spread),
             rank=rank,
             rank_deficient=rank < nk * nc,
         )

@@ -14,11 +14,18 @@ stiffness (x) G) vec(coeffs) = vec(load)``: the spatial Gram matrices and
 the load come from ``assembly``, and the temporal tables ``A`` (order-gamma
 derivatives) and ``G`` (values) are the time basis evaluated at the
 interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
+
+What depends on the spatial level alone, ``(j, alpha, quad_points)``, is
+built once per process and shared read-only by every solve at that level:
+the basis, the Gram matrices and their eigenpairs (``_spatial_level``).  The
+temporal spline is shared the same way (``basis.build_temporal``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +35,7 @@ import numpy as np
 from .assembly import QuadratureRule, assemble_load_matrix, assemble_mass, assemble_stiffness
 from .basis import SpatialBasis, TemporalBasis, build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
-from .linalg import LeastSquaresReport, modal_lstsq_solve
+from .linalg import LeastSquaresReport, SpatialModes, modal_lstsq_solve, spatial_modes
 from .problems import ProblemSpec
 
 __all__ = [
@@ -64,6 +71,10 @@ class SolveConfig:
     quad_points: int = 8
 
     def __post_init__(self):
+        if not (isinstance(self.j, int) and self.j >= 1):
+            raise ValueError(f"spatial level j must be an integer >= 1, got {self.j!r}")
+        if not (isinstance(self.s, int) and self.s >= 0):
+            raise ValueError(f"time level s must be an integer >= 0, got {self.s!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not (isinstance(self.alpha, int) and self.alpha >= 1):
@@ -78,6 +89,8 @@ class SolveConfig:
             raise ValueError(
                 f"collocation level q={self.q!r} must be an integer >= s={self.s!r}"
             )
+        if not isinstance(self.quad_points, int):
+            raise ValueError(f"quad_points must be an integer, got {self.quad_points!r}")
         if self.quad_points < self.alpha + 1:
             raise ValueError(
                 f"{self.quad_points} quadrature points cannot integrate degree-"
@@ -120,6 +133,42 @@ class ErrorReport:
     residual_norm: float
 
 
+@dataclass(frozen=True, eq=False)
+class _SpatialLevel:
+    """Everything a solve needs that depends on the spatial level alone."""
+
+    basis: SpatialBasis
+    mass: np.ndarray
+    stiffness: np.ndarray
+    modes: SpatialModes
+
+
+# Enough for every level of a CLI sweep, j = 2..8, at one alpha and rule.
+_LEVEL_CACHE_SIZE = 8
+_level_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _cached_level(j: int, alpha: int, quad_points: int) -> _SpatialLevel:
+    basis = build_spatial(j, alpha)
+    quad = QuadratureRule(points_per_cell=quad_points)
+    mass = assemble_mass(basis, quad)
+    stiffness = assemble_stiffness(basis, quad)
+    level = _SpatialLevel(basis, mass, stiffness, spatial_modes(mass, stiffness))
+    shared = (basis.combinations, basis.spline.value_weights, mass, stiffness)
+    for arr in (*shared, level.modes.lam, level.modes.v):
+        arr.flags.writeable = False
+    return level
+
+
+def _spatial_level(config: SolveConfig) -> _SpatialLevel:
+    """The shared, read-only spatial level of a validated ``config``.  The
+    lock makes concurrent solves wait for one build instead of each
+    assembling and factoring the same level."""
+    with _level_lock:
+        return _cached_level(config.j, config.alpha, config.quad_points)
+
+
 def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSquaresReport]:
     """Discretise and solve one manufactured (or user) problem.
 
@@ -137,7 +186,8 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         raise ValueError(
             f"problem horizon {problem.horizon!r} != config horizon {config.horizon!r}"
         )
-    sbasis = build_spatial(config.j, config.alpha)
+    level = _spatial_level(config)
+    sbasis = level.basis
     tbasis = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
     quad = QuadratureRule(points_per_cell=config.quad_points)
     q = config.collocation_level
@@ -151,11 +201,7 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         g_mat = g_mat @ z
 
     coeffs, report = modal_lstsq_solve(
-        assemble_mass(sbasis, quad),
-        assemble_stiffness(sbasis, quad),
-        a_mat,
-        g_mat,
-        assemble_load_matrix(sbasis, problem.forcing, nodes, quad),
+        level.modes, a_mat, g_mat, assemble_load_matrix(sbasis, problem.forcing, nodes, quad)
     )
     n_cols = a_mat.shape[1]
     if z is not None:
@@ -194,6 +240,9 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
 def evaluate(sol: Solution, t, x):
     """Point value(s) of the solution field; domain-checked.
 
+    ``t`` and ``x`` broadcast against each other by NumPy's rules, so a
+    scalar ``t`` with an array ``x`` gives a profile at one time.
+
     Local-support evaluation: each point touches only the ``S + 1`` time
     and ``alpha + 2`` space translates that can be nonzero there, never a
     full points x translates table.  The work is one vector pass over the
@@ -207,11 +256,15 @@ def evaluate(sol: Solution, t, x):
         raise ValueError(f"t outside [0, {sol.config.horizon}]")
     if not np.all((0.0 <= x_arr) & (x_arr <= 1.0)):
         raise ValueError("x outside [0, 1]")
-    scalar = t_arr.ndim == 0 and x_arr.ndim == 0
-    t_flat = np.atleast_1d(t_arr).ravel()
-    x_flat = np.atleast_1d(x_arr).ravel()
-    if t_flat.shape != x_flat.shape:
-        raise ValueError("t and x must have matching shapes (or be scalars)")
+    try:
+        t_b, x_b = np.broadcast_arrays(t_arr, x_arr)
+    except ValueError:
+        raise ValueError(
+            f"t and x must have matching shapes (or broadcast together), "
+            f"got {t_arr.shape} and {x_arr.shape}"
+        ) from None
+    t_flat = np.atleast_1d(t_b).ravel()
+    x_flat = np.atleast_1d(x_b).ravel()
     # Only the translates supported at a point contribute.  Every step is an
     # elementwise pass over the points, so a point's sum runs in the same
     # order whatever batch it comes in.
@@ -227,7 +280,7 @@ def evaluate(sol: Solution, t, x):
         for b in range(1, tv.shape[0]):
             acc += tv[b] * flat.take(row + tc[b])
         vals += xv[a] * acc
-    return float(vals[0]) if scalar else vals.reshape(t_arr.shape)
+    return float(vals[0]) if t_b.ndim == 0 else vals.reshape(t_b.shape)
 
 
 def l2_error(sol: Solution, exact: Callable, points_per_cell: int = 4) -> float:
@@ -250,7 +303,11 @@ def l2_error(sol: Solution, exact: Callable, points_per_cell: int = 4) -> float:
 def l2_error_at_time(
     sol: Solution, exact: Callable, t: float, points_per_cell: int = 4
 ) -> float:
-    """Space-only L2 distance at a fixed time (diagnostic)."""
+    """Space-only L2 distance at a fixed time ``t`` in ``[0, horizon]``
+    (diagnostic)."""
+    # written so that NaN, which fails every comparison, is rejected too
+    if not 0.0 <= t <= sol.config.horizon:
+        raise ValueError(f"t={t!r} outside [0, {sol.config.horizon}]")
     level = max(sol.config.j, sol.config.s) + 1
     x_nodes, x_w = QuadratureRule(points_per_cell).nodes(level)
     num = sol.grid_values(np.array([t]), x_nodes)[0]

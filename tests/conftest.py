@@ -1,4 +1,5 @@
-"""Shared fixtures: the expensive table sweeps are solved once per session."""
+"""Shared fixtures: the expensive table sweeps are solved once per session,
+and the per-process operator caches can be emptied."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import warnings
 
 import pytest
 
+from fracspline import basis, solver
 from fracspline.problems import example1
 from fracspline.solver import SolveConfig, l2_error, solve
 
@@ -36,3 +38,16 @@ def table1_sweep():
 def table2_sweep():
     """Same grid with the cubic temporal family (beta 3)."""
     return _sweep(3.0)
+
+
+@pytest.fixture
+def clear_caches():
+    """Empty the shared spatial-level and temporal-spline caches, so the test
+    starts cold; the fixture's value empties them again when called."""
+
+    def clear():
+        solver._cached_level.cache_clear()
+        basis._cached_spline.cache_clear()
+
+    clear()
+    return clear

@@ -160,20 +160,25 @@ def test_example_forcings_take_the_vectorised_path(example):
 
 
 # The temporal collocation tables and the load are built inside ``solve``;
-# these tests read them where ``solve`` hands them to the modal solve.
+# these tests read them where ``solve`` hands them to the modal solve.  The
+# Gram matrices come from the spatial level whose modes ``solve`` passed.
 def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     seen = {}
     real = solver.modal_lstsq_solve
 
-    def capture(mass, stiffness, a, g, load):
-        seen.update(mass=mass, stiffness=stiffness, a=a, g=g, load=load)
-        return real(mass, stiffness, a, g, load)
+    def capture(modes, a, g, load):
+        seen.update(modes=modes, a=a, g=g, load=load)
+        return real(modes, a, g, load)
 
     monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
     problem = ProblemSpec(name="capture", order=0.5, forcing=forcing, horizon=horizon)
+    config = solver.SolveConfig(gamma=0.5, j=3, s=s, q=q, horizon=horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol, _ = solver.solve(problem, solver.SolveConfig(gamma=0.5, j=3, s=s, q=q, horizon=horizon))
+        sol, _ = solver.solve(problem, config)
+    level = solver._spatial_level(config)
+    assert seen["modes"] is level.modes and sol.spatial is level.basis
+    seen.update(mass=level.mass, stiffness=level.stiffness)
     return sol, seen
 
 
@@ -191,6 +196,8 @@ def test_collocation_interior_nodes(monkeypatch):
     np.testing.assert_array_equal(
         seen["load"], assemble_load_matrix(sol.spatial, _forcing, nodes, QuadratureRule())
     )
+    np.testing.assert_array_equal(seen["mass"], assemble_mass(sol.spatial, QuadratureRule()))
+    np.testing.assert_array_equal(seen["stiffness"], assemble_stiffness(sol.spatial, QuadratureRule()))
 
 
 def test_collocation_horizon_scales_node_count(monkeypatch):
@@ -206,7 +213,7 @@ def test_assemble_system_shapes_and_ic_column(monkeypatch):
     for horizon in (1, 2):
         sol, seen = _operators_through_solve(monkeypatch, _forcing, horizon, s=3, q=4)
         n_x, n_t, rows = sol.spatial.size, sol.temporal.size, 16 * horizon
-        assert seen["mass"].shape == seen["stiffness"].shape == (n_x, n_x)
+        assert seen["mass"].shape == seen["stiffness"].shape == seen["modes"].v.shape == (n_x, n_x)
         assert seen["a"].shape == seen["g"].shape == (rows, n_t - 1)
         # no t = 0 constraint column: the first column is the load at t = 1/16
         assert seen["load"].shape == (n_x, rows)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import fracspline.cli as cli
-from fracspline import _blas
+from fracspline import _blas, solver
+from fracspline.bspline import FractionalBSpline
 from fracspline.cli import CSV_COLUMNS, main
 
 # the tiny sweep cells used here sit in the warning regime on purpose;
@@ -246,10 +247,13 @@ class TestTableCommand:
         with pytest.raises(SystemExit):
             main(["table", "--example", "3", "--gamma", "0.5", "-j", "3", "-s", "3"])
 
-    def test_threads_equivalence(self, tmp_path):
+    def test_threads_equivalence(self, tmp_path, clear_caches):
+        # each run starts cold, so the second builds its own eigenpairs
+        # instead of reusing the first run's
         args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3"]
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main([*args, "--threads", "1", "--out", str(one)]) == 0
+        clear_caches()
         assert main([*args, "--threads", "2", "--out", str(two)]) == 0
         assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
         # The (7, 7) cell's 257x136 blocks are large enough for a two-thread
@@ -259,7 +263,9 @@ class TestTableCommand:
         # 1-core box runs every pool at one thread either way, so there this
         # case cannot show the fault.
         args = ["table", "--example", "1", "--gamma", "0.5", "--beta", "3.5", "-j", "3,7", "-s", "7"]
+        clear_caches()
         assert main([*args, "--threads", "1", "--out", str(one)]) == 0
+        clear_caches()
         assert main([*args, "--threads", "2", "--out", str(two)]) == 0
         assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
 
@@ -322,6 +328,32 @@ class TestCurvesCommand:
         # errors decrease from s=3 to s=4 for each beta column
         for col in (1, 2):
             assert float(data[1][col]) < float(data[0][col])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_builds_each_level_and_spline_once(self, tmp_path, monkeypatch, clear_caches, threads):
+        builds, scans = [], []
+        build_spatial = solver.build_spatial
+        scan_support = FractionalBSpline._scan_support
+
+        def counting_build(*args):
+            builds.append(args)
+            return build_spatial(*args)
+
+        def counting_scan(spline, degree):
+            scans.append(degree)
+            return scan_support(spline, degree)
+
+        monkeypatch.setattr(solver, "build_spatial", counting_build)
+        monkeypatch.setattr(FractionalBSpline, "_scan_support", counting_scan)
+        argv = [
+            "curves", "--example", "1", "--gamma", "0.5,1.0", "--beta", "2,2.5,3.5",
+            "-j", "3", "-s", "2,3", "--threads", str(threads), "--out", str(tmp_path / "cv"),
+        ]
+        assert main(argv) == 0
+        # 12 cells at one j and three betas: one spatial level, and one
+        # support scan per fractional beta (integer degrees need none)
+        assert builds == [(3, 3)]
+        assert sorted(scans) == [2.5, 3.5]
 
     def test_float_round_trip(self, tmp_path):
         prefix = str(tmp_path / "rt")

@@ -11,6 +11,7 @@ from fracspline.linalg import (
     LeastSquaresReport,
     lstsq_solve,
     modal_lstsq_solve,
+    spatial_modes,
 )
 
 
@@ -208,7 +209,7 @@ class TestModalLstsq:
         a = rng.standard_normal((npts, nc))
         g = rng.standard_normal((npts, nc))
         load = rng.standard_normal((nk, npts))
-        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load)
+        c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load)
         w = np.kron(np.linalg.inv(np.linalg.cholesky(mass)), np.eye(npts))
         big = materialize_kron_sum(mass, a, stiffness, g)
         ref = np.linalg.lstsq(w @ big, w @ load.ravel(), rcond=None)[0]
@@ -228,7 +229,7 @@ class TestModalLstsq:
         mass = np.eye(2)
         stiffness = np.diag([0.0, 1e6])
         load = rng.standard_normal((2, 12))
-        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load, rcond=1e-3)
+        c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load, rcond=1e-3)
         assert rep.rank == 4
         assert rep.rank_deficient
         assert np.abs(c[0]).max() == 0.0
@@ -243,9 +244,10 @@ class TestModalLstsq:
         g[:, -1] = g[:, 0] + 1e-10 * g[:, 1]  # a near-dependent column for the cut
         a[:, -1] = a[:, 0]
         load = rng.standard_normal((nk, npts))
-        c_c, rep_c = modal_lstsq_solve(mass, stiffness, a, g, load)
+        modes = spatial_modes(mass, stiffness)
+        c_c, rep_c = modal_lstsq_solve(modes, a, g, load)
         f = np.asfortranarray
-        c_f, rep_f = modal_lstsq_solve(mass, stiffness, f(a), f(g), load)
+        c_f, rep_f = modal_lstsq_solve(modes, f(a), f(g), load)
         assert np.array_equal(c_c, c_f)
         assert rep_c == rep_f
         assert rep_c.rank < nk * nc
@@ -255,15 +257,20 @@ class TestModalLstsq:
         a = rng.standard_normal((10, 3))
         g = rng.standard_normal((10, 3))
         mass = np.diag([1.0, 1e-3])
-        _, rep = modal_lstsq_solve(mass, np.zeros((2, 2)), a, g, rng.standard_normal((2, 10)))
+        modes = spatial_modes(mass, np.zeros((2, 2)))
+        assert modes.mass_cond == pytest.approx(1e3, rel=1e-12)
+        _, rep = modal_lstsq_solve(modes, a, g, rng.standard_normal((2, 10)))
         spread = lstsq_solve(a.copy(), np.ones(10))[1].condition_estimate
         assert rep.condition_estimate == pytest.approx(1e3 * spread, rel=1e-10)
 
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="factor shape"):
-            modal_lstsq_solve(np.eye(3), np.eye(2), np.eye(4), np.eye(4), np.zeros((3, 4)))
+            spatial_modes(np.eye(3), np.eye(2))
+        modes = spatial_modes(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="factor shape"):
+            modal_lstsq_solve(modes, np.eye(4), np.eye(4, 3), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="load has shape"):
-            modal_lstsq_solve(np.eye(3), np.eye(3), np.eye(4), np.eye(4), np.zeros((4, 3)))
+            modal_lstsq_solve(modes, np.eye(4), np.eye(4), np.zeros((4, 3)))
 
     def test_blocks_run_at_one_blas_thread(self, monkeypatch):
         controls = _blas.thread_controls()
@@ -277,16 +284,22 @@ class TestModalLstsq:
             seen.append([get() for get, _ in controls])
             return solve_block(*args, **kwargs)
 
+        real_eigh = linalg.eigh
+
+        def recording_eigh(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return real_eigh(*args, **kwargs)
+
         monkeypatch.setattr(linalg, "lstsq_solve", recording)
+        monkeypatch.setattr(linalg, "eigh", recording_eigh)
         rng = np.random.default_rng(179)
         nk, npts, nc = 6, 40, 20
         modal_lstsq_solve(
-            _spd(rng, nk, 2),
-            _spd(rng, nk, 1),
+            spatial_modes(_spd(rng, nk, 2), _spd(rng, nk, 1)),
             rng.standard_normal((npts, nc)),
             rng.standard_normal((npts, nc)),
             rng.standard_normal((nk, npts)),
         )
-        assert len(seen) == nk
+        assert len(seen) == nk + 1  # the eigensolve, then one block per mode
         assert all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before

@@ -1,6 +1,8 @@
 """End-to-end solves: exactness limits, evaluation, diagnostics, oracle."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,7 +15,7 @@ from fracspline import _blas, kernels, solver
 from fracspline.assembly import assemble_mass, assemble_stiffness
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
-from fracspline.linalg import RCOND, lstsq_solve, modal_lstsq_solve
+from fracspline.linalg import RCOND, lstsq_solve, modal_lstsq_solve, spatial_modes
 from fracspline.problems import ProblemSpec, example1, example2
 from fracspline.solver import (
     SolveConfig,
@@ -99,7 +101,13 @@ class TestModalSolve:
         problem = example1(0.5)
         config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta)
         modal, _ = _solve_quiet(problem, config)
-        monkeypatch.setattr(solver, "modal_lstsq_solve", dense_lstsq_solve)
+        sbasis = build_spatial(j, 3)
+        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
+
+        def dense_solve(modes, a, g, load):
+            return dense_lstsq_solve(mass, stiffness, a, g, load)
+
+        monkeypatch.setattr(solver, "modal_lstsq_solve", dense_solve)
         dense, _ = _solve_quiet(problem, config)
         ratio = l2_error(modal, problem.exact) / l2_error(dense, problem.exact)
         assert ratio <= 1.05, ratio
@@ -116,9 +124,14 @@ class TestModalSolve:
             return modal_lstsq_solve(*args)
 
         monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
-        _solve_quiet(example1(0.5), SolveConfig(gamma=0.5, j=j, s=s, beta=beta))
-        mass, stiffness, a, g, load = seen["args"]
-        coeffs, rep = modal_lstsq_solve(mass, stiffness, a, g, load)
+        _, solve_rep = _solve_quiet(example1(0.5), SolveConfig(gamma=0.5, j=j, s=s, beta=beta))
+        _, a, g, load = seen["args"]
+        sbasis = build_spatial(j, 3)
+        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
+        coeffs, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load)
+        # the solve's shared modes give the same bits as modes built here
+        assert np.array_equal(coeffs, modal_lstsq_solve(*seen["args"])[0])
+        assert rep == solve_rep
 
         with _blas.single_thread():
             lam, v = eigh(stiffness, mass)
@@ -145,9 +158,73 @@ class TestModalSolve:
         mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
         c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
         load = mass @ c_star @ a.T + stiffness @ c_star @ g.T
-        c, rep = modal_lstsq_solve(mass, stiffness, a, g, load, rcond=1e-8)
+        c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load, rcond=1e-8)
         assert rep.rank == c_star.size
         assert np.abs(c - c_star).max() <= 1e-10 * np.abs(c_star).max()
+
+
+class TestSharedOperators:
+    def test_cold_and_warm_solves_agree(self, clear_caches):
+        config = SolveConfig(gamma=0.5, j=4, s=4, beta=3.5)
+        cold, cold_rep = _solve_quiet(example1(0.5), config)
+        warm, warm_rep = _solve_quiet(example1(0.5), config)
+        assert warm.spatial is cold.spatial  # the second solve reused the level
+        assert np.array_equal(cold.coeffs, warm.coeffs)
+        assert cold_rep == warm_rep
+
+    def test_cached_arrays_are_read_only(self):
+        config = SolveConfig(gamma=0.5, j=3, s=3, beta=3.5)
+        sol, _ = _solve_quiet(example1(0.5), config)
+        level = solver._spatial_level(config)
+        shared = {
+            "combinations": sol.spatial.combinations,
+            "spatial weights": sol.spatial.spline.value_weights,
+            "temporal weights": sol.temporal.spline.value_weights,
+            "mass": level.mass,
+            "stiffness": level.stiffness,
+            "lam": level.modes.lam,
+            "v": level.modes.v,
+        }
+        for name, arr in shared.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            assert not arr.flags.writeable, name
+
+    def test_concurrent_lookups_build_each_entry_once(self, monkeypatch, clear_caches):
+        # more threads than cores, switching often: a lookup that builds
+        # outside the lock would build some entry twice
+        builds = []
+        build_spatial = solver.build_spatial
+
+        def counting_build(*args):
+            builds.append(args)
+            return build_spatial(*args)
+
+        monkeypatch.setattr(solver, "build_spatial", counting_build)
+        configs = [SolveConfig(gamma=0.5, j=j, s=3, beta=beta) for j in (3, 4) for beta in (2.5, 3.5)]
+        seen = []
+
+        def work(offset):
+            for config in configs[offset:] + configs[:offset]:
+                temporal = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
+                seen.append((config.j, config.beta, solver._spatial_level(config), temporal.spline))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i % len(configs),)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(seen) == 8 * len(configs)
+        assert sorted(builds) == [(3, 3), (4, 3)]
+        for j, beta, level, spline in seen:
+            assert level is solver._spatial_level(SolveConfig(gamma=0.5, j=j, s=3))
+            assert spline is build_temporal(3, beta).spline
 
 
 class TestSolveConfig:
@@ -166,6 +243,11 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, alpha=0), "alpha"),
             (dict(gamma=0.5, j=3, s=3, beta=math.nan), "beta"),
             (dict(gamma=0.5, j=3, s=3, beta=math.inf), "beta"),
+            (dict(gamma=0.5, j=3.0, s=3), "spatial level"),
+            (dict(gamma=0.5, j=0, s=3), "spatial level"),
+            (dict(gamma=0.5, j=3, s=3.0), "time level"),
+            (dict(gamma=0.5, j=3, s=-1), "time level"),
+            (dict(gamma=0.5, j=3, s=3, quad_points=8.0), "quad_points"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
@@ -225,7 +307,19 @@ class TestEvaluate:
         assert out.shape == (3,)
         assert out[1] == pytest.approx(evaluate(sol, 0.5, 0.3), rel=1e-14)
         with pytest.raises(ValueError, match="matching shapes"):
-            evaluate(sol, np.array([0.2, 0.5]), np.array([0.3]))
+            evaluate(sol, np.array([0.2, 0.5]), np.array([0.3, 0.4, 0.5]))
+
+    def test_broadcasts_t_against_x(self, proxy):
+        sol, _ = proxy
+        t = np.array([0.0, 0.2, 0.5, 1.0])
+        x = np.linspace(0.0, 1.0, 9)
+        profile = evaluate(sol, 0.5, x)
+        assert profile.shape == x.shape
+        assert np.array_equal(profile, [evaluate(sol, 0.5, xi) for xi in x])
+        grid = evaluate(sol, t[:, None], x)
+        assert grid.shape == (4, 9)
+        assert np.array_equal(grid, [[evaluate(sol, ti, xi) for xi in x] for ti in t])
+        assert np.array_equal(evaluate(sol, t, np.array([0.3])), [evaluate(sol, ti, 0.3) for ti in t])
 
     @staticmethod
     def _random_solution(beta, horizon=1):
@@ -295,6 +389,12 @@ class TestErrorMeasures:
         sol, _ = proxy
         err = l2_error_at_time(sol, example1(0.5).exact, 1.0)
         assert err < 1e-3
+
+    @pytest.mark.parametrize("t", [-0.1, 1.0001, 2.0, math.nan])
+    def test_space_only_error_rejects_t_off_the_horizon(self, proxy, t):
+        sol, _ = proxy
+        with pytest.raises(ValueError, match="outside"):
+            l2_error_at_time(sol, example1(0.5).exact, t)
 
     def test_error_report_fields(self, proxy):
         sol, rep = proxy
