@@ -10,7 +10,6 @@ The temporal collocation tables are plain basis tables
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ __all__ = [
     "QuadratureRule",
     "assemble_mass",
     "assemble_stiffness",
+    "load_table",
     "assemble_load_matrix",
 ]
 
@@ -77,33 +77,23 @@ def assemble_stiffness(
     return (d * w[:, None]).T @ d
 
 
-def _forcing_on_grid(forcing, t: float, x: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(forcing(t, x), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        warnings.warn(
-            f"forcing raised {type(exc).__name__} on an array of x; "
-            "falling back to one call per quadrature point",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        vals = np.array([forcing(t, xi) for xi in x], dtype=np.float64)
-    if vals.shape != x.shape:
-        vals = np.broadcast_to(vals, x.shape)
-    return vals
-
-
-def assemble_load_matrix(
-    basis: SpatialBasis,
-    forcing,
-    times: np.ndarray,
-    quad: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Load vectors over a whole node set, one column per time."""
+def load_table(basis: SpatialBasis, quad: QuadratureRule | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The level-only half of the load: the quadrature nodes ``x`` and the
+    weighted member values ``basis.eval_many(x) * w[:, None]``."""
     quad = quad or QuadratureRule()
     x, w = quad.nodes(basis.level)
-    vw = basis.eval_many(x) * w[:, None]
-    cols = np.empty((basis.size, len(times)))
-    for p, t in enumerate(times):
-        cols[:, p] = vw.T @ _forcing_on_grid(forcing, float(t), x)
-    return cols
+    return x, basis.eval_many(x) * w[:, None]
+
+
+def assemble_load_matrix(table: tuple[np.ndarray, np.ndarray], forcing, times: np.ndarray) -> np.ndarray:
+    """Load vectors, one column per time, from one ``forcing`` call on
+    ``times[:, None]`` against the nodes ``x[None, :]`` of ``load_table``."""
+    x, vw = table
+    f = np.asarray(forcing(times[:, None], x[None, :]), dtype=np.float64)
+    try:
+        f = np.broadcast_to(f, (times.size, x.size))
+    except ValueError:
+        raise ValueError(
+            f"forcing returned shape {f.shape}, not broadcastable to the (times, nodes) grid {(times.size, x.size)}"
+        ) from None
+    return vw.T @ f.T

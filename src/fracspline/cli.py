@@ -32,8 +32,9 @@ from .problems import ProblemSpec, example1, example2
 from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
 
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
-# CLI-level sanity bound; the library itself accepts any level that fits in memory.
+# CLI-level sanity bounds; the library accepts any level or rule that fits in memory.
 LEVEL_RANGE = (2, 8)
+QUAD_POINTS_MAX = 32
 
 
 class ConfigError(ValueError):
@@ -113,6 +114,8 @@ def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
     q_max = LEVEL_RANGE[1] + 1
     if args.q is not None and not s <= args.q <= q_max:
         raise ConfigError(f"-q: collocation level {args.q} outside {s}..{q_max}")
+    if args.quad_points > QUAD_POINTS_MAX:
+        raise ConfigError(f"--quad-points: {args.quad_points} exceeds {QUAD_POINTS_MAX}")
     problem = _make_problem(args.example, gamma)
     try:
         config = SolveConfig(

@@ -3,10 +3,11 @@
 Every basis table is a set of dilated integer translates of one
 truncated-power sum, ``f(scale * t - r)``.  An entry depends on its
 argument alone, and it is exactly 0 outside ``(0, cutoff]`` (``[0,
-cutoff]`` for the zeroth power).  The table fills use both facts: they
-evaluate the sum only on the arguments that can be nonzero, each distinct
-argument once, and scatter the values back.  On dyadic grids the arguments
-repeat along the diagonals, so a table costs about one column.
+cutoff]`` for the zeroth power; an integer power also at a finite cutoff).
+The table fills use both facts: they evaluate the sum only on the arguments
+that can be nonzero, each distinct argument once, and scatter the values
+back.  On dyadic grids the arguments repeat along the diagonals, so a table
+costs about one column.
 """
 
 import numpy as np
@@ -43,8 +44,8 @@ def truncated_power_sum(u, weights, expo, cutoff):
         Common exponent of the truncated powers.  May be negative but must
         stay above -1/2.
     cutoff : float
-        Arguments ``u > cutoff`` evaluate to exactly 0.  Pass ``np.inf`` to
-        disable truncation.
+        Arguments ``u > cutoff`` (``u >= cutoff`` for an integer ``expo``)
+        evaluate to exactly 0.  Pass ``np.inf`` to disable truncation.
 
     Returns
     -------
@@ -52,13 +53,15 @@ def truncated_power_sum(u, weights, expo, cutoff):
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     out = _power_sum(u, np.ascontiguousarray(weights, dtype=np.float64), expo)
-    out[u > cutoff] = 0.0
+    out[~_live(u, expo, cutoff)] = 0.0
     return out
 
 
 def _live(u, expo, cutoff):
-    """Mask of the arguments at which the truncated-power sum can be nonzero."""
-    return (u >= 0.0 if expo == 0.0 else u > 0.0) & (u <= cutoff)
+    """Mask of the arguments at which the truncated-power sum can be nonzero
+    (an integer power with a finite cutoff is also 0 at the cutoff itself)."""
+    past = u >= cutoff if float(expo).is_integer() and np.isfinite(cutoff) else u > cutoff
+    return (u >= 0.0 if expo == 0.0 else u > 0.0) & ~past
 
 
 def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):

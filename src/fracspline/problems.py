@@ -23,8 +23,8 @@ __all__ = ["ProblemSpec", "example1", "example2"]
 class ProblemSpec:
     """A forced initial-boundary value problem on [0, T] x [0, 1].
 
-    ``forcing(t, x)`` must accept a scalar ``t`` with an array ``x``;
-    ``exact`` (when given) must broadcast over both arguments.
+    ``forcing(t, x)`` and ``exact`` (when given) must broadcast over both
+    arguments; the load calls ``forcing`` once, on the whole (t, x) grid.
     ``exact_dxx`` is the analytic second space derivative of ``exact``,
     carried along so residual checks do not have to differentiate
     numerically.

@@ -17,8 +17,9 @@ interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
 
 What depends on the spatial level alone, ``(j, alpha, quad_points)``, is
 built once per process and shared read-only by every solve at that level:
-the basis, the Gram matrices and their eigenpairs (``_spatial_level``).  The
-temporal spline is shared the same way (``basis.build_temporal``).
+the basis, the Gram matrices and their eigenpairs, and the load's value
+table (``_spatial_level``).  The temporal spline is shared the same way
+(``basis.build_temporal``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import QuadratureRule, assemble_load_matrix, assemble_mass, assemble_stiffness
+from .assembly import QuadratureRule, assemble_load_matrix, assemble_mass, assemble_stiffness, load_table
 from .basis import SpatialBasis, TemporalBasis, build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .linalg import LeastSquaresReport, SpatialModes, modal_lstsq_solve, spatial_modes
@@ -75,6 +76,8 @@ class SolveConfig:
             raise ValueError(f"spatial level j must be an integer >= 1, got {self.j!r}")
         if not (isinstance(self.s, int) and self.s >= 0):
             raise ValueError(f"time level s must be an integer >= 0, got {self.s!r}")
+        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+            raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not (isinstance(self.alpha, int) and self.alpha >= 1):
@@ -140,6 +143,7 @@ class _SpatialLevel:
     basis: SpatialBasis
     mass: np.ndarray
     stiffness: np.ndarray
+    load_table: tuple[np.ndarray, np.ndarray]
     modes: SpatialModes
 
 
@@ -154,8 +158,9 @@ def _cached_level(j: int, alpha: int, quad_points: int) -> _SpatialLevel:
     quad = QuadratureRule(points_per_cell=quad_points)
     mass = assemble_mass(basis, quad)
     stiffness = assemble_stiffness(basis, quad)
-    level = _SpatialLevel(basis, mass, stiffness, spatial_modes(mass, stiffness))
-    shared = (basis.combinations, basis.spline.value_weights, mass, stiffness)
+    table = load_table(basis, quad)
+    level = _SpatialLevel(basis, mass, stiffness, table, spatial_modes(mass, stiffness))
+    shared = (basis.combinations, basis.spline.value_weights, mass, stiffness, *table)
     for arr in (*shared, level.modes.lam, level.modes.v):
         arr.flags.writeable = False
     return level
@@ -189,7 +194,6 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     level = _spatial_level(config)
     sbasis = level.basis
     tbasis = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
-    quad = QuadratureRule(points_per_cell=config.quad_points)
     q = config.collocation_level
     nodes = np.arange(1, 2**q * config.horizon + 1, dtype=np.float64) / 2**q
     a_mat = tbasis.eval_many(nodes, config.gamma)
@@ -200,9 +204,8 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         a_mat = a_mat @ z
         g_mat = g_mat @ z
 
-    coeffs, report = modal_lstsq_solve(
-        level.modes, a_mat, g_mat, assemble_load_matrix(sbasis, problem.forcing, nodes, quad)
-    )
+    load = assemble_load_matrix(level.load_table, problem.forcing, nodes)
+    coeffs, report = modal_lstsq_solve(level.modes, a_mat, g_mat, load)
     n_cols = a_mat.shape[1]
     if z is not None:
         coeffs = coeffs @ z.T

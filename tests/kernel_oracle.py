@@ -8,11 +8,14 @@ must reproduce it bit for bit.  Slow on large tables; use it in tests only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def column_loop_truncated_power_sum(u, weights, expo, cutoff):
-    """``sum_k weights[k] * (u - k)_+**expo``, zeroed above ``cutoff``."""
+    """``sum_k weights[k] * (u - k)_+**expo``, zeroed above ``cutoff`` (at
+    and above it for an integer ``expo``)."""
     u = np.ascontiguousarray(u, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     out = np.zeros_like(u)
@@ -24,7 +27,11 @@ def column_loop_truncated_power_sum(u, weights, expo, cutoff):
             v = u - k
             m = v > 0.0
             out[m] += w[k] * v[m] ** expo
-    out[u > cutoff] = 0.0
+    if float(expo).is_integer() and math.isfinite(cutoff):
+        # a compactly supported integer-power sum vanishes at its cutoff too
+        out[u >= cutoff] = 0.0
+    else:
+        out[u > cutoff] = 0.0
     return out
 
 

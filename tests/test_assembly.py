@@ -1,4 +1,3 @@
-import math
 import warnings
 from fractions import Fraction
 
@@ -12,6 +11,7 @@ from fracspline.assembly import (
     assemble_load_matrix,
     assemble_mass,
     assemble_stiffness,
+    load_table,
 )
 from fracspline.basis import build_spatial
 from fracspline.problems import ProblemSpec, example1, example2
@@ -111,7 +111,7 @@ def test_gram_centro_symmetry():
 def test_load_against_adaptive_quadrature():
     basis = build_spatial(3, 3)
     forcing = lambda t, x: (1.0 + t) * np.sin(2.0 * np.pi * x)
-    vec = assemble_load_matrix(basis, forcing, np.array([0.3]))[:, 0]
+    vec = assemble_load_matrix(load_table(basis), forcing, np.array([0.3]))[:, 0]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     for k in (0, 1, 4, 8):
         ref, err = integrate.quad(
@@ -125,43 +125,34 @@ def test_load_against_adaptive_quadrature():
         assert vec[k] == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
-def test_load_accepts_scalar_only_forcing():
-    basis = build_spatial(3, 3)
-
-    def forcing(t, x):  # deliberately not vectorised
-        if np.ndim(x) != 0:
-            raise TypeError("scalar only")
-        return float(x) ** 2
-
-    with pytest.warns(RuntimeWarning, match="TypeError"):
-        vec = assemble_load_matrix(basis, forcing, np.zeros(1))
-    smooth = assemble_load_matrix(basis, lambda t, x: np.asarray(x) ** 2, np.zeros(1))
-    np.testing.assert_allclose(vec, smooth, rtol=1e-14)
-
-
-def test_scalar_forcing_fallback_warns_and_matches_vectorised_twin():
-    basis = build_spatial(3, 3)
-    times = np.array([0.0, 0.25, 0.7, 1.0])
-    scalar = lambda t, x: math.exp(-t) * math.sin(math.pi * x)
-    vectorised = lambda t, x: np.exp(-t) * np.sin(np.pi * x)
-    with pytest.warns(RuntimeWarning, match="TypeError"):
-        cols = assemble_load_matrix(basis, scalar, times)
-    np.testing.assert_allclose(
-        cols, assemble_load_matrix(basis, vectorised, times), rtol=1e-14, atol=1e-17
-    )
+def _per_time_columns(vw, x, forcing, times):
+    """The load column by column, one forcing call per time."""
+    return np.stack([vw.T @ np.asarray(forcing(t, x)) for t in times], axis=1)
 
 
 @pytest.mark.parametrize("example", [example1, example2])
 def test_example_forcings_take_the_vectorised_path(example):
-    basis = build_spatial(3, 3)
+    # one forcing call on the (time, node) grid gives the per-time columns
+    table = load_table(build_spatial(3, 3))
+    forcing = example(0.5).forcing
+    times = np.array([0.0, 0.3, 0.625, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assemble_load_matrix(basis, example(0.5).forcing, np.array([0.0, 0.3, 1.0]))
+        cols = assemble_load_matrix(table, forcing, times)
+    ref = _per_time_columns(table[1], table[0], forcing, times)
+    np.testing.assert_allclose(cols, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+
+def test_load_rejects_a_forcing_that_does_not_broadcast():
+    table = load_table(build_spatial(3, 3))
+    with pytest.raises(ValueError, match=r"shape \(3,\).*grid \(2, 64\)"):
+        assemble_load_matrix(table, lambda t, x: np.ones(3), np.array([0.25, 0.5]))
 
 
 # The temporal collocation tables and the load are built inside ``solve``;
-# these tests read them where ``solve`` hands them to the modal solve.  The
-# Gram matrices come from the spatial level whose modes ``solve`` passed.
+# these tests read them where ``solve`` hands them to the modal solve, and
+# check the load against one built column by column.  The Gram matrices and
+# the load table come from the spatial level whose modes ``solve`` passed.
 def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     seen = {}
     real = solver.modal_lstsq_solve
@@ -178,7 +169,11 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
         sol, _ = solver.solve(problem, config)
     level = solver._spatial_level(config)
     assert seen["modes"] is level.modes and sol.spatial is level.basis
-    seen.update(mass=level.mass, stiffness=level.stiffness)
+    seen.update(mass=level.mass, stiffness=level.stiffness, table=level.load_table)
+    x, w = QuadratureRule().nodes(3)
+    nodes = np.arange(1, 2**q * horizon + 1) / 2**q
+    ref = _per_time_columns(sol.spatial.eval_many(x) * w[:, None], x, forcing, nodes)
+    np.testing.assert_allclose(seen["load"], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
     return sol, seen
 
 
@@ -193,9 +188,10 @@ def test_collocation_interior_nodes(monkeypatch):
     z = solver._ic_nullspace(sol.temporal)
     np.testing.assert_array_equal(seen["a"], sol.temporal.eval_many(nodes, 0.5) @ z)
     np.testing.assert_array_equal(seen["g"], sol.temporal.eval_many(nodes) @ z)
-    np.testing.assert_array_equal(
-        seen["load"], assemble_load_matrix(sol.spatial, _forcing, nodes, QuadratureRule())
-    )
+    table = load_table(sol.spatial, QuadratureRule())
+    np.testing.assert_array_equal(seen["table"][0], table[0])
+    np.testing.assert_array_equal(seen["table"][1], table[1])
+    np.testing.assert_array_equal(seen["load"], assemble_load_matrix(table, _forcing, nodes))
     np.testing.assert_array_equal(seen["mass"], assemble_mass(sol.spatial, QuadratureRule()))
     np.testing.assert_array_equal(seen["stiffness"], assemble_stiffness(sol.spatial, QuadratureRule()))
 
@@ -205,7 +201,7 @@ def test_collocation_horizon_scales_node_count(monkeypatch):
     nodes = np.arange(1, 17) / 8.0
     assert seen["a"].shape[0] == seen["g"].shape[0] == seen["load"].shape[1] == 16
     np.testing.assert_array_equal(
-        seen["load"], assemble_load_matrix(sol.spatial, _forcing, nodes, QuadratureRule())
+        seen["load"], assemble_load_matrix(load_table(sol.spatial), _forcing, nodes)
     )
 
 

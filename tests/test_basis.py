@@ -49,8 +49,11 @@ def test_translate_range():
 def test_dirichlet_ends(n):
     basis = build_spatial(4, n)
     ends = basis.eval_many(np.array([0.0, 1.0]))
-    # at x = 1 the last translate sits at the end of its support, where the
-    # truncated-power terms that cancel to 0 grow about 2x per degree
+    # at x = 1 the last interior translate sits at the end of its support,
+    # where it is exactly 0; only the n - 1 right endpoint combinations
+    # cancel, to rounding, and their truncated-power terms grow about 2x per
+    # degree
+    np.testing.assert_array_equal(ends[1, : basis.size - (n - 1)], 0.0)
     assert np.max(np.abs(ends)) < 1e-14 * 2.0 ** (n - 3)
     # left combination i vanishes to order i at x = 0: its derivatives of
     # order < i are zero there (order nu carries the factor 2**(4 nu))

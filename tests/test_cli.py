@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracspline.cli as cli
-from fracspline import _blas, solver
+from fracspline import _blas, assembly, solver
 from fracspline.bspline import FractionalBSpline
 from fracspline.cli import CSV_COLUMNS, main
 
@@ -243,6 +243,17 @@ class TestTableCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("configuration error")
 
+    @pytest.mark.parametrize("points", ["33", "100000"])
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_quad_points_bound_builds_no_rule(self, command, points, monkeypatch, capsys):
+        # NumPy's 100000-point Gauss rule alone would take about 80 GB
+        def refuse(n):
+            raise AssertionError(f"built a {n}-point Gauss rule")
+
+        monkeypatch.setattr(assembly, "_reference_rule", refuse)
+        assert main([command, *FAST, "--quad-points", points]) == 2
+        assert "--quad-points" in capsys.readouterr().err
+
     def test_argparse_rejects_unknown_example(self):
         with pytest.raises(SystemExit):
             main(["table", "--example", "3", "--gamma", "0.5", "-j", "3", "-s", "3"])
@@ -331,28 +342,36 @@ class TestCurvesCommand:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_builds_each_level_and_spline_once(self, tmp_path, monkeypatch, clear_caches, threads):
-        builds, scans = [], []
+        builds, tables, scans = [], [], []
         build_spatial = solver.build_spatial
+        load_table = solver.load_table
         scan_support = FractionalBSpline._scan_support
 
         def counting_build(*args):
             builds.append(args)
             return build_spatial(*args)
 
+        def counting_table(basis, quad):
+            tables.append(basis.level)
+            return load_table(basis, quad)
+
         def counting_scan(spline, degree):
             scans.append(degree)
             return scan_support(spline, degree)
 
         monkeypatch.setattr(solver, "build_spatial", counting_build)
+        monkeypatch.setattr(solver, "load_table", counting_table)
         monkeypatch.setattr(FractionalBSpline, "_scan_support", counting_scan)
         argv = [
             "curves", "--example", "1", "--gamma", "0.5,1.0", "--beta", "2,2.5,3.5",
             "-j", "3", "-s", "2,3", "--threads", str(threads), "--out", str(tmp_path / "cv"),
         ]
         assert main(argv) == 0
-        # 12 cells at one j and three betas: one spatial level, and one
-        # support scan per fractional beta (integer degrees need none)
+        # 12 cells at one j and three betas: one spatial level with one load
+        # table, and one support scan per fractional beta (integer degrees
+        # need none)
         assert builds == [(3, 3)]
+        assert tables == [3]
         assert sorted(scans) == [2.5, 3.5]
 
     def test_float_round_trip(self, tmp_path):

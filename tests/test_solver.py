@@ -71,6 +71,26 @@ class TestSolveBasics:
         )
         assert l2_error(sol, example1(1.0).exact) < 5e-3
 
+    def test_forcing_is_called_once_per_solve(self):
+        calls = []
+        forcing = example1(0.5).forcing
+
+        def counting(t, x):
+            calls.append((np.shape(t), np.shape(x)))
+            return forcing(t, x)
+
+        problem = ProblemSpec(name="counted", order=0.5, forcing=counting)
+        _solve_quiet(problem, SolveConfig(gamma=0.5, j=3, s=3))
+        # the 16 collocation times against the 64 Galerkin quadrature nodes
+        assert calls == [((16, 1), (1, 64))]
+
+    def test_scalar_only_forcing_raises_without_warning(self):
+        problem = ProblemSpec(name="scalar", order=0.5, forcing=lambda t, x: t * math.sin(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                solve(problem, SolveConfig(gamma=0.5, j=3, s=3))
+
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError, match="derivative order"):
             solve(example1(0.5), SolveConfig(gamma=0.75, j=3, s=3))
@@ -182,6 +202,8 @@ class TestSharedOperators:
             "temporal weights": sol.temporal.spline.value_weights,
             "mass": level.mass,
             "stiffness": level.stiffness,
+            "load nodes": level.load_table[0],
+            "load table": level.load_table[1],
             "lam": level.modes.lam,
             "v": level.modes.v,
         }
@@ -248,6 +270,8 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3.0), "time level"),
             (dict(gamma=0.5, j=3, s=-1), "time level"),
             (dict(gamma=0.5, j=3, s=3, quad_points=8.0), "quad_points"),
+            (dict(gamma=0.5, j=3, s=3, horizon=0), "horizon"),
+            (dict(gamma=0.5, j=3, s=3, horizon=1.5), "horizon"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
