@@ -14,8 +14,8 @@ k)_+**(alpha - nu)``.  Order 0 is the value.  The sum vanishes beyond the
 support ``alpha + 1`` only when both the degree and the order are integers;
 otherwise it has an infinite tail.  ``FractionalBSpline._terms`` is the one
 place that turns an order into weights, exponent and cutoff, for the
-spline's own evaluation and for every basis table.  The rule holds up to
-``nu < alpha + 1/2``.
+spline's own evaluation (one column of ``kernels.basis_matrix``) and for
+every basis table.  The rule holds up to ``nu < alpha + 1/2``.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class FractionalBSpline:
         lo = math.ceil(d) + 1
         t = np.arange(lo, _SUPPORT_CAP + _SCAN_STEP / 2, _SCAN_STEP)
         w = _weight_row(d, _SUPPORT_CAP)
-        vals = kernels.truncated_power_sum(t, w, d, math.inf)
+        vals = kernels.basis_matrix(t, 1.0, 0.0, 1, w, d, math.inf)[:, 0]
         above = t[np.abs(vals) >= self.tail_tol]
         if above.size == 0:
             return lo
@@ -126,7 +126,8 @@ class FractionalBSpline:
         """Order-``order`` derivative (order 0: value) at scalar or array ``t``."""
         t_arr = np.asarray(t, dtype=np.float64)
         flat = np.atleast_1d(t_arr).ravel()
-        out = kernels.truncated_power_sum(flat, *self._terms(order, float(flat.max(initial=0.0))))
+        terms = self._terms(order, float(flat.max(initial=0.0)))
+        out = kernels.basis_matrix(flat, 1.0, 0.0, 1, *terms)[:, 0]
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def __call__(self, t):

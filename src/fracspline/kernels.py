@@ -1,22 +1,25 @@
-"""Evaluation kernels: truncated-power sums and their translate tables.
+"""Evaluation kernels: translate tables of one truncated-power sum.
 
-Every basis table is a set of dilated integer translates of one
-truncated-power sum, ``f(scale * t - r)``.  An entry depends on its
-argument alone, and it is exactly 0 outside ``(0, cutoff]`` (``[0,
-cutoff]`` for the zeroth power; an integer power also at a finite cutoff).
-The table fills use both facts: they evaluate the sum only on the arguments
-that can be nonzero, each distinct argument once, and scatter the values
-back.  On dyadic grids the arguments repeat along the diagonals, so a table
-costs about one column.
+Every table holds dilated integer translates of one truncated-power sum,
+``f(scale * t - r)``; the spline's own values are a one-column table.  An
+entry depends on its argument alone and is exactly 0 outside ``(0,
+cutoff]`` (``[0, cutoff]`` for the zeroth power; an integer power also at a
+finite cutoff).  ``basis_matrix`` evaluates the sum once per distinct
+argument that can be nonzero (on dyadic grids they repeat along the
+diagonals, so a table costs about one column); ``supported_translates``
+returns only the translates that can be nonzero at each point.
 """
 
 import numpy as np
 
-__all__ = ["truncated_power_sum", "basis_matrix", "supported_translates"]
+__all__ = ["basis_matrix", "supported_translates"]
 
 
 def _power_sum(u, w, expo):
-    """``sum_k w[k] * (u - k)_+**expo`` on a contiguous float64 vector."""
+    """``sum_k w[k] * (u - k)_+**expo`` on a contiguous float64 vector, with
+    no cutoff.  ``(u - k)_+`` counts where ``u - k > 0`` (``>= 0`` when
+    ``expo == 0``, so the zeroth power is right-continuous at the knot);
+    ``expo`` may be negative but must stay above -1/2."""
     out = np.zeros_like(u)
     if expo == 0.0:
         for k in range(w.shape[0]):
@@ -26,34 +29,6 @@ def _power_sum(u, w, expo):
             v = u - k
             m = v > 0.0
             out[m] += w[k] * v[m] ** expo
-    return out
-
-
-def truncated_power_sum(u, weights, expo, cutoff):
-    """Evaluate ``sum_k weights[k] * (u - k)_+**expo`` pointwise.
-
-    Parameters
-    ----------
-    u : ndarray, shape (n,)
-        Evaluation arguments.
-    weights : ndarray, shape (K,)
-        Term weights; the sum runs over all k with ``u - k > 0`` (``>= 0``
-        when ``expo == 0``, so the zeroth power is right-continuous at the
-        knot).
-    expo : float
-        Common exponent of the truncated powers.  May be negative but must
-        stay above -1/2.
-    cutoff : float
-        Arguments ``u > cutoff`` (``u >= cutoff`` for an integer ``expo``)
-        evaluate to exactly 0.  Pass ``np.inf`` to disable truncation.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-    """
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    out = _power_sum(u, np.ascontiguousarray(weights, dtype=np.float64), expo)
-    out[~_live(u, expo, cutoff)] = 0.0
     return out
 
 
@@ -67,12 +42,11 @@ def _live(u, expo, cutoff):
 def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):
     """Tabulate dilated translates of one truncated-power sum.
 
-    ``out[i, c] = truncated_power_sum(scale * t[i] - (shift0 + c))`` for
-    ``c = 0 .. n_cols-1``.  This is the shape shared by every collocation /
-    evaluation matrix fill.  The sum is evaluated once per distinct live
-    argument; the float operations per entry are those of
-    ``truncated_power_sum``, so the table is bit-identical to filling it
-    column by column.
+    ``out[i, c] = _power_sum(scale * t[i] - (shift0 + c))`` for ``c = 0 ..
+    n_cols-1``, zeroed outside ``_live`` (``cutoff = np.inf``: no cutoff).
+    The sum is evaluated once per distinct live argument with the float
+    operations of ``_power_sum``, so the table is bit-identical to filling
+    it column by column.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     u = scale * t[:, None] - (shift0 + np.arange(n_cols))

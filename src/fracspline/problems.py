@@ -85,21 +85,11 @@ def example2(order: float) -> ProblemSpec:
     w = math.pi
     norm = w / _gamma(2.0 - order)
 
-    def _dt_frac(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        f = kummer_1f1(1.0, 2.0 - order, 1j * w * t)
-        return norm * t ** (1.0 - order) * f.real
-
     def forcing(t, x):
-        xx = np.asarray(x, dtype=np.float64)
         tt = np.asarray(t, dtype=np.float64)
-        if tt.ndim == 0:
-            dt_part = _dt_frac(float(tt))
-        else:
-            dt_part = np.array([_dt_frac(float(ti)) for ti in tt.ravel()]).reshape(
-                tt.shape
-            )
+        xx = np.asarray(x, dtype=np.float64)
+        # t**(1 - order) makes the part 0 at t = 0, where 1F1 is 1
+        dt_part = norm * tt ** (1.0 - order) * kummer_1f1(1.0, 2.0 - order, 1j * w * tt).real
         return dt_part * np.sin(w * xx) + w**2 * np.sin(w * tt) * np.sin(w * xx)
 
     def exact(t, x):

@@ -82,6 +82,8 @@ class SolveConfig:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not (isinstance(self.alpha, int) and self.alpha >= 1):
             raise ValueError(f"spatial degree alpha must be an integer >= 1, got {self.alpha!r}")
+        if 2**self.j < 2 * self.alpha:  # build_spatial's rule: the endpoint zones must not overlap
+            raise ValueError(f"level j={self.j} too coarse for degree alpha={self.alpha}: need 2**j >= {2 * self.alpha}")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.gamma >= self.beta + 0.5:
@@ -286,36 +288,33 @@ def evaluate(sol: Solution, t, x):
     return float(vals[0]) if t_b.ndim == 0 else vals.reshape(t_b.shape)
 
 
-def l2_error(sol: Solution, exact: Callable, points_per_cell: int = 4) -> float:
-    """Space-time L2 distance to ``exact`` over [0, horizon] x [0, 1].
-
-    Tensor Gauss-Legendre at one dyadic level above the finer of the two
-    discretisation levels, so the quadrature resolves both the solution and
-    the reference field.
-    """
-    level = max(sol.config.j, sol.config.s) + 1
-    quad = QuadratureRule(points_per_cell)
-    t_nodes, t_w = quad.nodes(level, sol.config.horizon)
-    x_nodes, x_w = quad.nodes(level)
-    num = sol.grid_values(t_nodes, x_nodes)
-    ref = exact(t_nodes[:, None], x_nodes[None, :])
-    diff2 = (num - ref) ** 2
-    return float(math.sqrt(t_w @ diff2 @ x_w))
+# The rule of both error norms: Gauss-Legendre, 4 points per dyadic cell
+_ERROR_RULE = QuadratureRule(points_per_cell=4)
 
 
-def l2_error_at_time(
-    sol: Solution, exact: Callable, t: float, points_per_cell: int = 4
-) -> float:
+def _error_norm(sol: Solution, t_nodes: np.ndarray, t_w: np.ndarray, reference: Callable) -> float:
+    """L2 distance over [0, 1] in x, summed over ``t_nodes`` with weights
+    ``t_w``, to ``reference(x_nodes)`` on the (t_nodes, x_nodes) grid.  The
+    rule runs one dyadic level above the finer of the two discretisation
+    levels, so it resolves the solution and the reference field."""
+    x_nodes, x_w = _ERROR_RULE.nodes(max(sol.config.j, sol.config.s) + 1)
+    diff = sol.grid_values(t_nodes, x_nodes) - reference(x_nodes)
+    return math.sqrt(float(t_w @ diff**2 @ x_w))
+
+
+def l2_error(sol: Solution, exact: Callable) -> float:
+    """Space-time L2 distance to ``exact`` over [0, horizon] x [0, 1]."""
+    t_nodes, t_w = _ERROR_RULE.nodes(max(sol.config.j, sol.config.s) + 1, sol.config.horizon)
+    return _error_norm(sol, t_nodes, t_w, lambda x: exact(t_nodes[:, None], x[None, :]))
+
+
+def l2_error_at_time(sol: Solution, exact: Callable, t: float) -> float:
     """Space-only L2 distance at a fixed time ``t`` in ``[0, horizon]``
-    (diagnostic)."""
+    (diagnostic); ``exact`` is called with the scalar ``t``."""
     # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 <= t <= sol.config.horizon:
         raise ValueError(f"t={t!r} outside [0, {sol.config.horizon}]")
-    level = max(sol.config.j, sol.config.s) + 1
-    x_nodes, x_w = QuadratureRule(points_per_cell).nodes(level)
-    num = sol.grid_values(np.array([t]), x_nodes)[0]
-    ref = exact(float(t), x_nodes)
-    return float(math.sqrt(x_w @ (num - ref) ** 2))
+    return _error_norm(sol, np.array([float(t)]), np.ones(1), lambda x: exact(float(t), x))
 
 
 def error_report(

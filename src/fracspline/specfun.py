@@ -6,7 +6,6 @@ implemented here once, with known accuracy, instead of being picked up from
 whatever libm happens to provide.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -90,41 +89,47 @@ def binomial_row(alpha: float, k_max: int) -> np.ndarray:
 def kummer_1f1(
     a: float,
     b: float,
-    z: complex,
+    z,
     *,
     rel_tol: float = 1e-14,
     max_terms: int = 500,
     max_abs_z: float = 50.0,
-) -> complex:
-    """Confluent hypergeometric function 1F1(a; b; z) by its power series.
+):
+    """Confluent hypergeometric function 1F1(a; b; z) by its power series,
+    elementwise over a scalar (giving a ``complex``) or array ``z``.
 
-    The series is fine for the moderate arguments this package needs
-    (|z| <= pi * T in practice); ``max_abs_z`` guards against silent
-    cancellation blow-up outside that regime.
+    Each element stops taking terms at its own convergence, so its value
+    does not depend on the rest of the array.  The series is fine for the
+    moderate arguments this package needs (|z| <= pi * T in practice);
+    ``max_abs_z`` guards against silent cancellation blow-up outside that
+    regime.
 
     Raises
     ------
     PoleError
         If ``b`` is zero or a negative integer.
     ConvergenceError
-        If the term ratio has not dropped below ``rel_tol`` after
-        ``max_terms`` terms.
+        If some term ratio has not dropped below ``rel_tol`` after
+        ``max_terms`` terms, or some sum is not finite.
     ValueError
-        If ``|z| > max_abs_z``.
+        If some ``|z| > max_abs_z``.
     """
     if b <= 0.0 and float(b) == math.floor(b):
         raise PoleError(f"1F1 undefined for non-positive integer b = {b!r}")
-    z = complex(z)
-    if abs(z) > max_abs_z:
-        raise ValueError(f"|z| = {abs(z):g} exceeds the series guard {max_abs_z:g}")
-    total = term = complex(1.0)
+    z = np.asarray(z, dtype=np.complex128)
+    size = float(np.abs(z).max(initial=0.0))
+    if size > max_abs_z:
+        raise ValueError(f"|z| = {size:g} exceeds the series guard {max_abs_z:g}")
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(max_terms):
         term *= (a + k) / (b + k) * z / (k + 1)
-        total += term
-        if abs(term) <= rel_tol * abs(total):
-            if not (cmath.isfinite(total)):
-                raise ConvergenceError("1F1 series produced a non-finite value")
-            return total
-    raise ConvergenceError(
-        f"1F1 series did not converge in {max_terms} terms for a={a}, b={b}, z={z}"
-    )
+        np.add(total, term, out=total, where=live)
+        # written so that a NaN term never counts as converged
+        live &= ~(np.abs(term) <= rel_tol * np.abs(total))
+        if not live.any():
+            break
+    if live.any() or not np.isfinite(total).all():
+        raise ConvergenceError(f"1F1 series did not reach a finite sum in {max_terms} terms for a={a}, b={b}")
+    return complex(total) if z.ndim == 0 else total

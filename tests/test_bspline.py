@@ -6,15 +6,15 @@ import pytest
 from scipy.interpolate import BSpline
 
 from caputo_oracle import caputo_oracle
-from fracspline import kernels
 from fracspline.bspline import DEFAULT_TAIL_TOL, FractionalBSpline
 from fracspline.specfun import gamma
+from kernel_oracle import column_loop_truncated_power_sum
 from refinement_mask import mask
 
 
 def truncated_power(alpha, t):
-    """One-sided power ``t_+**alpha`` through the library kernel."""
-    return float(kernels.truncated_power_sum(np.array([t]), np.ones(1), alpha, math.inf)[0])
+    """One-sided power ``t_+**alpha`` through the column-loop oracle."""
+    return float(column_loop_truncated_power_sum(np.array([t]), np.ones(1), alpha, math.inf)[0])
 
 
 def test_truncated_power_basics():
@@ -40,6 +40,24 @@ def test_finite_diff_weights_alternate():
 def test_effective_support(degree, support):
     # These counts fix the basis sizes and therefore every DOF in the tables.
     assert FractionalBSpline(degree).effective_support == support
+
+
+@pytest.mark.parametrize("degree", [2.0, 2.5, 3.0, 3.5, 4.0])
+def test_values_and_derivatives_equal_the_column_loop(degree):
+    # the spline evaluates itself through the table kernel; values and
+    # derivatives stay bit-identical to the plain truncated-power sum, whose
+    # cutoff is the support for the value and for integer degree and order
+    b = FractionalBSpline(degree)
+    end = b.effective_support + 2.0
+    t = np.concatenate([np.linspace(-1.0, end, 1001), np.arange(0.0, end, 0.5)])
+    want = column_loop_truncated_power_sum(t, b.value_weights, degree, b.effective_support)
+    assert np.array_equal(b(t), want)
+    assert [b(float(u)) for u in t[::50]] == list(want[::50])
+    for order in (0.5, 1.0, 2.0):
+        cutoff = b.effective_support if degree.is_integer() and order.is_integer() else math.inf
+        weights = b.derivative_weights(order, math.floor(end))
+        want = column_loop_truncated_power_sum(t, weights, degree - order, cutoff)
+        assert np.array_equal(b.frac_derivative(order, t), want)
 
 
 def test_integer_specialization_matches_scipy():

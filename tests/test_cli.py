@@ -237,6 +237,9 @@ class TestTableCommand:
                 )
                 for command in ("solve", "table")
             ),
+            # level 2 is in the CLI's range, but the default degree 3 needs 2**j >= 6
+            ["solve", "--example", "1", "--gamma", "0.5", "-j", "2", "-s", "3"],
+            ["table", "--example", "1", "--gamma", "0.5", "-j", "2,3", "-s", "3"],
         ],
     )
     def test_bad_configs_exit_2(self, argv, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from fracspline import kernels
 from fracspline.bspline import FractionalBSpline
-from kernel_oracle import column_loop_basis_matrix, column_loop_truncated_power_sum
+from kernel_oracle import column_loop_basis_matrix
 
 # (spline degree, derivative order or None): expo is the degree for values
 # and degree - order for derivatives, so this covers expo 0, 3, 2.5 and 3.2.
@@ -48,24 +48,20 @@ def test_basis_matrix_equals_column_loop(degree, order, cutoff_kind, points):
 def test_basis_matrix_random_weights_and_shifts():
     rng = np.random.default_rng(11)
     t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200)])
-    for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.7, math.inf)):
+    # the one-column table on wide arguments is the sum the spline evaluates
+    # itself through; the pairs after the fourth add the zeroth power and a
+    # negative exponent without a cutoff and integer powers cut at a finite one
+    wide = np.random.default_rng(42).uniform(-3.0, 15.0, 257)
+    pairs = ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.7, math.inf), (0.0, math.inf),
+             (-0.3, math.inf), (-0.3, 4.0), (3.0, 4.0), (3.0, 10.0), (2.5, 4.0))
+    for expo, cutoff in pairs:
         w = rng.standard_normal(9)
-        for scale, shift0, n_cols in ((8.0, -3.0, 13), (32.0, -9.0, 41), (16.0, 2.0, 5)):
+        for pts, scale, shift0, n_cols in (
+            (t, 8.0, -3.0, 13), (t, 32.0, -9.0, 41), (t, 16.0, 2.0, 5), (wide, 1.0, 0.0, 1)
+        ):
             args = (scale, shift0, n_cols, w, expo, cutoff)
             assert np.array_equal(
-                kernels.basis_matrix(t, *args), column_loop_basis_matrix(t, *args)
-            )
-
-
-def test_truncated_power_sum_equals_oracle():
-    rng = np.random.default_rng(42)
-    u = rng.uniform(-3.0, 15.0, 257)
-    w = rng.standard_normal(11)
-    for expo in (0.0, 1.0, 2.5, 3.0, 3.5):
-        for cutoff in (math.inf, 10.0, 4.0):
-            assert np.array_equal(
-                kernels.truncated_power_sum(u, w, expo, cutoff),
-                column_loop_truncated_power_sum(u, w, expo, cutoff),
+                kernels.basis_matrix(pts, *args), column_loop_basis_matrix(pts, *args)
             )
 
 

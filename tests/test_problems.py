@@ -103,6 +103,16 @@ class TestExample2:
         assert out.shape == (2,)
         for ti, oi in zip(t, out):
             assert oi == pytest.approx(float(p.forcing(float(ti), x)), rel=1e-14)
+        # the load's call shape, (times, 1) against (1, nodes), t = 0 included
+        t = np.arange(17.0)[:, None] / 16
+        x = np.linspace(0.0, 1.0, 9)[None, :]
+        for order in (0.25, 0.5, 0.75):
+            p = example2(order)
+            grid = p.forcing(t, x)
+            assert grid.shape == (17, 9)
+            points = [[float(p.forcing(float(ti), float(xk))) for xk in x[0]] for ti in t[:, 0]]
+            np.testing.assert_allclose(grid, points, rtol=1e-14, atol=0.0)
+            assert not grid[0].any()  # the whole forcing is 0 at t = 0
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.2, -0.1])
     def test_order_domain_is_strict(self, bad):

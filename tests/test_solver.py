@@ -272,6 +272,8 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, quad_points=8.0), "quad_points"),
             (dict(gamma=0.5, j=3, s=3, horizon=0), "horizon"),
             (dict(gamma=0.5, j=3, s=3, horizon=1.5), "horizon"),
+            (dict(gamma=0.5, j=2, s=3), "too coarse"),  # 2**j < 2 alpha: build_spatial refuses it
+            (dict(gamma=0.5, j=3, s=3, alpha=5), "too coarse"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from fracspline.specfun import ConvergenceError, PoleError, binomial_row, gamma, kummer_1f1
@@ -50,6 +51,9 @@ class TestGenBinomial:
             binomial_row(3.5, -1)
 
 
+T_VALUES = (0.1, 0.5, 0.9, 1.0)
+
+
 class TestKummer:
     def test_at_zero(self):
         assert kummer_1f1(1.0, 1.5, 0.0) == pytest.approx(1.0)
@@ -62,13 +66,19 @@ class TestKummer:
             assert abs(got - complex(ref)) < 1e-12 * max(1.0, abs(complex(ref)))
 
     @pytest.mark.parametrize("gamma_", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("t", T_VALUES)
     def test_imaginary_argument_against_mpmath(self, gamma_, t):
         # the argument pattern of the Example-2 forcing
         z = 1j * math.pi * t
         ref = complex(mpmath.hyp1f1(1.0, 2.0 - gamma_, z))
         got = kummer_1f1(1.0, 2.0 - gamma_, z)
+        assert type(got) is complex
         assert abs(got - ref) <= 1e-12 * abs(ref)
+        # one array holding every t: each element stops at its own
+        # convergence, so it is the scalar result bit for bit
+        column = kummer_1f1(1.0, 2.0 - gamma_, 1j * math.pi * np.array(T_VALUES)[:, None])
+        assert column.shape == (len(T_VALUES), 1)
+        assert column[T_VALUES.index(t), 0] == got
 
     @pytest.mark.parametrize("b", [0.0, -1.0, -3.0])
     def test_pole_in_b(self, b):
@@ -76,9 +86,13 @@ class TestKummer:
             kummer_1f1(1.0, b, 0.5)
 
     def test_large_argument_guard(self):
-        with pytest.raises(ValueError):
-            kummer_1f1(1.0, 1.5, 80.0)
+        # an array is refused when any element is out of range
+        for z in (80.0, np.array([0.5, 80.0])):
+            with pytest.raises(ValueError):
+                kummer_1f1(1.0, 1.5, z)
 
     def test_term_cap(self):
-        with pytest.raises(ConvergenceError):
-            kummer_1f1(1.0, 1.5, 30.0, max_terms=4)
+        # an array fails when any element has not converged
+        for z in (30.0, np.array([0.0, 30.0])):
+            with pytest.raises(ConvergenceError):
+                kummer_1f1(1.0, 1.5, z, max_terms=4)
