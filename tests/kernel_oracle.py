@@ -1,9 +1,11 @@
 """Column-by-column translate tables: the reference the kernel fills are checked against.
 
 ``column_loop_basis_matrix`` fills a table the direct way, one
-``truncated_power_sum`` call per column over every point, with no support
-restriction and no reuse of repeated arguments.  ``fracspline.kernels``
-must reproduce it bit for bit.  Slow on large tables; use it in tests only.
+``column_loop_truncated_power_sum`` call per column over every point, with
+no support restriction and no reuse of repeated arguments.
+``fracspline.kernels`` must reproduce it bit for bit, and so must the
+spline's own values, a one-column table.  Slow on large tables; use it in
+tests only.
 """
 
 from __future__ import annotations
