@@ -15,19 +15,20 @@ the load come from ``assembly``, and the temporal tables ``A`` (order-gamma
 derivatives) and ``G`` (values) are the time basis evaluated at the
 interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
 
-What depends on the spatial level alone, ``(j, alpha, quad_points)``, is
-built once per process and shared read-only by every solve at that level:
-the basis, the Gram matrices and their eigenpairs, and the load's value
-table (``_spatial_level``).  The temporal spline is shared the same way
-(``basis.build_temporal``).
+What depends on levels alone is built once per process and shared
+read-only: per ``(j, alpha, quad_points)`` the basis, the Gram matrices,
+their eigenpairs and the load's value table (``_spatial_level``); per
+``(s, beta, horizon, tail_tol, q)`` the time basis, the nodes, the
+elimination and ``G`` after it (``_temporal_level``); and the value tables
+of both error norms.  A solve builds only ``A`` (gamma varies) and the load.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,29 +73,30 @@ class SolveConfig:
     quad_points: int = 8
 
     def __post_init__(self):
-        if not (isinstance(self.j, int) and self.j >= 1):
+        # ``type(v) is int``, as bool is an int subclass but no level or degree
+        if not (type(self.j) is int and self.j >= 1):
             raise ValueError(f"spatial level j must be an integer >= 1, got {self.j!r}")
-        if not (isinstance(self.s, int) and self.s >= 0):
+        if not (type(self.s) is int and self.s >= 0):
             raise ValueError(f"time level s must be an integer >= 0, got {self.s!r}")
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not (type(self.horizon) is int and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if not (isinstance(self.alpha, int) and self.alpha >= 1):
+        if not (type(self.alpha) is int and self.alpha >= 1):
             raise ValueError(f"spatial degree alpha must be an integer >= 1, got {self.alpha!r}")
         if 2**self.j < 2 * self.alpha:  # build_spatial's rule: the endpoint zones must not overlap
             raise ValueError(f"level j={self.j} too coarse for degree alpha={self.alpha}: need 2**j >= {2 * self.alpha}")
-        if not math.isfinite(self.beta):
+        if isinstance(self.beta, bool) or not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.gamma >= self.beta + 0.5:
             raise ValueError(
                 f"gamma={self.gamma!r} needs beta > gamma - 1/2, got beta={self.beta!r}"
             )
-        if self.q is not None and not (isinstance(self.q, int) and self.q >= self.s):
+        if self.q is not None and not (type(self.q) is int and self.q >= self.s):
             raise ValueError(
                 f"collocation level q={self.q!r} must be an integer >= s={self.s!r}"
             )
-        if not isinstance(self.quad_points, int):
+        if type(self.quad_points) is not int:
             raise ValueError(f"quad_points must be an integer, got {self.quad_points!r}")
         if self.quad_points < self.alpha + 1:
             raise ValueError(
@@ -149,31 +151,75 @@ class _SpatialLevel:
     modes: SpatialModes
 
 
+class _Shared:
+    """A bounded least-recently-used store of what depends on discretisation
+    levels alone, shared by every solve in the process.  ``get`` builds a
+    missing entry under a lock, so concurrent solves (sweep cells on worker
+    threads) wait for one build instead of each building it.  Keys are the
+    values that define an entry, not object identities, and builders make
+    every array they hand out read-only."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.entries: OrderedDict = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key: tuple, build: Callable, *args):
+        with self.lock:
+            if key not in self.entries:
+                self.entries[key] = build(*args)
+                if len(self.entries) > self.maxsize:
+                    self.entries.popitem(last=False)
+            self.entries.move_to_end(key)
+            return self.entries[key]
+
+
+def _read_only(*arrays: Optional[np.ndarray]) -> tuple:
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
+    return arrays
+
+
 # Enough for every level of a CLI sweep, j = 2..8, at one alpha and rule.
-_LEVEL_CACHE_SIZE = 8
-_level_lock = threading.Lock()
+_SPATIAL_LEVELS = _Shared(8)
+# Enough for the README ``curves`` command, 5 betas x 4 time levels = 20.
+_TEMPORAL_LEVELS = _Shared(32)
 
 
-@functools.lru_cache(maxsize=_LEVEL_CACHE_SIZE)
-def _cached_level(j: int, alpha: int, quad_points: int) -> _SpatialLevel:
+def _build_spatial_level(j: int, alpha: int, quad_points: int) -> _SpatialLevel:
     basis = build_spatial(j, alpha)
     quad = QuadratureRule(points_per_cell=quad_points)
     mass = assemble_mass(basis, quad)
     stiffness = assemble_stiffness(basis, quad)
     table = load_table(basis, quad)
     level = _SpatialLevel(basis, mass, stiffness, table, spatial_modes(mass, stiffness))
-    shared = (basis.combinations, basis.spline.value_weights, mass, stiffness, *table)
-    for arr in (*shared, level.modes.lam, level.modes.v):
-        arr.flags.writeable = False
+    _read_only(basis.combinations, basis.spline.value_weights, mass, stiffness, *table, level.modes.lam, level.modes.v)
     return level
 
 
 def _spatial_level(config: SolveConfig) -> _SpatialLevel:
-    """The shared, read-only spatial level of a validated ``config``.  The
-    lock makes concurrent solves wait for one build instead of each
-    assembling and factoring the same level."""
-    with _level_lock:
-        return _cached_level(config.j, config.alpha, config.quad_points)
+    """The shared, read-only spatial level of a validated ``config``."""
+    key = (config.j, config.alpha, config.quad_points)
+    return _SPATIAL_LEVELS.get(key, _build_spatial_level, *key)
+
+
+def _build_temporal_level(s: int, beta: float, horizon: int, tail_tol: float, q: int) -> tuple:
+    """The basis, the collocation nodes, the initial-condition elimination
+    ``z`` and the value table after it, in Fortran order for the mode loop."""
+    basis = build_temporal(s, beta, horizon, tail_tol)
+    nodes = np.arange(1, 2**q * horizon + 1, dtype=np.float64) / 2**q
+    z = _ic_nullspace(basis)
+    g = basis.eval_many(nodes)
+    if z is not None:
+        g = g @ z
+    return (basis, *_read_only(nodes, z, np.asfortranarray(g)))
+
+
+def _temporal_level(config: SolveConfig) -> tuple:
+    """The shared, read-only temporal level of a validated ``config``."""
+    key = (config.s, config.beta, config.horizon, config.tail_tol, config.collocation_level)
+    return _TEMPORAL_LEVELS.get(key, _build_temporal_level, *key)
 
 
 def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSquaresReport]:
@@ -182,7 +228,8 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     Returns the solution together with the least-squares diagnostics; a
     condition estimate beyond 1e12 (``cond(mass)`` times the R-diagonal
     spread over all modes) triggers a warning, matching the observed
-    breakdown regime of the redundant translate family.
+    breakdown regime of the redundant translate family.  Only the order-gamma
+    table ``A`` and the load are built here; the rest is per-level and shared.
     """
     if abs(problem.order - config.gamma) > 1e-12:
         raise ValueError(
@@ -195,16 +242,11 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
         )
     level = _spatial_level(config)
     sbasis = level.basis
-    tbasis = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
-    q = config.collocation_level
-    nodes = np.arange(1, 2**q * config.horizon + 1, dtype=np.float64) / 2**q
+    tbasis, nodes, z, g_mat = _temporal_level(config)
+    # the gamma table is built per solve, as gamma varies across a sweep
     a_mat = tbasis.eval_many(nodes, config.gamma)
-    g_mat = tbasis.eval_many(nodes)
-
-    z = _ic_nullspace(tbasis)
     if z is not None:
         a_mat = a_mat @ z
-        g_mat = g_mat @ z
 
     load = assemble_load_matrix(level.load_table, problem.forcing, nodes)
     coeffs, report = modal_lstsq_solve(level.modes, a_mat, g_mat, load)
@@ -288,24 +330,41 @@ def evaluate(sol: Solution, t, x):
     return float(vals[0]) if t_b.ndim == 0 else vals.reshape(t_b.shape)
 
 
-# The rule of both error norms: Gauss-Legendre, 4 points per dyadic cell
+# The rule of both error norms: Gauss-Legendre, 4 points per dyadic cell,
+# one dyadic level above the finer of the two discretisation levels, so it
+# resolves the solution and the reference field
 _ERROR_RULE = QuadratureRule(points_per_cell=4)
+# A sweep runs at one j, so it reaches few levels max(j, s) + 1.
+_SPACE_ERROR_TABLES = _Shared(8)
+# As many as temporal levels; one table at level 9 is about 4.4 MiB.
+_TIME_ERROR_TABLES = _Shared(32)
 
 
-def _error_norm(sol: Solution, t_nodes: np.ndarray, t_w: np.ndarray, reference: Callable) -> float:
-    """L2 distance over [0, 1] in x, summed over ``t_nodes`` with weights
-    ``t_w``, to ``reference(x_nodes)`` on the (t_nodes, x_nodes) grid.  The
-    rule runs one dyadic level above the finer of the two discretisation
-    levels, so it resolves the solution and the reference field."""
-    x_nodes, x_w = _ERROR_RULE.nodes(max(sol.config.j, sol.config.s) + 1)
-    diff = sol.grid_values(t_nodes, x_nodes) - reference(x_nodes)
-    return math.sqrt(float(t_w @ diff**2 @ x_w))
+def _error_table(basis, level: int, span: int = 1) -> tuple:
+    """Nodes, weights and member values of the error rule on [0, span]."""
+    x, w = _ERROR_RULE.nodes(level, span)
+    return _read_only(x, w, basis.eval_many(x))
+
+
+def _error_norm(sol: Solution, xt: np.ndarray, t_w: np.ndarray, reference: Callable) -> float:
+    """L2 distance over [0, 1] in x, summed with weights ``t_w`` over the
+    times of the temporal table ``xt``, to ``reference(x_nodes)`` on the
+    (times, x_nodes) grid."""
+    b, level = sol.spatial, max(sol.config.j, sol.config.s) + 1
+    x_nodes, x_w, phi = _SPACE_ERROR_TABLES.get((b.level, b.degree, level), _error_table, b, level)
+    # the association of ``Solution.grid_values``; the residual is squared in place
+    diff = (xt @ sol.coeffs.T) @ phi.T
+    diff -= reference(x_nodes)
+    np.square(diff, out=diff)
+    return math.sqrt(float(t_w @ diff @ x_w))
 
 
 def l2_error(sol: Solution, exact: Callable) -> float:
     """Space-time L2 distance to ``exact`` over [0, horizon] x [0, 1]."""
-    t_nodes, t_w = _ERROR_RULE.nodes(max(sol.config.j, sol.config.s) + 1, sol.config.horizon)
-    return _error_norm(sol, t_nodes, t_w, lambda x: exact(t_nodes[:, None], x[None, :]))
+    b, level = sol.temporal, max(sol.config.j, sol.config.s) + 1
+    key = (b.level, b.degree, b.horizon, b.spline.tail_tol, level)
+    t_nodes, t_w, xt = _TIME_ERROR_TABLES.get(key, _error_table, b, level, b.horizon)
+    return _error_norm(sol, xt, t_w, lambda x: exact(t_nodes[:, None], x[None, :]))
 
 
 def l2_error_at_time(sol: Solution, exact: Callable, t: float) -> float:
@@ -314,7 +373,8 @@ def l2_error_at_time(sol: Solution, exact: Callable, t: float) -> float:
     # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 <= t <= sol.config.horizon:
         raise ValueError(f"t={t!r} outside [0, {sol.config.horizon}]")
-    return _error_norm(sol, np.array([float(t)]), np.ones(1), lambda x: exact(float(t), x))
+    xt = sol.temporal.eval_many(np.array([float(t)]))
+    return _error_norm(sol, xt, np.ones(1), lambda x: exact(float(t), x))
 
 
 def error_report(

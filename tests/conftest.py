@@ -42,11 +42,14 @@ def table2_sweep():
 
 @pytest.fixture
 def clear_caches():
-    """Empty the shared spatial-level and temporal-spline caches, so the test
-    starts cold; the fixture's value empties them again when called."""
+    """Empty the shared spatial-level, temporal-level, error-table and
+    temporal-spline caches, so the test starts cold; the fixture's value
+    empties them again when called."""
 
     def clear():
-        solver._cached_level.cache_clear()
+        shared = (solver._SPATIAL_LEVELS, solver._TEMPORAL_LEVELS, solver._SPACE_ERROR_TABLES, solver._TIME_ERROR_TABLES)
+        for cache in shared:
+            cache.entries.clear()
         basis._cached_spline.cache_clear()
 
     clear()

@@ -345,14 +345,24 @@ class TestCurvesCommand:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_builds_each_level_and_spline_once(self, tmp_path, monkeypatch, clear_caches, threads):
-        builds, tables, scans = [], [], []
+        builds, tables, scans, temporal_builds, error_tables = [], [], [], [], []
         build_spatial = solver.build_spatial
+        build_temporal = solver.build_temporal
         load_table = solver.load_table
+        error_table = solver._error_table
         scan_support = FractionalBSpline._scan_support
 
         def counting_build(*args):
             builds.append(args)
             return build_spatial(*args)
+
+        def counting_temporal(s, beta, *rest):
+            temporal_builds.append((beta, s))
+            return build_temporal(s, beta, *rest)
+
+        def counting_error_table(basis, level, *span):
+            error_tables.append((type(basis).__name__, basis.degree, basis.level, level))
+            return error_table(basis, level, *span)
 
         def counting_table(basis, quad):
             tables.append(basis.level)
@@ -363,7 +373,9 @@ class TestCurvesCommand:
             return scan_support(spline, degree)
 
         monkeypatch.setattr(solver, "build_spatial", counting_build)
+        monkeypatch.setattr(solver, "build_temporal", counting_temporal)
         monkeypatch.setattr(solver, "load_table", counting_table)
+        monkeypatch.setattr(solver, "_error_table", counting_error_table)
         monkeypatch.setattr(FractionalBSpline, "_scan_support", counting_scan)
         argv = [
             "curves", "--example", "1", "--gamma", "0.5,1.0", "--beta", "2,2.5,3.5",
@@ -371,11 +383,16 @@ class TestCurvesCommand:
         ]
         assert main(argv) == 0
         # 12 cells at one j and three betas: one spatial level with one load
-        # table, and one support scan per fractional beta (integer degrees
-        # need none)
+        # table, one support scan per fractional beta (integer degrees need
+        # none), one temporal level per (beta, s) whatever gamma, and one
+        # spatial error table at level max(j, s) + 1 = 4
         assert builds == [(3, 3)]
         assert tables == [3]
         assert sorted(scans) == [2.5, 3.5]
+        assert sorted(temporal_builds) == [(beta, s) for beta in (2.0, 2.5, 3.5) for s in (2, 3)]
+        assert sorted(error_tables) == [("SpatialBasis", 3, 3, 4)] + [
+            ("TemporalBasis", beta, s, 4) for beta in (2.0, 2.5, 3.5) for s in (2, 3)
+        ]
 
     def test_float_round_trip(self, tmp_path):
         prefix = str(tmp_path / "rt")

@@ -187,15 +187,24 @@ class TestSharedOperators:
     def test_cold_and_warm_solves_agree(self, clear_caches):
         config = SolveConfig(gamma=0.5, j=4, s=4, beta=3.5)
         cold, cold_rep = _solve_quiet(example1(0.5), config)
+        cold_errors = (l2_error(cold, example1(0.5).exact), l2_error_at_time(cold, example1(0.5).exact, 0.7))
         warm, warm_rep = _solve_quiet(example1(0.5), config)
-        assert warm.spatial is cold.spatial  # the second solve reused the level
+        assert warm.spatial is cold.spatial  # the second solve reused the levels
+        assert warm.temporal is cold.temporal
         assert np.array_equal(cold.coeffs, warm.coeffs)
         assert cold_rep == warm_rep
+        # the error tables are warm now; the norms must not move by a bit
+        assert (l2_error(warm, example1(0.5).exact), l2_error_at_time(warm, example1(0.5).exact, 0.7)) == cold_errors
 
     def test_cached_arrays_are_read_only(self):
         config = SolveConfig(gamma=0.5, j=3, s=3, beta=3.5)
         sol, _ = _solve_quiet(example1(0.5), config)
+        l2_error(sol, example1(0.5).exact)
         level = solver._spatial_level(config)
+        _, nodes, z, g = solver._temporal_level(config)
+        # keyed on (j, alpha, level) and (s, beta, horizon, tail_tol, level), level = max(j, s) + 1
+        x_table = solver._SPACE_ERROR_TABLES.entries[(3, 3, 4)]
+        t_table = solver._TIME_ERROR_TABLES.entries[(3, 3.5, 1, DEFAULT_TAIL_TOL, 4)]
         shared = {
             "combinations": sol.spatial.combinations,
             "spatial weights": sol.spatial.spline.value_weights,
@@ -206,30 +215,50 @@ class TestSharedOperators:
             "load table": level.load_table[1],
             "lam": level.modes.lam,
             "v": level.modes.v,
+            "collocation nodes": nodes,
+            "z": z,
+            "G": g,
+            **{f"space error table [{i}]": arr for i, arr in enumerate(x_table)},
+            **{f"time error table [{i}]": arr for i, arr in enumerate(t_table)},
         }
+        assert g.flags.f_contiguous  # so the mode loop's asfortranarray does not copy it
         for name, arr in shared.items():
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
             assert not arr.flags.writeable, name
 
+    def test_shared_store_is_bounded_least_recently_used(self):
+        built = []
+        store = solver._Shared(2)
+        for key in ("a", "b", "a", "c", "a", "b"):
+            store.get((key,), lambda k: built.append(k) or k.upper(), key)
+        # "b" was the least recently used entry when "c" arrived, so it is built again
+        assert built == ["a", "b", "c", "b"]
+        assert store.entries == {("a",): "A", ("b",): "B"}
+
     def test_concurrent_lookups_build_each_entry_once(self, monkeypatch, clear_caches):
         # more threads than cores, switching often: a lookup that builds
         # outside the lock would build some entry twice
-        builds = []
-        build_spatial = solver.build_spatial
+        builds, temporal_builds = [], []
+        build_spatial, build_time_basis = solver.build_spatial, solver.build_temporal
 
         def counting_build(*args):
             builds.append(args)
             return build_spatial(*args)
 
+        def counting_temporal(*args):
+            temporal_builds.append(args)
+            return build_time_basis(*args)
+
         monkeypatch.setattr(solver, "build_spatial", counting_build)
+        monkeypatch.setattr(solver, "build_temporal", counting_temporal)
         configs = [SolveConfig(gamma=0.5, j=j, s=3, beta=beta) for j in (3, 4) for beta in (2.5, 3.5)]
         seen = []
 
         def work(offset):
             for config in configs[offset:] + configs[:offset]:
                 temporal = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
-                seen.append((config.j, config.beta, solver._spatial_level(config), temporal.spline))
+                seen.append((config, solver._spatial_level(config), solver._temporal_level(config), temporal.spline))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -244,9 +273,11 @@ class TestSharedOperators:
         assert not any(th.is_alive() for th in threads)
         assert len(seen) == 8 * len(configs)
         assert sorted(builds) == [(3, 3), (4, 3)]
-        for j, beta, level, spline in seen:
-            assert level is solver._spatial_level(SolveConfig(gamma=0.5, j=j, s=3))
-            assert spline is build_temporal(3, beta).spline
+        assert sorted(temporal_builds) == [(3, beta, 1, DEFAULT_TAIL_TOL) for beta in (2.5, 3.5)]
+        for config, level, temporal_level, spline in seen:
+            assert level is solver._spatial_level(SolveConfig(gamma=0.5, j=config.j, s=3))
+            assert temporal_level is solver._temporal_level(config)
+            assert spline is build_temporal(3, config.beta).spline
 
 
 class TestSolveConfig:
@@ -274,6 +305,14 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, horizon=1.5), "horizon"),
             (dict(gamma=0.5, j=2, s=3), "too coarse"),  # 2**j < 2 alpha: build_spatial refuses it
             (dict(gamma=0.5, j=3, s=3, alpha=5), "too coarse"),
+            # bool is an int subclass, but no level, degree or count
+            (dict(gamma=0.5, j=True, s=3), "spatial level"),
+            (dict(gamma=0.5, j=3, s=True), "time level"),
+            (dict(gamma=0.5, j=3, s=3, alpha=True), "alpha"),
+            (dict(gamma=0.5, j=3, s=3, horizon=True), "horizon"),
+            (dict(gamma=0.5, j=3, s=0, q=True), "collocation level"),
+            (dict(gamma=0.5, j=3, s=3, quad_points=True), "quad_points"),
+            (dict(gamma=0.5, j=3, s=3, beta=True), "beta must be finite"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
