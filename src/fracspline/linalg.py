@@ -17,12 +17,16 @@ flags that and survives it.  The rank rule lives here alone (``RCOND``).
 
 The eigenpairs depend on the spatial operators alone, so they are a step of
 their own (``spatial_modes``) whose result serves every solve at one spatial
-level; ``modal_lstsq_solve`` takes them and runs the mode loop.  Both run
-entirely at one BLAS thread (``_blas``): the blocks are small enough that a
-second thread only adds overhead, and the rounding of the factorisation then
-depends on neither the caller's thread count nor the machine's core count.
-The cap is process-wide while it is held, so BLAS calls from other threads of
-the process also see one thread during a solve.
+level; ``modal_lstsq_solve`` takes them and runs the mode loop.  At sweep
+sizes a block's QR takes tens of microseconds, about what a few NumPy calls
+cost, and under a sweep's cell threads each call also takes the GIL.  So the
+loop forms its blocks in chunks of modes that fit one 1 MiB buffer, with one
+broadcast and one norm reduction per chunk, and ``lstsq_solve`` makes few
+calls besides its three LAPACK ones.  Both steps run at one BLAS thread
+(``_blas``): the blocks are small enough that a second thread only adds
+overhead, and the rounding of the factorisation then depends on neither the
+caller's thread count nor the machine's core count.  The cap is process-wide
+while it is held.
 """
 
 from __future__ import annotations
@@ -48,6 +52,10 @@ __all__ = [
 # filters the near-null directions that put a floor under every error column.
 RCOND = 1e-8
 
+# Scratch bytes the mode loop forms blocks in: one chunk holds every mode of a
+# curves cell, and a level-8 block (513 x 265, 1.04 MiB) alone fills one.
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class LeastSquaresReport:
@@ -70,72 +78,58 @@ def lstsq_solve(
     norm, the R-diagonal condition estimate and the rank-deficiency flag.
 
     ``a`` is overwritten when it is Fortran-contiguous (the intended use:
-    hand it a scratch block and let QR work in place).
+    hand it a scratch block and let QR work in place).  The mode loop calls
+    this once per block, so past the three LAPACK calls it makes only a
+    fixed handful of NumPy calls.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).ravel()
+    # the one copy of the right-hand side; dormqr overwrites it in place
+    c = np.array(b, dtype=np.float64).reshape(-1, 1)
     m, n = a.shape
-    if b.shape[0] != m:
-        raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
+    if c.shape[0] != m:
+        raise ValueError(f"rhs length {c.shape[0]} does not match {m} rows")
     if rcond is None:
         rcond = max(m, n) * np.finfo(np.float64).eps
 
-    overwrite = a.flags.f_contiguous
     # workspace sized for the blocked algorithm (nb = 128); a query call
     # would copy the (large) matrix a second time
     lwork = max(3 * (n + 1), 2 * n + (n + 1) * 128)
-    qr, jpvt, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=overwrite)
+    qr, jpvt, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=a.flags.f_contiguous)
     if info != 0:
         raise RuntimeError(f"dgeqp3 failed with info={info}")
 
-    diag = np.abs(np.diag(qr[: min(m, n), :]))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        keep = diag >= rcond * diag[0]
+    diag = np.abs(qr.diagonal())
+    rank = 0
+    if diag.size and diag[0] != 0.0:
         # diagonal of a pivoted R is non-increasing in exact arithmetic;
         # cut at the first drop below threshold to be safe
-        rank = int(np.argmin(keep)) if not keep.all() else diag.size
-    if rank == 0:
-        x = np.zeros(n)
-        report = LeastSquaresReport(
-            residual_norm=float(np.linalg.norm(b)),
-            condition_estimate=np.inf,
-            rank=0,
-            rank_deficient=True,
-        )
-        return x, report
+        keep = diag >= rcond * diag[0]
+        rank = int(keep.argmin())
+        if keep[rank]:  # nothing falls below the threshold
+            rank = diag.size
 
-    c = b.reshape(m, 1).copy(order="F")
-    # reflector block only: dormqr reads the reflector count off the width.
-    # A one-column workspace selects the unblocked path, which for a single
-    # right-hand side skips forming the blocked reflectors' triangular factors.
-    cq, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, c, 1, overwrite_c=1)
-    if info != 0:
-        raise RuntimeError(f"dormqr failed with info={info}")
+    x = np.zeros(n)
+    if rank:
+        # reflector block only: dormqr reads the reflector count off the width.
+        # A one-column workspace selects the unblocked path, which for a single
+        # right-hand side skips forming the blocked reflectors' triangular factors.
+        c, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, c, 1, overwrite_c=1)
+        if info != 0:
+            raise RuntimeError(f"dormqr failed with info={info}")
+        # The leading `rank` columns, read with leading dimension m, hold R's
+        # top rank x rank block in place; dtrtrs solves for c's first `rank`
+        # entries and returns a copy, so c keeps the residual part.
+        y, info = lapack.dtrtrs(qr[:, :rank], c)
+        if info != 0:
+            raise RuntimeError(f"dtrtrs failed with info={info}")
+        x[jpvt[:rank] - 1] = y[:rank, 0]  # jpvt is 1-based
 
-    # The leading `rank` columns, read with leading dimension m, hold R's
-    # top rank x rank block in place; dtrtrs solves for cq's first `rank`
-    # entries and returns a copy, so cq keeps the residual part.
-    y, info = lapack.dtrtrs(qr[:, :rank], cq)
-    if info != 0:
-        raise RuntimeError(f"dtrtrs failed with info={info}")
-    xp = np.zeros(n)
-    xp[:rank] = y[:rank, 0]
-    x = np.empty(n)
-    x[jpvt - 1] = xp  # jpvt is 1-based
-
-    residual = float(np.linalg.norm(cq[rank:, 0])) if m > rank else 0.0
+    tail = c[rank:, 0]  # all of b when nothing is kept
     # full-diagonal spread, not just the kept block: the estimate should keep
     # reporting how unstable the column family is even when rcond cut it
-    cond = float(diag[0] / diag[-1]) if diag[-1] > 0 else np.inf
-    report = LeastSquaresReport(
-        residual_norm=residual,
-        condition_estimate=cond,
-        rank=rank,
-        rank_deficient=rank < n,
-    )
-    return x, report
+    cond = float(diag[0] / diag[-1]) if diag.size and diag[-1] > 0 else math.inf
+    # an empty fit counts as rank-deficient
+    return x, LeastSquaresReport(math.sqrt(tail @ tail), cond, rank, rank < n or rank == 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +138,7 @@ class SpatialModes:
 
     ``stiffness v = mass v diag(lam)`` with ``v^T mass v = I`` and ``lam``
     ascending; ``mass_cond`` is ``cond(mass)``, the largest over the
-    smallest eigenvalue.  They depend on the spatial operators alone, so one
-    set serves every solve at that spatial level.
+    smallest eigenvalue.  One set serves every solve at that spatial level.
     """
 
     lam: np.ndarray
@@ -197,43 +190,49 @@ def modal_lstsq_solve(
     ``cond(V)**2 == cond(mass)``, that estimates an upper bound on the
     condition of the whole system.  ``rank`` counts the columns kept over
     all modes.
+
+    The blocks ``a + lam_k g`` are formed in a C-order ``(modes, n_t, n_pts)``
+    buffer of at most 1 MiB (at least one block), allocated once per call,
+    as many modes at a time as fit: one broadcast forms a chunk and one sum
+    along its contiguous axis gives its column norms.  Each block's transpose
+    is the Fortran-order matrix that ``lstsq_solve``, called once per mode,
+    factors in place.
     """
     lam, v = modes.lam, modes.v
-    # Fortran order, so that forming each mode's block is a contiguous pass
-    a = np.asfortranarray(a, dtype=np.float64)
-    g = np.asfortranarray(g, dtype=np.float64)
+    # C-contiguous (n_t, n_pts) views, made contiguous once rather than per chunk
+    at = np.asfortranarray(a, dtype=np.float64).T
+    gt = np.asfortranarray(g, dtype=np.float64).T
     load = np.asarray(load, dtype=np.float64)
     nk = lam.shape[0]
-    npts, nc = a.shape
-    if v.shape != (nk, nk) or g.shape != a.shape:
+    nc, npts = at.shape
+    if v.shape != (nk, nk) or gt.shape != at.shape:
         raise ValueError("factor shape mismatch")
     if load.shape != (nk, npts):
         raise ValueError(f"load has shape {load.shape}, expected {(nk, npts)}")
 
+    per = max(1, _CHUNK_BYTES // (8 * nc * npts))  # modes per chunk
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
-        top = max(np.linalg.norm(a + lam_k * g, axis=0).max() for lam_k in lam[[0, -1]])
+        ends = at + lam[[0, -1], None, None] * gt
+        top = math.sqrt(np.add.reduce(ends * ends, axis=2).max())
 
         d = np.empty((nk, nc))
-        block = np.empty((npts, nc), order="F")
+        buf = np.empty((min(per, nk), nc, npts))
         rank = 0
         residual2 = 0.0
         floor = math.inf  # smallest trailing pivot over all modes
-        for k, lam_k in enumerate(lam):
-            np.multiply(g, lam_k, out=block)
-            block += a
-            colmax = np.linalg.norm(block, axis=0).max()
-            d[k], rep = lstsq_solve(block, rhs[k], rcond=rcond * top / colmax)
-            rank += rep.rank
-            residual2 += rep.residual_norm**2
-            floor = min(floor, colmax / rep.condition_estimate)
+        for k0 in range(0, nk, per):
+            blocks = buf[: min(per, nk - k0)]
+            np.multiply(gt, lam[k0 : k0 + len(blocks), None, None], out=blocks)
+            blocks += at
+            colmax = np.sqrt(np.add.reduce(blocks * blocks, axis=2).max(axis=1))
+            for k, block, cm in zip(range(k0, nk), blocks, colmax):
+                d[k], rep = lstsq_solve(block.T, rhs[k], rcond=rcond * top / cm)
+                rank += rep.rank
+                residual2 += rep.residual_norm**2
+                floor = min(floor, cm / rep.condition_estimate)
 
         spread = top / floor if floor > 0.0 else math.inf
-        report = LeastSquaresReport(
-            residual_norm=math.sqrt(residual2),
-            condition_estimate=float(modes.mass_cond * spread),
-            rank=rank,
-            rank_deficient=rank < nk * nc,
-        )
-        return v @ d, report
+        cond = float(modes.mass_cond * spread)
+        return v @ d, LeastSquaresReport(math.sqrt(residual2), cond, rank, rank < nk * nc)

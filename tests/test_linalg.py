@@ -237,20 +237,21 @@ class TestModalLstsq:
 
     def test_table_order_does_not_change_the_result(self):
         rng = np.random.default_rng(181)
-        nk, npts, nc = 5, 30, 12
-        mass, stiffness = _spd(rng, nk, 2), _spd(rng, nk, 1)
-        a = rng.standard_normal((npts, nc))
-        g = rng.standard_normal((npts, nc))
-        g[:, -1] = g[:, 0] + 1e-10 * g[:, 1]  # a near-dependent column for the cut
-        a[:, -1] = a[:, 0]
-        load = rng.standard_normal((nk, npts))
-        modes = spatial_modes(mass, stiffness)
-        c_c, rep_c = modal_lstsq_solve(modes, a, g, load)
-        f = np.asfortranarray
-        c_f, rep_f = modal_lstsq_solve(modes, f(a), f(g), load)
-        assert np.array_equal(c_c, c_f)
-        assert rep_c == rep_f
-        assert rep_c.rank < nk * nc
+        # the second stack (40 blocks of 80 x 50, 1.3 MB) spans two chunks of the mode loop
+        for nk, npts, nc in ((5, 30, 12), (40, 80, 50)):
+            mass, stiffness = _spd(rng, nk, 2), _spd(rng, nk, 1)
+            a = rng.standard_normal((npts, nc))
+            g = rng.standard_normal((npts, nc))
+            g[:, -1] = g[:, 0] + 1e-10 * g[:, 1]  # a near-dependent column for the cut
+            a[:, -1] = a[:, 0]
+            load = rng.standard_normal((nk, npts))
+            modes = spatial_modes(mass, stiffness)
+            c_c, rep_c = modal_lstsq_solve(modes, a, g, load)
+            f = np.asfortranarray
+            c_f, rep_f = modal_lstsq_solve(modes, f(a), f(g), load)
+            assert np.array_equal(c_c, c_f)
+            assert rep_c == rep_f
+            assert rep_c.rank < nk * nc
 
     def test_condition_estimate_carries_cond_of_mass(self):
         rng = np.random.default_rng(173)

@@ -132,8 +132,17 @@ class TestModalSolve:
         ratio = l2_error(modal, problem.exact) / l2_error(dense, problem.exact)
         assert ratio <= 1.05, ratio
 
-    @pytest.mark.parametrize("beta", [3.0, 3.5])
-    @pytest.mark.parametrize("j, s", [(3, 3), (3, 4)])
+    @pytest.mark.parametrize(
+        "j, s, beta",
+        [
+            (3, 3, 3.0),
+            (3, 3, 3.5),
+            (3, 4, 3.0),
+            (3, 4, 3.5),
+            (6, 6, 3.5),  # 65 blocks of 128 x 72 (4.8 MB): the mode loop's blocks span several chunks
+            (3, 2, 3.5),  # underdetermined 8 x 12 blocks, as curves sweeps run at s = 2
+        ],
+    )
     def test_threshold_is_rcond_times_largest_column_norm(self, monkeypatch, j, s, beta):
         # the rule written out: top is the largest column norm over every
         # mode's block, and each mode cuts below RCOND * top
