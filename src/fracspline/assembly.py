@@ -9,7 +9,6 @@ The temporal collocation tables are plain basis tables
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,9 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
 def _reference_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(points)
 
 
 @dataclass(frozen=True)

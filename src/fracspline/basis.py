@@ -13,9 +13,7 @@ matrix; a temporal table is that table itself.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,42 +202,18 @@ class TemporalBasis(_Translates):
         return self.eval_many(np.zeros(1))[0]
 
 
-# Enough for the five default betas of a ``curves`` sweep and then some; an
-# evicted spline only costs its support scan again.
-_SPLINE_CACHE_SIZE = 16
-_spline_lock = threading.Lock()
-
-
-@functools.lru_cache(maxsize=_SPLINE_CACHE_SIZE)
-def _cached_spline(beta: float, tail_tol: float) -> FractionalBSpline:
-    spline = FractionalBSpline(beta, tail_tol)
-    spline.value_weights.flags.writeable = False
-    return spline
-
-
-def _temporal_spline(beta: float, tail_tol: float) -> FractionalBSpline:
-    """The degree-``beta`` spline, built (support scan and weights) once per
-    process and shared; its weight row is read-only.  The lock makes
-    concurrent callers wait for one build instead of each scanning."""
-    with _spline_lock:
-        return _cached_spline(beta, tail_tol)
-
-
 def build_temporal(
     s: int,
     beta: float,
     T: int = 1,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TemporalBasis:
-    """Build the collocation basis at time level ``s`` on horizon ``[0, T]``.
-
-    The spline is shared by every basis of the same ``(beta, tail_tol)``.
-    """
+    """Build the collocation basis at time level ``s`` on horizon ``[0, T]``."""
     if not (isinstance(s, int) and s >= 0):
         raise ValueError(f"time level must be a non-negative integer, got {s!r}")
     if not (isinstance(T, int) and T >= 1):
         raise ValueError(f"horizon must be a positive integer, got {T!r}")
-    spline = _temporal_spline(float(beta), tail_tol)
+    spline = FractionalBSpline(float(beta), tail_tol)
     S = spline.effective_support
     r_min = -(S - 1)
     r_max = 2**s * T - 1

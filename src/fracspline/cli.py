@@ -35,6 +35,8 @@ DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bounds; the library accepts any level or rule that fits in memory.
 LEVEL_RANGE = (2, 8)
 QUAD_POINTS_MAX = 32
+# each sweep thread is an OS thread, whatever the number of cells
+THREADS_MAX = 64
 
 
 class ConfigError(ValueError):
@@ -247,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    if not 1 <= args.threads <= THREADS_MAX:
+        raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {args.threads}")
     return args.threads
 
 

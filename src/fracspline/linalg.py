@@ -86,6 +86,8 @@ def lstsq_solve(
     # the one copy of the right-hand side; dormqr overwrites it in place
     c = np.array(b, dtype=np.float64).reshape(-1, 1)
     m, n = a.shape
+    if m == 0:  # dgeqp3 would print an illegal-value message to stderr
+        raise ValueError("matrix has no rows")
     if c.shape[0] != m:
         raise ValueError(f"rhs length {c.shape[0]} does not match {m} rows")
     if rcond is None:

@@ -16,11 +16,13 @@ derivatives) and ``G`` (values) are the time basis evaluated at the
 interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
 
 What depends on levels alone is built once per process and shared
-read-only: per ``(j, alpha, quad_points)`` the basis, the Gram matrices,
-their eigenpairs and the load's value table (``_spatial_level``); per
-``(s, beta, horizon, tail_tol, q)`` the time basis, the nodes, the
-elimination and ``G`` after it (``_temporal_level``); and the value tables
-of both error norms.  A solve builds only ``A`` (gamma varies) and the load.
+read-only through one store (``_SHARED``), bounded by the bytes of the
+arrays it holds: per ``(j, alpha, quad_points)`` the basis, the Gram
+matrices, their eigenpairs and the load's value table (``_spatial_level``);
+per ``(s, beta, horizon, tail_tol, q)`` the time basis with its spline, the
+nodes, the elimination and ``G`` after it (``_temporal_level``); and the
+value tables of both error norms.  A solve builds only ``A`` (gamma varies)
+and the load.  An evicted entry is built again, to the same bits.
 """
 
 from __future__ import annotations
@@ -152,56 +154,66 @@ class _SpatialLevel:
 
 
 class _Shared:
-    """A bounded least-recently-used store of what depends on discretisation
-    levels alone, shared by every solve in the process.  ``get`` builds a
-    missing entry under a lock, so concurrent solves (sweep cells on worker
-    threads) wait for one build instead of each building it.  Keys are the
-    values that define an entry, not object identities, and builders make
-    every array they hand out read-only."""
+    """A least-recently-used store of what depends on discretisation levels
+    alone, shared by every solve in the process and bounded by the bytes of
+    the arrays it holds.  ``get`` builds a missing entry under a lock, so
+    concurrent solves (sweep cells on worker threads) wait for one build
+    instead of each building it.  Keys start with a kind tag and go on with
+    the values that define an entry, not object identities.  A builder makes
+    every array it hands out read-only and returns ``(value, nbytes)``.  The
+    newest entry is kept even when it alone exceeds the bound."""
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.entries: OrderedDict = OrderedDict()
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+        self.nbytes = 0
         self.lock = threading.Lock()
 
     def get(self, key: tuple, build: Callable, *args):
         with self.lock:
             if key not in self.entries:
-                self.entries[key] = build(*args)
-                if len(self.entries) > self.maxsize:
-                    self.entries.popitem(last=False)
+                value, nbytes = build(*args)
+                self.entries[key] = value, nbytes
+                self.nbytes += nbytes
+                while self.nbytes > self.max_bytes and len(self.entries) > 1:
+                    _, (_, evicted) = self.entries.popitem(last=False)
+                    self.nbytes -= evicted
             self.entries.move_to_end(key)
-            return self.entries[key]
+            return self.entries[key][0]
 
 
-def _read_only(*arrays: Optional[np.ndarray]) -> tuple:
+def _read_only(*arrays: Optional[np.ndarray]) -> int:
+    """Make ``arrays`` read-only; return their total bytes."""
+    nbytes = 0
     for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return arrays
+            nbytes += arr.nbytes
+    return nbytes
 
 
-# Enough for every level of a CLI sweep, j = 2..8, at one alpha and rule.
-_SPATIAL_LEVELS = _Shared(8)
-# Enough for the README ``curves`` command, 5 betas x 4 time levels = 20.
-_TEMPORAL_LEVELS = _Shared(32)
+# Two (8, 8) cells' worth of level-only entries (one cell's come to 15.8 MiB).
+# Beyond it a large ``table`` sweep evicts its error tables, most of which
+# serve one cell.
+_SHARED_BYTES = 32 << 20
+_SHARED = _Shared(_SHARED_BYTES)
 
 
-def _build_spatial_level(j: int, alpha: int, quad_points: int) -> _SpatialLevel:
+def _build_spatial_level(j: int, alpha: int, quad_points: int) -> tuple[_SpatialLevel, int]:
     basis = build_spatial(j, alpha)
     quad = QuadratureRule(points_per_cell=quad_points)
     mass = assemble_mass(basis, quad)
     stiffness = assemble_stiffness(basis, quad)
     table = load_table(basis, quad)
     level = _SpatialLevel(basis, mass, stiffness, table, spatial_modes(mass, stiffness))
-    _read_only(basis.combinations, basis.spline.value_weights, mass, stiffness, *table, level.modes.lam, level.modes.v)
-    return level
+    nbytes = _read_only(basis.combinations, basis.spline.value_weights, mass, stiffness, *table, level.modes.lam, level.modes.v)
+    return level, nbytes
 
 
 def _spatial_level(config: SolveConfig) -> _SpatialLevel:
     """The shared, read-only spatial level of a validated ``config``."""
     key = (config.j, config.alpha, config.quad_points)
-    return _SPATIAL_LEVELS.get(key, _build_spatial_level, *key)
+    return _SHARED.get(("spatial", *key), _build_spatial_level, *key)
 
 
 def _build_temporal_level(s: int, beta: float, horizon: int, tail_tol: float, q: int) -> tuple:
@@ -213,13 +225,14 @@ def _build_temporal_level(s: int, beta: float, horizon: int, tail_tol: float, q:
     g = basis.eval_many(nodes)
     if z is not None:
         g = g @ z
-    return (basis, *_read_only(nodes, z, np.asfortranarray(g)))
+    g = np.asfortranarray(g)
+    return (basis, nodes, z, g), _read_only(basis.spline.value_weights, nodes, z, g)
 
 
 def _temporal_level(config: SolveConfig) -> tuple:
     """The shared, read-only temporal level of a validated ``config``."""
     key = (config.s, config.beta, config.horizon, config.tail_tol, config.collocation_level)
-    return _TEMPORAL_LEVELS.get(key, _build_temporal_level, *key)
+    return _SHARED.get(("temporal", *key), _build_temporal_level, *key)
 
 
 def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSquaresReport]:
@@ -334,16 +347,13 @@ def evaluate(sol: Solution, t, x):
 # one dyadic level above the finer of the two discretisation levels, so it
 # resolves the solution and the reference field
 _ERROR_RULE = QuadratureRule(points_per_cell=4)
-# A sweep runs at one j, so it reaches few levels max(j, s) + 1.
-_SPACE_ERROR_TABLES = _Shared(8)
-# As many as temporal levels; one table at level 9 is about 4.4 MiB.
-_TIME_ERROR_TABLES = _Shared(32)
 
 
 def _error_table(basis, level: int, span: int = 1) -> tuple:
     """Nodes, weights and member values of the error rule on [0, span]."""
     x, w = _ERROR_RULE.nodes(level, span)
-    return _read_only(x, w, basis.eval_many(x))
+    table = (x, w, basis.eval_many(x))
+    return table, _read_only(*table)
 
 
 def _error_norm(sol: Solution, xt: np.ndarray, t_w: np.ndarray, reference: Callable) -> float:
@@ -351,7 +361,7 @@ def _error_norm(sol: Solution, xt: np.ndarray, t_w: np.ndarray, reference: Calla
     times of the temporal table ``xt``, to ``reference(x_nodes)`` on the
     (times, x_nodes) grid."""
     b, level = sol.spatial, max(sol.config.j, sol.config.s) + 1
-    x_nodes, x_w, phi = _SPACE_ERROR_TABLES.get((b.level, b.degree, level), _error_table, b, level)
+    x_nodes, x_w, phi = _SHARED.get(("space error", b.level, b.degree, level), _error_table, b, level)
     # the association of ``Solution.grid_values``; the residual is squared in place
     diff = (xt @ sol.coeffs.T) @ phi.T
     diff -= reference(x_nodes)
@@ -362,8 +372,8 @@ def _error_norm(sol: Solution, xt: np.ndarray, t_w: np.ndarray, reference: Calla
 def l2_error(sol: Solution, exact: Callable) -> float:
     """Space-time L2 distance to ``exact`` over [0, horizon] x [0, 1]."""
     b, level = sol.temporal, max(sol.config.j, sol.config.s) + 1
-    key = (b.level, b.degree, b.horizon, b.spline.tail_tol, level)
-    t_nodes, t_w, xt = _TIME_ERROR_TABLES.get(key, _error_table, b, level, b.horizon)
+    key = ("time error", b.level, b.degree, b.horizon, b.spline.tail_tol, level)
+    t_nodes, t_w, xt = _SHARED.get(key, _error_table, b, level, b.horizon)
     return _error_norm(sol, xt, t_w, lambda x: exact(t_nodes[:, None], x[None, :]))
 
 

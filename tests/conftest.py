@@ -1,5 +1,5 @@
 """Shared fixtures: the expensive table sweeps are solved once per session,
-and the per-process operator caches can be emptied."""
+and the per-process store of level-only objects can be emptied."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from fracspline import basis, solver
+from fracspline import solver
 from fracspline.problems import example1
 from fracspline.solver import SolveConfig, l2_error, solve
 
@@ -42,15 +42,13 @@ def table2_sweep():
 
 @pytest.fixture
 def clear_caches():
-    """Empty the shared spatial-level, temporal-level, error-table and
-    temporal-spline caches, so the test starts cold; the fixture's value
-    empties them again when called."""
+    """Empty the shared store of level-only objects, so the test starts
+    cold; the fixture's value empties it again when called."""
 
     def clear():
-        shared = (solver._SPATIAL_LEVELS, solver._TEMPORAL_LEVELS, solver._SPACE_ERROR_TABLES, solver._TIME_ERROR_TABLES)
-        for cache in shared:
-            cache.entries.clear()
-        basis._cached_spline.cache_clear()
+        with solver._SHARED.lock:
+            solver._SHARED.entries.clear()
+            solver._SHARED.nbytes = 0
 
     clear()
     return clear

@@ -257,6 +257,17 @@ class TestTableCommand:
         assert main([command, *FAST, "--quad-points", points]) == 2
         assert "--quad-points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])
+    def test_threads_bound_starts_no_thread(self, command, levels, tmp_path, monkeypatch, capsys):
+        def refuse(max_workers):
+            raise AssertionError(f"started a pool of {max_workers} threads")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+        argv = [command, "--example", "1", "--gamma", "0.5", *levels, "--out", str(tmp_path / "out")]
+        assert main([*argv, "--threads", str(cli.THREADS_MAX + 1)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_argparse_rejects_unknown_example(self):
         with pytest.raises(SystemExit):
             main(["table", "--example", "3", "--gamma", "0.5", "-j", "3", "-s", "3"])
@@ -383,12 +394,12 @@ class TestCurvesCommand:
         ]
         assert main(argv) == 0
         # 12 cells at one j and three betas: one spatial level with one load
-        # table, one support scan per fractional beta (integer degrees need
-        # none), one temporal level per (beta, s) whatever gamma, and one
-        # spatial error table at level max(j, s) + 1 = 4
+        # table, one temporal level per (beta, s) whatever gamma, with one
+        # support scan each for a fractional beta (integer degrees need
+        # none), and one spatial error table at level max(j, s) + 1 = 4
         assert builds == [(3, 3)]
         assert tables == [3]
-        assert sorted(scans) == [2.5, 3.5]
+        assert sorted(scans) == [2.5, 2.5, 3.5, 3.5]
         assert sorted(temporal_builds) == [(beta, s) for beta in (2.0, 2.5, 3.5) for s in (2, 3)]
         assert sorted(error_tables) == [("SpatialBasis", 3, 3, 4)] + [
             ("TemporalBasis", beta, s, 4) for beta in (2.0, 2.5, 3.5) for s in (2, 3)

@@ -1,6 +1,7 @@
 """Least squares, the modal Kronecker solve and its dense oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ class TestLstsqSolve:
         x_c, _ = lstsq_solve(a, b)
         x_f, _ = lstsq_solve(np.asfortranarray(a.copy()), b)
         assert np.array_equal(x_c, x_f)
+
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_no_rows_raises_before_lapack(self, n, capfd):
+        with pytest.raises(ValueError, match="no rows"):
+            lstsq_solve(np.zeros((0, n)), np.zeros(0))
+        assert capfd.readouterr().err == ""
+
+    def test_no_columns_is_the_empty_fit(self):
+        x, rep = lstsq_solve(np.zeros((3, 0)), np.ones(3))
+        assert x.shape == (0,)
+        assert rep == LeastSquaresReport(math.sqrt(3.0), math.inf, 0, True)
 
     def test_zero_matrix(self):
         b = np.ones(5)

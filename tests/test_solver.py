@@ -212,8 +212,8 @@ class TestSharedOperators:
         level = solver._spatial_level(config)
         _, nodes, z, g = solver._temporal_level(config)
         # keyed on (j, alpha, level) and (s, beta, horizon, tail_tol, level), level = max(j, s) + 1
-        x_table = solver._SPACE_ERROR_TABLES.entries[(3, 3, 4)]
-        t_table = solver._TIME_ERROR_TABLES.entries[(3, 3.5, 1, DEFAULT_TAIL_TOL, 4)]
+        x_table, _ = solver._SHARED.entries[("space error", 3, 3, 4)]
+        t_table, _ = solver._SHARED.entries[("time error", 3, 3.5, 1, DEFAULT_TAIL_TOL, 4)]
         shared = {
             "combinations": sol.spatial.combinations,
             "spatial weights": sol.spatial.spline.value_weights,
@@ -240,10 +240,70 @@ class TestSharedOperators:
         built = []
         store = solver._Shared(2)
         for key in ("a", "b", "a", "c", "a", "b"):
-            store.get((key,), lambda k: built.append(k) or k.upper(), key)
+            store.get((key,), lambda k: built.append(k) or (k.upper(), 1), key)
         # "b" was the least recently used entry when "c" arrived, so it is built again
         assert built == ["a", "b", "c", "b"]
-        assert store.entries == {("a",): "A", ("b",): "B"}
+        assert store.entries == {("a",): ("A", 1), ("b",): ("B", 1)}
+
+    def test_shared_store_counts_the_bytes_it_holds(self, clear_caches):
+        store = solver._Shared(10)
+        for key, size in (("a", 4), ("b", 3), ("c", 5), ("d", 2)):
+            store.get((key,), lambda k, n: (k, n), key, size)
+            assert store.nbytes == sum(n for _, n in store.entries.values()) <= 10
+        # "c" took the store to 12 bytes, so "a", the least recently used, went
+        assert list(store.entries) == [("b",), ("c",), ("d",)]
+        # a real solve: each entry counts the arrays its builder made read-only
+        config = SolveConfig(gamma=0.5, j=3, s=3, beta=3.5)
+        sol, _ = _solve_quiet(example1(0.5), config)
+        l2_error(sol, example1(0.5).exact)
+        shared = solver._SHARED
+        assert [key[0] for key in shared.entries] == ["spatial", "temporal", "time error", "space error"]
+        assert shared.nbytes == sum(n for _, n in shared.entries.values())
+        (_, nodes, z, g), nbytes = shared.entries[("temporal", 3, 3.5, 1, DEFAULT_TAIL_TOL, 4)]
+        assert nbytes == sol.temporal.spline.value_weights.nbytes + nodes.nbytes + z.nbytes + g.nbytes
+        x_table, nbytes = shared.entries[("space error", 3, 3, 4)]
+        assert nbytes == sum(arr.nbytes for arr in x_table)
+
+    def test_shared_store_keeps_an_oversize_entry_alone(self):
+        store = solver._Shared(10)
+        store.get(("a",), lambda: ("A", 4))
+        store.get(("big",), lambda: ("BIG", 11))
+        assert store.entries == {("big",): ("BIG", 11)}
+        assert store.nbytes == 11
+        store.get(("b",), lambda: ("B", 4))
+        assert store.entries == {("b",): ("B", 4)}
+        assert store.nbytes == 4
+
+    def test_solves_under_a_small_bound_match_a_cold_run(self, monkeypatch, clear_caches):
+        # the level-only entries of these cells total about 1.9 MiB
+        problem = example1(0.5)
+        configs = [
+            SolveConfig(gamma=0.5, j=j, s=s, beta=beta) for beta in (3.0, 3.5) for j, s in ((5, 5), (6, 6), (5, 6))
+        ]
+
+        def run():
+            results = []
+            for config in configs:
+                sol, lsq = _solve_quiet(problem, config)
+                results.append((sol.coeffs, solver.error_report(sol, lsq, problem.exact)))
+            return results
+
+        cold = run()
+        warm = run()
+        clear_caches()
+        builds = []
+        build_spatial = solver.build_spatial
+        monkeypatch.setattr(solver, "build_spatial", lambda *args: builds.append(args) or build_spatial(*args))
+        monkeypatch.setattr(solver._SHARED, "max_bytes", 1 << 20)
+        small = run() + run()
+        assert len(builds) > 2  # levels 5 and 6 were evicted and built again
+        assert solver._SHARED.nbytes <= 1 << 20
+        for (coeffs, report), (ref_coeffs, ref_report) in zip(small, cold + cold):
+            assert np.array_equal(coeffs, ref_coeffs)
+            assert report == ref_report
+        for (coeffs, report), (ref_coeffs, ref_report) in zip(warm, cold):
+            assert np.array_equal(coeffs, ref_coeffs)
+            assert report == ref_report
 
     def test_concurrent_lookups_build_each_entry_once(self, monkeypatch, clear_caches):
         # more threads than cores, switching often: a lookup that builds
@@ -266,8 +326,8 @@ class TestSharedOperators:
 
         def work(offset):
             for config in configs[offset:] + configs[:offset]:
-                temporal = build_temporal(config.s, config.beta, config.horizon, config.tail_tol)
-                seen.append((config, solver._spatial_level(config), solver._temporal_level(config), temporal.spline))
+                temporal_level = solver._temporal_level(config)
+                seen.append((config, solver._spatial_level(config), temporal_level, temporal_level[0].spline))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -286,7 +346,7 @@ class TestSharedOperators:
         for config, level, temporal_level, spline in seen:
             assert level is solver._spatial_level(SolveConfig(gamma=0.5, j=config.j, s=3))
             assert temporal_level is solver._temporal_level(config)
-            assert spline is build_temporal(3, config.beta).spline
+            assert spline is solver._temporal_level(config)[0].spline
 
 
 class TestSolveConfig:
