@@ -77,14 +77,14 @@ class _Translates:
         terms = self.spline._terms(order, scale * float(t.max(initial=0.0)) - first)
         return kernels.basis_matrix(t, scale, float(first), count, *terms) * scale ** float(order)
 
-    def supported_translates(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Values and ``translate_values`` columns of the translates that can
-        be nonzero at each t, slot-major (see
-        ``kernels.supported_translates``)."""
+    def supported_translates(self, t, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the translates that can be nonzero at each t, slot-major,
+        and the ``translate_values`` column of each point's slot 0 (see
+        ``kernels.supported_translates``, which works in ``scratch``)."""
         first, count = self._span()
         terms = self.spline._terms(0.0, math.inf)
         return kernels.supported_translates(
-            np.atleast_1d(t), float(2**self.level), float(first), count, *terms
+            np.atleast_1d(t), float(2**self.level), float(first), count, *terms, scratch
         )
 
 

@@ -297,6 +297,14 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
     return z
 
 
+# Points per block of ``evaluate``: the (space, time) slot-pair terms of a
+# block fill this many bytes (4766 points at 5 x 11 slots, where all of a
+# block's scratch comes to 4.3 MiB).  A block costs about a hundred small
+# NumPy calls besides its arithmetic; at half this budget the benchmark's
+# evaluate-field pass took a fifth longer.
+_BLOCK_BYTES = 2 << 20
+
+
 def evaluate(sol: Solution, t, x):
     """Point value(s) of the solution field; domain-checked.
 
@@ -305,16 +313,27 @@ def evaluate(sol: Solution, t, x):
 
     Local-support evaluation: each point touches only the ``S + 1`` time
     and ``alpha + 2`` space translates that can be nonzero there, never a
-    full points x translates table.  The work is one vector pass over the
-    points per (space, time) slot pair; no per-point block of coefficients
-    is gathered.
+    full points x translates table.  The points go block by block
+    (``_BLOCK_BYTES``) through scratch sized for one block, so a call needs
+    its output plus one block's scratch whatever its size.  Per block, each
+    basis gives the values of a point's slots and the column of its slot 0
+    as one integer (``kernels.supported_translates``).  The translate
+    coefficient matrix is padded with zeros on each side, so every slot of
+    a point in the domain has a column to read, 0 off the table, without a
+    clamp; the coefficients of each (space, time) slot pair are gathered
+    from offset views of it.  Every slot sum is written out slot by slot,
+    over the time slots and then over the space slots, rather than reduced
+    along an axis, whose order NumPy picks from the array's shape: a
+    point's value has the same bits whatever batch or block it comes in.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
-    # written so that NaN, which fails every comparison, is rejected too
-    if not np.all((0.0 <= t_arr) & (t_arr <= sol.config.horizon)):
+    # written so that NaN, which fails every comparison, is rejected too; in
+    # at least one dimension, as a NumPy scalar's ``all`` is slow
+    t_1d, x_1d = np.atleast_1d(t_arr, x_arr)
+    if not ((0.0 <= t_1d) & (t_1d <= sol.config.horizon)).all():
         raise ValueError(f"t outside [0, {sol.config.horizon}]")
-    if not np.all((0.0 <= x_arr) & (x_arr <= 1.0)):
+    if not ((0.0 <= x_1d) & (x_1d <= 1.0)).all():
         raise ValueError("x outside [0, 1]")
     try:
         t_b, x_b = np.broadcast_arrays(t_arr, x_arr)
@@ -325,21 +344,52 @@ def evaluate(sol: Solution, t, x):
         ) from None
     t_flat = np.atleast_1d(t_b).ravel()
     x_flat = np.atleast_1d(x_b).ravel()
-    # Only the translates supported at a point contribute.  Every step is an
-    # elementwise pass over the points, so a point's sum runs in the same
-    # order whatever batch it comes in.
-    xv, xc = sol.spatial.supported_translates(x_flat)
-    tv, tc = sol.temporal.supported_translates(t_flat)
-    pair_coeffs = sol.spatial.combinations.T @ sol.coeffs
-    n_t = pair_coeffs.shape[1]
-    flat = pair_coeffs.ravel()
-    vals = np.zeros(t_flat.shape)
-    for a in range(xv.shape[0]):
-        row = xc[a] * n_t
-        acc = tv[0] * flat.take(row + tc[0])
-        for b in range(1, tv.shape[0]):
-            acc += tv[b] * flat.take(row + tc[b])
-        vals += xv[a] * acc
+    spatial, temporal = sol.spatial, sol.temporal
+    # slots per point: floor(cutoff) + 1, the value cutoff being the support
+    wx, wt = spatial.spline.effective_support + 1, temporal.spline.effective_support + 1
+    n = t_flat.size
+    block = max(1, min(n, _BLOCK_BYTES // (8 * wx * wt)))
+    # One allocation holds the scratch of every block: freed whole, the C
+    # allocator hands it back on the next call, while separate arrays of
+    # this size can go back to the system and fault in again page by page,
+    # which costs more than the arithmetic on them.
+    work = np.empty((3 * wx + 3 * wt + wx * wt + wx, block))
+    x_scratch = work[: 3 * wx].reshape(3, wx, block)
+    t_scratch = work[3 * wx : 3 * (wx + wt)].reshape(3, wt, block)
+    terms = work[3 * (wx + wt) : -wx].reshape(wx, wt, block)
+    acc = work[-wx:]
+    cols = np.empty((wt, block), dtype=np.intp)
+    # every slot column of a point in the domain lies in -1 .. n_cols
+    n_x, n_t = spatial.combinations.shape[1] + 2, sol.coeffs.shape[1] + 2
+    pair = np.zeros((n_x, n_t))
+    pair[1:-1, 1:-1] = spatial.combinations.T @ sol.coeffs
+    flat = pair.ravel()
+    # space slot a lies wx - 1 - a rows past the last one: one index per
+    # time slot serves every space slot through these views
+    rows = [flat[(wx - 1 - a) * n_t :] for a in range(wx)]
+    back = np.arange(1, 1 - wt, -1)[:, None]
+    vals = np.empty(n)
+    for lo in range(0, n, block):
+        xv, x_first = spatial.supported_translates(x_flat[lo : lo + block], x_scratch)
+        tv, t_first = temporal.supported_translates(t_flat[lo : lo + block], t_scratch)
+        m = xv.shape[1]
+        # padded column of time slot b in the padded row of the last space slot
+        idx = cols[:, :m]
+        np.add((x_first - (wx - 2)) * n_t + t_first, back, out=idx)
+        prods = terms[:, :, :m]
+        for a in range(wx):
+            # in range by construction; "clip" spares the copy "raise" makes
+            rows[a].take(idx, out=prods[a], mode="clip")
+        prods *= tv
+        sums = acc[:, :m]
+        np.copyto(sums, prods[:, 0])
+        for b in range(1, wt):
+            sums += prods[:, b]
+        sums *= xv
+        out = vals[lo : lo + m]
+        out.fill(0.0)
+        for a in range(wx):
+            out += sums[a]
     return float(vals[0]) if t_b.ndim == 0 else vals.reshape(t_b.shape)
 
 

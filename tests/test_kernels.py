@@ -65,13 +65,15 @@ def test_basis_matrix_random_weights_and_shifts():
             )
 
 
-def _scatter(values, cols, n_cols):
-    """Dense table from the slot-major supported translates; out-of-range
-    slots carry value 0 in column 0, and adding 0.0 leaves every entry
-    unchanged."""
-    out = np.zeros((values.shape[1], n_cols))
+def _scatter(values, first, n_cols):
+    """Dense table from the slot-major supported translates; slot i of a
+    point sits in column ``first - i``, and slots off the table are
+    dropped."""
+    cols = first - np.arange(values.shape[0])[:, None]
     rows = np.broadcast_to(np.arange(values.shape[1]), cols.shape)
-    np.add.at(out, (rows, cols), values)
+    on = (cols >= 0) & (cols < n_cols)
+    out = np.zeros((values.shape[1], n_cols))
+    np.add.at(out, (rows[on], cols[on]), values[on])
     return out
 
 
@@ -91,20 +93,20 @@ def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, c
     cutoff = float(sp.effective_support) if cutoff is None else cutoff
     t = np.concatenate([_points(points), [0.0, 1.0]])
     args = (scale, shift0, n_cols, sp.value_weights, degree, cutoff)
-    values, cols = kernels.supported_translates(t, *args)
+    values, first = kernels.supported_translates(t, *args)
     dense = column_loop_basis_matrix(t, *args)
     width = math.floor(cutoff) + 1
-    assert values.shape == cols.shape == (width, t.size)
-    assert cols.min() >= 0 and cols.max() < n_cols
-    # slot i holds translate floor(scale t) - i when that is a column ...
-    want_cols = np.floor(scale * t) - np.arange(width)[:, None] - shift0
-    valid = (want_cols >= 0) & (want_cols < n_cols)
-    assert np.array_equal(cols[valid], want_cols[valid].astype(int))
+    assert values.shape == (width, t.size) and first.shape == (t.size,)
+    # slot i holds translate floor(scale t) - i, in column first - i ...
+    assert np.array_equal(first, np.floor(scale * t) - shift0)
+    cols = first - np.arange(width)[:, None]
+    valid = (cols >= 0) & (cols < n_cols)
     assert not values[~valid].any()
     # ... its value is the dense entry, bit for bit ...
-    assert np.array_equal(values[valid], dense[np.arange(t.size), cols][valid])
+    rows = np.broadcast_to(np.arange(t.size), cols.shape)
+    assert np.array_equal(values[valid], dense[rows[valid], cols[valid]])
     # ... and the slots hold every nonzero of the row
-    assert np.array_equal(_scatter(values, cols, n_cols), dense)
+    assert np.array_equal(_scatter(values, first, n_cols), dense)
 
 
 def test_supported_translates_random_weights_and_shifts():
@@ -122,10 +124,11 @@ def test_supported_translates_random_weights_and_shifts():
                 shift0 = float(rng.integers(-12, 4))
                 n_cols = int(rng.integers(3, 45))
                 args = (scale, shift0, n_cols, w, expo, cutoff)
-                values, cols = kernels.supported_translates(t, *args)
+                values, first = kernels.supported_translates(t, *args)
                 dense = column_loop_basis_matrix(t, *args)
                 r = np.floor(scale * t) - np.arange(width)[:, None]
                 valid = (r >= shift0) & (r < shift0 + n_cols)
                 assert not values[~valid].any()
-                assert np.array_equal(values[valid], dense[rows, cols][valid])
-                assert np.array_equal(_scatter(values, cols, n_cols), dense)
+                cols = (first - np.arange(width)[:, None])[valid]
+                assert np.array_equal(values[valid], dense[np.broadcast_to(rows, r.shape)[valid], cols])
+                assert np.array_equal(_scatter(values, first, n_cols), dense)

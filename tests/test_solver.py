@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg import eigh
 
 from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
+from kernel_oracle import column_loop_basis_matrix
 from fracspline import _blas, kernels, solver
 from fracspline.assembly import assemble_mass, assemble_stiffness
 from fracspline.basis import build_spatial, build_temporal
@@ -398,6 +400,36 @@ class TestSolveConfig:
         assert SolveConfig(gamma=0.5, j=3, s=4, q=7).collocation_level == 7
 
 
+def _slot_order_values(sol, t, x):
+    """``evaluate`` written out over the column-loop translate tables: per
+    point, the sum over space slots of the space value times the sum over
+    time slots of the time value times the pair coefficient, each sum in
+    slot order.  Slot i of a basis holds translate ``floor(2**level t) - i``;
+    a slot off the table adds nothing."""
+
+    def slots(b, first, count, pts):
+        sp, scale = b.spline, float(2**b.level)
+        table = column_loop_basis_matrix(
+            pts, scale, float(first), count, sp.value_weights, sp.degree, float(sp.effective_support)
+        )
+        cols = np.floor(scale * pts) - first - np.arange(sp.effective_support + 1)[:, None]
+        on = (cols >= 0) & (cols < count)
+        cols = np.where(on, cols, 0).astype(np.intp)
+        return np.where(on, table[np.arange(pts.size), cols], 0.0), cols, on
+
+    spatial, temporal = sol.spatial, sol.temporal
+    xv, xc, x_on = slots(spatial, -spatial.degree, spatial.combinations.shape[1], x)
+    tv, tc, t_on = slots(temporal, temporal.r_min, temporal.size, t)
+    pair = spatial.combinations.T @ sol.coeffs
+    out = np.zeros(t.size)
+    for a in range(xv.shape[0]):
+        acc = tv[0] * np.where(x_on[a] & t_on[0], pair[xc[a], tc[0]], 0.0)
+        for b in range(1, tv.shape[0]):
+            acc = acc + tv[b] * np.where(x_on[a] & t_on[b], pair[xc[a], tc[b]], 0.0)
+        out = out + xv[a] * acc
+    return out
+
+
 class TestEvaluate:
     def test_matches_manufactured_field(self, proxy):
         sol, _ = proxy
@@ -485,6 +517,57 @@ class TestEvaluate:
         t, x = rng.uniform(0.0, 1.0, (2, 400)) * [[horizon], [1.0]]
         ref = np.diag(sol.grid_values(t, x))
         assert np.abs(evaluate(sol, t, x) - ref).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "beta, horizon",
+        [
+            pytest.param(3.0, 1, id="3.0"),
+            pytest.param(3.5, 1, id="3.5"),
+            pytest.param(2.5, 1, id="2.5"),
+            pytest.param(3.5, 2, id="3.5-horizon2"),
+        ],
+    )
+    def test_matches_slot_order_oracle(self, beta, horizon, monkeypatch):
+        sol, rng = self._random_solution(beta, horizon)
+        # the knots and both ends of t and x ...
+        t_edge = np.arange(2**sol.config.s * horizon + 1) / 2**sol.config.s
+        x_edge = np.arange(2**sol.config.j + 1) / 2**sol.config.j
+        tt, xx = np.meshgrid(t_edge, x_edge, indexing="ij")
+        # ... times whose fraction of 2**s t does not fit beside the integer
+        # part of every argument (summed term by term) ...
+        tiny = np.array([5e-324, 1e-300, 2.0**-60])
+        # ... and random points
+        t = np.concatenate([tt.ravel(), tiny, rng.uniform(0.0, horizon, 20_000)])
+        x = np.concatenate([xx.ravel(), rng.uniform(0.0, 1.0, tiny.size + 20_000)])
+        want = _slot_order_values(sol, t, x)
+        assert np.array_equal(evaluate(sol, t, x), want)
+        # in blocks a sixteenth of the size, many of them and a partial one
+        sizes = []
+        supported = kernels.supported_translates
+
+        def counted(pts, *args):
+            sizes.append(len(pts))
+            return supported(pts, *args)
+
+        monkeypatch.setattr(kernels, "supported_translates", counted)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", solver._BLOCK_BYTES // 16)
+        assert np.array_equal(evaluate(sol, t, x), want)
+        # two kernel calls (space, time) per block
+        assert len(sizes) >= 8 and set(sizes[:-2]) == {sizes[0]} and sizes[-1] < sizes[0]
+        edges = tt.size + tiny.size
+        assert np.array_equal([evaluate(sol, ti, xi) for ti, xi in zip(t[:edges], x[:edges])], want[:edges])
+
+    def test_scratch_is_one_block(self):
+        # a 200k-point call needs its output plus the scratch of one block
+        sol, rng = self._random_solution(3.5)
+        t, x = rng.uniform(0.0, 1.0, (2, 200_000))
+        tracemalloc.start()
+        try:
+            values = evaluate(sol, t, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 8 * 2**20
 
     @pytest.mark.parametrize("beta", [2.5, 3.0, 3.5])
     def test_value_does_not_depend_on_batch(self, beta):
