@@ -21,11 +21,9 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
-from . import _blas
 from .basis import build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
@@ -35,7 +33,7 @@ DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bounds; the library accepts any level or rule that fits in memory.
 LEVEL_RANGE = (2, 8)
 QUAD_POINTS_MAX = 32
-# each sweep thread is an OS thread, whatever the number of cells
+# range of --threads, a flag that selects nothing: sweep cells run one at a time
 THREADS_MAX = 64
 
 
@@ -81,7 +79,7 @@ def _int_list(text: str, flag: str) -> list[int]:
     values = _float_list(text, flag)
     out = []
     for v in values:
-        if v != int(v):
+        if not math.isfinite(v) or v != int(v):
             raise ConfigError(f"{flag}: {v!r} is not an integer")
         out.append(int(v))
     return out
@@ -166,23 +164,11 @@ def _run_cell(cell: _Cell) -> TableRow:
         return _measure(cell)[0]
     except Exception as exc:
         ms = (time.perf_counter() - start) * 1e3
-        # one write per line, so lines from parallel cells do not interleave
         sys.stderr.write(
             f"cell s={cfg.s} j={cfg.j} beta={cfg.beta:g} gamma={cfg.gamma:g}: "
             f"{type(exc).__name__}: {exc}\n"
         )
         return TableRow(cfg.s, cfg.j, cfg.beta, cfg.gamma, math.nan, _fallback_dof(cell), math.nan, ms)
-
-
-def _run_cells(cells: list[_Cell], threads: int) -> list[TableRow]:
-    if threads <= 1 or len(cells) <= 1:
-        return [_run_cell(c) for c in cells]
-    # Every cell calls BLAS: each worker drives one BLAS thread rather than
-    # a pool as large as the machine, as each solve's mode loop does anyway.
-    with _blas.single_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        # map() preserves submission order, so output order never depends on
-        # which cell finishes first.
-        return list(pool.map(_run_cell, cells))
 
 
 def _csv_lines(rows: Sequence[TableRow]) -> str:
@@ -224,7 +210,7 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("--quad-points", type=int, default=8)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if sweep:
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep cells (default 1)")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; cells run one at a time")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -248,10 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
+def _check_threads(args) -> None:
     if not 1 <= args.threads <= THREADS_MAX:
         raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {args.threads}")
-    return args.threads
 
 
 def _cmd_solve(args) -> int:
@@ -308,7 +293,7 @@ def _cmd_table(args) -> int:
     ss = _int_list(args.s, "-s")
     _check_levels(js, "-j")
     _check_levels(ss, "-s")
-    threads = _resolve_threads(args)
+    _check_threads(args)
 
     # Validate every cell before any output so a config error leaves no file.
     cells = [
@@ -318,7 +303,7 @@ def _cmd_table(args) -> int:
         for s in sorted(ss)
         for j in sorted(js)
     ]
-    rows = _run_cells(cells, threads)
+    rows = [_run_cell(c) for c in cells]
     if args.format == "json":
         _emit(_json_text(rows, single=False), args.out)
     else:
@@ -343,7 +328,7 @@ def _cmd_curves(args) -> int:
     _check_levels(ss, "-s")
     betas = sorted(betas)
     gammas = sorted(gammas)
-    threads = _resolve_threads(args)
+    _check_threads(args)
     prefix = args.out if args.out is not None else "curves"
 
     plan = [
@@ -353,7 +338,7 @@ def _cmd_curves(args) -> int:
         for s in ss
     ]
     cells = [_build_cell(args, gamma, beta, js[0], s) for gamma, beta, s in plan]
-    rows = _run_cells(cells, threads)
+    rows = [_run_cell(c) for c in cells]
     by_key = {key: row for key, row in zip(plan, rows)}
 
     for gamma in gammas:

@@ -19,14 +19,13 @@ The eigenpairs depend on the spatial operators alone, so they are a step of
 their own (``spatial_modes``) whose result serves every solve at one spatial
 level; ``modal_lstsq_solve`` takes them and runs the mode loop.  At sweep
 sizes a block's QR takes tens of microseconds, about what a few NumPy calls
-cost, and under a sweep's cell threads each call also takes the GIL.  So the
-loop forms its blocks in chunks of modes that fit one 1 MiB buffer, with one
-broadcast and one norm reduction per chunk, and ``lstsq_solve`` makes few
-calls besides its three LAPACK ones.  Both steps run at one BLAS thread
-(``_blas``): the blocks are small enough that a second thread only adds
-overhead, and the rounding of the factorisation then depends on neither the
-caller's thread count nor the machine's core count.  The cap is process-wide
-while it is held.
+cost.  So the loop forms its blocks in chunks of modes that fit one 1 MiB
+buffer, with one broadcast and one norm reduction per chunk, and
+``lstsq_solve`` makes few calls besides its three LAPACK ones.  Both steps
+run at one BLAS thread (``_blas``): the blocks are small enough that a
+second thread only adds overhead, and the rounding of the factorisation then
+depends on neither the caller's thread count nor the machine's core count.
+The cap is process-wide while it is held.
 """
 
 from __future__ import annotations

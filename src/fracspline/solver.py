@@ -157,7 +157,7 @@ class _Shared:
     """A least-recently-used store of what depends on discretisation levels
     alone, shared by every solve in the process and bounded by the bytes of
     the arrays it holds.  ``get`` builds a missing entry under a lock, so
-    concurrent solves (sweep cells on worker threads) wait for one build
+    concurrent solves (on a library caller's own threads) wait for one build
     instead of each building it.  Keys start with a kind tag and go on with
     the values that define an entry, not object identities.  A builder makes
     every array it hands out read-only and returns ``(value, nbytes)``.  The

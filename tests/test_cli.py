@@ -240,11 +240,19 @@ class TestTableCommand:
             # level 2 is in the CLI's range, but the default degree 3 needs 2**j >= 6
             ["solve", "--example", "1", "--gamma", "0.5", "-j", "2", "-s", "3"],
             ["table", "--example", "1", "--gamma", "0.5", "-j", "2,3", "-s", "3"],
+            # a non-finite level is no integer
+            *(
+                [command, "--example", "1", "--gamma", "0.5", *levels]
+                for levels in (["-j", "inf", "-s", "3"], ["-j", "nan", "-s", "3"], ["-j", "3", "-s", "inf"])
+                for command in ("solve", "table")
+            ),
         ],
     )
     def test_bad_configs_exit_2(self, argv, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("configuration error")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("points", ["33", "100000"])
     @pytest.mark.parametrize("command", ["solve", "table"])
@@ -258,11 +266,7 @@ class TestTableCommand:
         assert "--quad-points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])
-    def test_threads_bound_starts_no_thread(self, command, levels, tmp_path, monkeypatch, capsys):
-        def refuse(max_workers):
-            raise AssertionError(f"started a pool of {max_workers} threads")
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    def test_threads_bound_starts_no_thread(self, command, levels, tmp_path, capsys):
         argv = [command, "--example", "1", "--gamma", "0.5", *levels, "--out", str(tmp_path / "out")]
         assert main([*argv, "--threads", str(cli.THREADS_MAX + 1)]) == 2
         assert "--threads" in capsys.readouterr().err
@@ -273,28 +277,26 @@ class TestTableCommand:
             main(["table", "--example", "3", "--gamma", "0.5", "-j", "3", "-s", "3"])
 
     def test_threads_equivalence(self, tmp_path, clear_caches):
-        # each run starts cold, so the second builds its own eigenpairs
-        # instead of reusing the first run's
-        args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3"]
-        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-        assert main([*args, "--threads", "1", "--out", str(one)]) == 0
-        clear_caches()
-        assert main([*args, "--threads", "2", "--out", str(two)]) == 0
-        assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
-        # The (7, 7) cell's 257x136 blocks are large enough for a two-thread
-        # dgeqp3 to round differently from a one-thread one, so a BLAS pool
-        # sized by --threads or by the core count would show in the output.
-        # Two cells, because a one-cell sweep never starts the pool.  A
-        # 1-core box runs every pool at one thread either way, so there this
-        # case cannot show the fault.
+        # At (7, 7) the 129x129 eigenproblem and the 257x136 mode blocks are
+        # large enough for a two-thread LAPACK call to round differently from
+        # a one-thread one (on two cores the eigensolve does), so a solve step
+        # that ran on the caller's BLAS pools, sized by the core count, would
+        # show in the output.  Each run starts cold, so the second builds its
+        # own eigenpairs instead of reusing the first run's.  A 1-core box
+        # runs every pool at one thread either way, so there this case cannot
+        # show the fault.
         args = ["table", "--example", "1", "--gamma", "0.5", "--beta", "3.5", "-j", "3,7", "-s", "7"]
+        pools, capped = tmp_path / "pools.csv", tmp_path / "capped.csv"
         clear_caches()
-        assert main([*args, "--threads", "1", "--out", str(one)]) == 0
+        assert main([*args, "--out", str(pools)]) == 0
         clear_caches()
-        assert main([*args, "--threads", "2", "--out", str(two)]) == 0
-        assert _strip_runtime(one.read_text()) == _strip_runtime(two.read_text())
+        with _blas.single_thread():
+            assert main([*args, "--out", str(capped)]) == 0
+        assert _strip_runtime(pools.read_text()) == _strip_runtime(capped.read_text())
 
     def test_threads_share_blas_cores(self, monkeypatch):
+        # a sweep caps nothing around its cells; only each solve's own steps
+        # run at one BLAS thread, and the caller's counts come back after it
         controls = _blas.thread_controls()
         if not controls:
             pytest.skip("no OpenBLAS thread controls in this process")
@@ -308,12 +310,11 @@ class TestTableCommand:
 
         monkeypatch.setattr(cli, "_run_cell", recording)
         args = ["table", "--example", "1", "--gamma", "0.5", "-j", "3,4", "-s", "3", "--out", os.devnull]
-        assert main([*args, "--threads", "2"]) == 0
-        assert seen and all(counts == [1] * len(controls) for counts in seen)
-        assert [get() for get, _ in controls] == before
-        seen.clear()
-        assert main([*args, "--threads", "1"]) == 0
-        assert seen and all(counts == before for counts in seen)
+        for threads in ("1", "2"):
+            seen.clear()
+            assert main([*args, "--threads", threads]) == 0
+            assert len(seen) == 2 and all(counts == before for counts in seen)
+            assert [get() for get, _ in controls] == before
 
 
 class TestCurvesCommand:
@@ -460,7 +461,7 @@ def test_horizon_flag_is_rejected(command, flag, capsys):
     # removed flags end in argparse's exit 2: the built-in examples are
     # posed on [0, 1] (no -T), u(0, .) = 0 is always imposed by elimination
     # (no --no-ic-row), curves writes gnuplot files only (no --format), and
-    # a single solve has no cells to run in parallel (no --threads)
+    # a single solve takes no --threads
     with pytest.raises(SystemExit) as exc:
         main([command, *FAST, *flag])
     assert exc.value.code == 2
