@@ -139,28 +139,17 @@ def build_spatial(j: int, n: int = 3) -> SpatialBasis:
     if 2**j < 2 * n:
         raise ValueError(f"level {j} too coarse for degree {n}: need 2**j >= {2 * n}")
 
-    n_translates = 2**j + n
     size = 2**j + n - 2
-
-    def col(k: int) -> int:
-        return k + n
-
     spline = FractionalBSpline(float(n))
-    combos = _left_boundary_combos(spline)
-    c_mat = np.zeros((size, n_translates))
-    # left endpoint combinations
-    for m, c in enumerate(combos, start=1):
-        ks = np.arange(-(m + 1), 0)
-        for coeff, k in zip(c, ks):
-            c_mat[m - 1, col(k)] = coeff
-    # interior translates
-    for i, k in enumerate(range(0, 2**j - n)):
-        c_mat[(n - 1) + i, col(k)] = 1.0
-    # right endpoint combinations: reflect k -> 2**j - n - 1 - k
-    for m, c in enumerate(combos, start=1):
-        ks = np.arange(-(m + 1), 0)
-        for coeff, k in zip(c, ks):
-            c_mat[size - m, col(2**j - n - 1 - k)] = coeff
+    c_mat = np.zeros((size, 2**j + n))
+    # left combination m mixes the translates k = -(m+1) .. -1, column k + n
+    for m, c in enumerate(_left_boundary_combos(spline), start=1):
+        c_mat[m - 1, n - m - 1 : n] = c
+    # interior translates k = 0 .. 2**j - n - 1
+    c_mat[n - 1 : size - n + 1, n : 2**j] = np.eye(2**j - n)
+    # right combinations: the left ones under the reflection that makes
+    # the matrix centro-symmetric
+    c_mat[size - n + 1 :] = c_mat[: n - 1, ::-1][::-1]
 
     return SpatialBasis(
         level=j,

@@ -251,11 +251,7 @@ def _cmd_solve(args) -> int:
     _check_levels(js, "-j")
     _check_levels(ss, "-s")
     cell = _build_cell(args, gammas[0], betas[0], js[0], ss[0])
-    try:
-        row, sol, rep = _measure(cell)
-    except Exception as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    row, sol, rep = _measure(cell)
 
     if args.format == "csv":
         _emit(_csv_lines([row]), args.out)

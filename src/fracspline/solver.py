@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import QuadratureRule, assemble_load_matrix, assemble_mass, assemble_stiffness, load_table
+from .assembly import assemble_load_matrix, gauss_rule, spatial_operators
 from .basis import SpatialBasis, TemporalBasis, build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .linalg import LeastSquaresReport, SpatialModes, modal_lstsq_solve, spatial_modes
@@ -82,7 +82,7 @@ class SolveConfig:
             raise ValueError(f"time level s must be an integer >= 0, got {self.s!r}")
         if not (type(self.horizon) is int and self.horizon >= 1):
             raise ValueError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if not 0.0 < self.gamma <= 1.0:
+        if isinstance(self.gamma, bool) or not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not (type(self.alpha) is int and self.alpha >= 1):
             raise ValueError(f"spatial degree alpha must be an integer >= 1, got {self.alpha!r}")
@@ -201,10 +201,7 @@ _SHARED = _Shared(_SHARED_BYTES)
 
 def _build_spatial_level(j: int, alpha: int, quad_points: int) -> tuple[_SpatialLevel, int]:
     basis = build_spatial(j, alpha)
-    quad = QuadratureRule(points_per_cell=quad_points)
-    mass = assemble_mass(basis, quad)
-    stiffness = assemble_stiffness(basis, quad)
-    table = load_table(basis, quad)
+    mass, stiffness, table = spatial_operators(basis, quad_points)
     level = _SpatialLevel(basis, mass, stiffness, table, spatial_modes(mass, stiffness))
     nbytes = _read_only(basis.combinations, basis.spline.value_weights, mass, stiffness, *table, level.modes.lam, level.modes.v)
     return level, nbytes
@@ -396,12 +393,12 @@ def evaluate(sol: Solution, t, x):
 # The rule of both error norms: Gauss-Legendre, 4 points per dyadic cell,
 # one dyadic level above the finer of the two discretisation levels, so it
 # resolves the solution and the reference field
-_ERROR_RULE = QuadratureRule(points_per_cell=4)
+_ERROR_POINTS = 4
 
 
 def _error_table(basis, level: int, span: int = 1) -> tuple:
     """Nodes, weights and member values of the error rule on [0, span]."""
-    x, w = _ERROR_RULE.nodes(level, span)
+    x, w = gauss_rule(_ERROR_POINTS, level, span)
     table = (x, w, basis.eval_many(x))
     return table, _read_only(*table)
 

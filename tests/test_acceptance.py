@@ -36,7 +36,7 @@ import scipy.interpolate
 
 from caputo_oracle import caputo_oracle
 from dense_oracle import materialize_kron_sum
-from fracspline.assembly import assemble_mass
+from fracspline.assembly import spatial_operators
 from fracspline.basis import build_spatial
 from fracspline.bspline import FractionalBSpline
 from fracspline.linalg import lstsq_solve
@@ -287,7 +287,7 @@ def test_criterion_5_property_suites():
     assert abs(mask(3.5, 60).sum() - 2.0) < 1e-6, "mask sum"
 
     # mass matrix symmetric positive definite
-    m = assemble_mass(build_spatial(4, 3))
+    m = spatial_operators(build_spatial(4, 3), 8)[0]
     assert np.abs(m - m.T).max() < 1e-14, "mass symmetry"
     assert np.linalg.eigvalsh(m).min() > 0.0, "mass SPD"
 

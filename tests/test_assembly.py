@@ -6,14 +6,8 @@ import pytest
 from scipy import integrate
 
 from fracspline import solver
-from fracspline.assembly import (
-    QuadratureRule,
-    assemble_load_matrix,
-    assemble_mass,
-    assemble_stiffness,
-    load_table,
-)
-from fracspline.basis import build_spatial
+from fracspline.assembly import assemble_load_matrix, gauss_rule, spatial_operators
+from fracspline.basis import SpatialBasis, build_spatial
 from fracspline.problems import ProblemSpec, example1, example2
 
 # Gram values of the cardinal cubic family: the autocorrelation of B_3 is
@@ -23,14 +17,13 @@ STIFF_BAND = (Fraction(2, 3), Fraction(-1, 8), Fraction(-1, 5), Fraction(-1, 120
 
 
 def test_quadrature_nodes_and_weights():
-    rule = QuadratureRule(points_per_cell=8)
-    x, w = rule.nodes(3)
+    x, w = gauss_rule(8, 3)
     assert x.shape == w.shape == (64,)
     assert w.sum() == pytest.approx(1.0, rel=1e-14)
     # composite 8-point Gauss is exact through degree 15
     assert (w @ x**15) == pytest.approx(1.0 / 16.0, rel=1e-13)
     # a span of 2 keeps the cell width and doubles the cells
-    x2, w2 = rule.nodes(3, 2)
+    x2, w2 = gauss_rule(8, 3, 2)
     assert x2.shape == w2.shape == (128,)
     np.testing.assert_array_equal(x2[:64], x)
     assert w2.sum() == pytest.approx(2.0, rel=1e-14)
@@ -38,19 +31,19 @@ def test_quadrature_nodes_and_weights():
     # a returned array must not change the next call's nodes
     x[:] = -1.0
     w[:] = -1.0
-    np.testing.assert_array_equal(rule.nodes(3)[0], x2[:64])
-    np.testing.assert_array_equal(rule.nodes(3)[1], w2[:64])
+    np.testing.assert_array_equal(gauss_rule(8, 3)[0], x2[:64])
+    np.testing.assert_array_equal(gauss_rule(8, 3)[1], w2[:64])
 
 
 def test_quadrature_validation():
     with pytest.raises(ValueError):
-        QuadratureRule(points_per_cell=0).nodes(2)
+        gauss_rule(0, 2)
 
 
 @pytest.mark.parametrize("j", [3, 4])
 def test_mass_interior_band(j):
     basis = build_spatial(j, 3)
-    m = assemble_mass(basis)
+    m, _, _ = spatial_operators(basis, 8)
     mid = basis.size // 2  # a pure translate, well clear of both ends
     for offset, exact in enumerate(MASS_BAND):
         want = float(exact) * 2.0**-j
@@ -62,17 +55,18 @@ def test_mass_interior_band(j):
 def test_stiffness_interior_band():
     j = 4
     basis = build_spatial(j, 3)
-    l = assemble_stiffness(basis)
+    _, l, _ = spatial_operators(basis, 8)
     mid = basis.size // 2
     for offset, exact in enumerate(STIFF_BAND):
         want = float(exact) * 2.0**j
         assert l[mid, mid + offset] == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("assemble,deriv", [(assemble_mass, 0), (assemble_stiffness, 1)])
-def test_gram_entries_against_adaptive_quadrature(assemble, deriv):
+@pytest.mark.parametrize("operator,deriv", [("mass", 0), ("stiffness", 1)])
+def test_gram_entries_against_adaptive_quadrature(operator, deriv):
     basis = build_spatial(3, 3)
-    mat = assemble(basis)
+    mass, stiffness, _ = spatial_operators(basis, 8)
+    mat = {"mass": mass, "stiffness": stiffness}[operator]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     # include boundary-combination rows: entries (0, 0), (0, 2), (5, 5)
     for a, b in ((0, 0), (0, 2), (5, 5), (1, 3)):
@@ -90,28 +84,28 @@ def test_gram_entries_against_adaptive_quadrature(assemble, deriv):
 
 def test_mass_spd_and_symmetric():
     basis = build_spatial(4, 3)
-    m = assemble_mass(basis)
+    m, _, _ = spatial_operators(basis, 8)
     assert np.max(np.abs(m - m.T)) < 1e-14
     assert np.linalg.eigvalsh(m).min() > 0.0
 
 
 def test_stiffness_spd_on_dirichlet_space():
     basis = build_spatial(4, 3)
-    l = assemble_stiffness(basis)
+    _, l, _ = spatial_operators(basis, 8)
     assert np.max(np.abs(l - l.T)) < 1e-12
     assert np.linalg.eigvalsh(l).min() > 0.0
 
 
 def test_gram_centro_symmetry():
     basis = build_spatial(4, 3)
-    for mat in (assemble_mass(basis), assemble_stiffness(basis)):
+    for mat in spatial_operators(basis, 8)[:2]:
         np.testing.assert_allclose(mat, mat[::-1, ::-1], atol=1e-13)
 
 
 def test_load_against_adaptive_quadrature():
     basis = build_spatial(3, 3)
     forcing = lambda t, x: (1.0 + t) * np.sin(2.0 * np.pi * x)
-    vec = assemble_load_matrix(load_table(basis), forcing, np.array([0.3]))[:, 0]
+    vec = assemble_load_matrix(spatial_operators(basis, 8)[2], forcing, np.array([0.3]))[:, 0]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     for k in (0, 1, 4, 8):
         ref, err = integrate.quad(
@@ -125,6 +119,22 @@ def test_load_against_adaptive_quadrature():
         assert vec[k] == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
+@pytest.mark.parametrize("j", [3, 5])
+def test_a_cold_level_evaluates_the_basis_once_per_order(monkeypatch, j):
+    # the mass, the stiffness and the load table come from one rule: one
+    # value table, which the mass and the load share, and one derivative table
+    orders = []
+    eval_many = SpatialBasis.eval_many
+
+    def counting(basis, x, deriv=0):
+        orders.append(deriv)
+        return eval_many(basis, x, deriv)
+
+    monkeypatch.setattr(SpatialBasis, "eval_many", counting)
+    solver._build_spatial_level(j, 3, 8)
+    assert sorted(orders) == [0, 1]
+
+
 def _per_time_columns(vw, x, forcing, times):
     """The load column by column, one forcing call per time."""
     return np.stack([vw.T @ np.asarray(forcing(t, x)) for t in times], axis=1)
@@ -133,7 +143,7 @@ def _per_time_columns(vw, x, forcing, times):
 @pytest.mark.parametrize("example", [example1, example2])
 def test_example_forcings_take_the_vectorised_path(example):
     # one forcing call on the (time, node) grid gives the per-time columns
-    table = load_table(build_spatial(3, 3))
+    table = spatial_operators(build_spatial(3, 3), 8)[2]
     forcing = example(0.5).forcing
     times = np.array([0.0, 0.3, 0.625, 1.0])
     with warnings.catch_warnings():
@@ -144,7 +154,7 @@ def test_example_forcings_take_the_vectorised_path(example):
 
 
 def test_load_rejects_a_forcing_that_does_not_broadcast():
-    table = load_table(build_spatial(3, 3))
+    table = spatial_operators(build_spatial(3, 3), 8)[2]
     with pytest.raises(ValueError, match=r"shape \(3,\).*grid \(2, 64\)"):
         assemble_load_matrix(table, lambda t, x: np.ones(3), np.array([0.25, 0.5]))
 
@@ -170,7 +180,7 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     level = solver._spatial_level(config)
     assert seen["modes"] is level.modes and sol.spatial is level.basis
     seen.update(mass=level.mass, stiffness=level.stiffness, table=level.load_table)
-    x, w = QuadratureRule().nodes(3)
+    x, w = gauss_rule(8, 3)
     nodes = np.arange(1, 2**q * horizon + 1) / 2**q
     ref = _per_time_columns(sol.spatial.eval_many(x) * w[:, None], x, forcing, nodes)
     np.testing.assert_allclose(seen["load"], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
@@ -188,12 +198,12 @@ def test_collocation_interior_nodes(monkeypatch):
     z = solver._ic_nullspace(sol.temporal)
     np.testing.assert_array_equal(seen["a"], sol.temporal.eval_many(nodes, 0.5) @ z)
     np.testing.assert_array_equal(seen["g"], sol.temporal.eval_many(nodes) @ z)
-    table = load_table(sol.spatial, QuadratureRule())
+    mass, stiffness, table = spatial_operators(sol.spatial, 8)
     np.testing.assert_array_equal(seen["table"][0], table[0])
     np.testing.assert_array_equal(seen["table"][1], table[1])
     np.testing.assert_array_equal(seen["load"], assemble_load_matrix(table, _forcing, nodes))
-    np.testing.assert_array_equal(seen["mass"], assemble_mass(sol.spatial, QuadratureRule()))
-    np.testing.assert_array_equal(seen["stiffness"], assemble_stiffness(sol.spatial, QuadratureRule()))
+    np.testing.assert_array_equal(seen["mass"], mass)
+    np.testing.assert_array_equal(seen["stiffness"], stiffness)
 
 
 def test_collocation_horizon_scales_node_count(monkeypatch):
@@ -201,7 +211,7 @@ def test_collocation_horizon_scales_node_count(monkeypatch):
     nodes = np.arange(1, 17) / 8.0
     assert seen["a"].shape[0] == seen["g"].shape[0] == seen["load"].shape[1] == 16
     np.testing.assert_array_equal(
-        seen["load"], assemble_load_matrix(load_table(sol.spatial), _forcing, nodes)
+        seen["load"], assemble_load_matrix(spatial_operators(sol.spatial, 8)[2], _forcing, nodes)
     )
 
 

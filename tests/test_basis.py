@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import binom
 
+from combination_oracle import loop_combinations
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import FractionalBSpline
 
@@ -123,6 +124,15 @@ def test_interior_member_is_a_pure_translate():
     row = basis.combinations[mid]
     assert np.sum(row != 0.0) == 1
     assert row.max() == pytest.approx(1.0)
+
+
+# each degree at its smallest level (2**j = 2n or just above) and at j = 8
+@pytest.mark.parametrize("j, n", [(1, 1), (2, 2), (3, 3), (3, 4), (4, 5)] + [(8, n) for n in range(1, 6)])
+def test_combinations_match_the_loop_oracle_and_their_mirror(j, n):
+    c = build_spatial(j, n).combinations
+    ref = loop_combinations(j, n)
+    assert np.array_equal(c, ref) and np.array_equal(np.signbit(c), np.signbit(ref))
+    assert np.array_equal(c, c[::-1, ::-1])
 
 
 # ---------------------------------------------------------------- temporal

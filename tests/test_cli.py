@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fracspline.cli as cli
-from fracspline import _blas, assembly, solver
+from fracspline import _blas, solver
 from fracspline.bspline import FractionalBSpline
 from fracspline.cli import CSV_COLUMNS, main
 
@@ -261,7 +261,7 @@ class TestTableCommand:
         def refuse(n):
             raise AssertionError(f"built a {n}-point Gauss rule")
 
-        monkeypatch.setattr(assembly, "_reference_rule", refuse)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
         assert main([command, *FAST, "--quad-points", points]) == 2
         assert "--quad-points" in capsys.readouterr().err
 
@@ -360,7 +360,7 @@ class TestCurvesCommand:
         builds, tables, scans, temporal_builds, error_tables = [], [], [], [], []
         build_spatial = solver.build_spatial
         build_temporal = solver.build_temporal
-        load_table = solver.load_table
+        spatial_operators = solver.spatial_operators
         error_table = solver._error_table
         scan_support = FractionalBSpline._scan_support
 
@@ -376,9 +376,9 @@ class TestCurvesCommand:
             error_tables.append((type(basis).__name__, basis.degree, basis.level, level))
             return error_table(basis, level, *span)
 
-        def counting_table(basis, quad):
+        def counting_operators(basis, points):
             tables.append(basis.level)
-            return load_table(basis, quad)
+            return spatial_operators(basis, points)
 
         def counting_scan(spline, degree):
             scans.append(degree)
@@ -386,7 +386,7 @@ class TestCurvesCommand:
 
         monkeypatch.setattr(solver, "build_spatial", counting_build)
         monkeypatch.setattr(solver, "build_temporal", counting_temporal)
-        monkeypatch.setattr(solver, "load_table", counting_table)
+        monkeypatch.setattr(solver, "spatial_operators", counting_operators)
         monkeypatch.setattr(solver, "_error_table", counting_error_table)
         monkeypatch.setattr(FractionalBSpline, "_scan_support", counting_scan)
         argv = [

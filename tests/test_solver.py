@@ -14,7 +14,7 @@ from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
 from kernel_oracle import column_loop_basis_matrix
 from fracspline import _blas, kernels, solver
-from fracspline.assembly import assemble_mass, assemble_stiffness
+from fracspline.assembly import spatial_operators
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
 from fracspline.linalg import RCOND, lstsq_solve, modal_lstsq_solve, spatial_modes
@@ -124,7 +124,7 @@ class TestModalSolve:
         config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta)
         modal, _ = _solve_quiet(problem, config)
         sbasis = build_spatial(j, 3)
-        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
+        mass, stiffness, _ = spatial_operators(sbasis, 8)
 
         def dense_solve(modes, a, g, load):
             return dense_lstsq_solve(mass, stiffness, a, g, load)
@@ -158,7 +158,7 @@ class TestModalSolve:
         _, solve_rep = _solve_quiet(example1(0.5), SolveConfig(gamma=0.5, j=j, s=s, beta=beta))
         _, a, g, load = seen["args"]
         sbasis = build_spatial(j, 3)
-        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
+        mass, stiffness, _ = spatial_operators(sbasis, 8)
         coeffs, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load)
         # the solve's shared modes give the same bits as modes built here
         assert np.array_equal(coeffs, modal_lstsq_solve(*seen["args"])[0])
@@ -186,7 +186,7 @@ class TestModalSolve:
         nodes = np.arange(1, 2**5 + 1) / 2**5
         a = tbasis.eval_many(nodes, 0.5)
         g = tbasis.eval_many(nodes)
-        mass, stiffness = assemble_mass(sbasis), assemble_stiffness(sbasis)
+        mass, stiffness, _ = spatial_operators(sbasis, 8)
         c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
         load = mass @ c_star @ a.T + stiffness @ c_star @ g.T
         c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load, rcond=1e-8)
@@ -384,6 +384,7 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=0, q=True), "collocation level"),
             (dict(gamma=0.5, j=3, s=3, quad_points=True), "quad_points"),
             (dict(gamma=0.5, j=3, s=3, beta=True), "beta must be finite"),
+            (dict(gamma=True, j=3, s=3), "gamma"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs, match):
