@@ -19,13 +19,17 @@ The eigenpairs depend on the spatial operators alone, so they are a step of
 their own (``spatial_modes``) whose result serves every solve at one spatial
 level; ``modal_lstsq_solve`` takes them and runs the mode loop.  At sweep
 sizes a block's QR takes tens of microseconds, about what a few NumPy calls
-cost.  So the loop forms its blocks in chunks of modes that fit one 1 MiB
-buffer, with one broadcast and one norm reduction per chunk, and
-``lstsq_solve`` makes few calls besides its three LAPACK ones.  Both steps
-run at one BLAS thread (``_blas``): the blocks are small enough that a
-second thread only adds overhead, and the rounding of the factorisation then
-depends on neither the caller's thread count nor the machine's core count.
-The cap is process-wide while it is held.
+cost.  So the loop works a chunk of modes at a time, in one scratch per call
+that holds a 1 MiB chunk of blocks and their squares: one broadcast forms
+the chunk and one reduction its column norms, ``dgeqp3`` factors each block
+in place, the chunk's ranks are read off its R diagonals at once, and past
+that each mode that keeps columns makes only its ``dormqr`` and ``dtrtrs``
+calls.  ``lstsq_solve`` runs the same per-chunk routine on a stack of one
+block, so the rank rule has one home.  Both steps run at one BLAS thread
+(``_blas``): the blocks are small enough that a second thread only adds
+overhead, and the rounding of the factorisation then depends on neither the
+caller's thread count nor the machine's core count.  The cap is
+process-wide while it is held.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, lapack
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
 from . import _blas
 
@@ -51,8 +56,9 @@ __all__ = [
 # filters the near-null directions that put a floor under every error column.
 RCOND = 1e-8
 
-# Scratch bytes the mode loop forms blocks in: one chunk holds every mode of a
-# curves cell, and a level-8 block (513 x 265, 1.04 MiB) alone fills one.
+# Bytes of one chunk of the mode loop's blocks (its scratch holds a chunk and
+# the chunk's squares): one chunk holds every mode of a curves cell, and a
+# level-8 block (513 x 265, 1.04 MiB) alone fills one.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -76,61 +82,90 @@ def lstsq_solve(
     set to zero (basic solution).  The returned report carries the residual
     norm, the R-diagonal condition estimate and the rank-deficiency flag.
 
-    ``a`` is overwritten when it is Fortran-contiguous (the intended use:
-    hand it a scratch block and let QR work in place).  The mode loop calls
-    this once per block, so past the three LAPACK calls it makes only a
-    fixed handful of NumPy calls.
+    ``a`` is overwritten when it is Fortran-contiguous and writeable (the
+    intended use: hand it a scratch block and let QR work in place).  It is
+    solved as a stack of one block by the routine the mode loop runs on
+    every chunk.
     """
     a = np.asarray(a, dtype=np.float64)
-    # the one copy of the right-hand side; dormqr overwrites it in place
-    c = np.array(b, dtype=np.float64).reshape(-1, 1)
+    # the one copy of the right-hand side; it is solved in place
+    c = np.array(b, dtype=np.float64).reshape(1, -1)
     m, n = a.shape
     if m == 0:  # dgeqp3 would print an illegal-value message to stderr
         raise ValueError("matrix has no rows")
-    if c.shape[0] != m:
-        raise ValueError(f"rhs length {c.shape[0]} does not match {m} rows")
+    if c.shape[1] != m:
+        raise ValueError(f"rhs length {c.shape[1]} does not match {m} rows")
     if rcond is None:
         rcond = max(m, n) * np.finfo(np.float64).eps
+    x = np.zeros((1, n))
+    # a Fortran-order ``a`` is the transpose of a C-order stack of one, a view;
+    # LAPACK's wrappers would write into it even when it is read-only
+    at = a.T if a.flags.writeable else a.T.copy()
+    ranks, spread, norms = _solve_stack(np.ascontiguousarray(at)[None], c, x, np.array([rcond]))
+    rank = int(ranks[0])
+    # an empty fit counts as rank-deficient
+    return x[0], LeastSquaresReport(norms[0], float(spread[0]), rank, rank < n or rank == 0)
 
+
+def _solve_stack(
+    stack: np.ndarray, rhs: np.ndarray, x: np.ndarray, rcond: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Pivoted-QR least-squares solves of a stack of blocks, in place.
+
+    Block k is the Fortran-order matrix ``stack[k].T`` (``stack`` is
+    C-contiguous), ``rhs[k]`` its right-hand side and ``x[k]``, zero on
+    entry, its solution.  Its rank is the number of R-diagonal entries
+    before the first one below ``rcond[k]`` times the leading one; the
+    dropped columns keep zero coefficients (basic solution).  The stack
+    ends up holding the factors and ``rhs[k]`` its residual part past the
+    rank.  Returns the ranks, the R-diagonal spreads (leading over trailing
+    pivot of the whole diagonal, ``inf`` when the trailing one is zero) and
+    the residual norms, one per block.
+    """
+    count, n, _ = stack.shape
     # workspace sized for the blocked algorithm (nb = 128); a query call
     # would copy the (large) matrix a second time
     lwork = max(3 * (n + 1), 2 * n + (n + 1) * 128)
-    qr, jpvt, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=a.flags.f_contiguous)
-    if info != 0:
-        raise RuntimeError(f"dgeqp3 failed with info={info}")
+    factors = []
+    for block in stack:
+        _, jpvt, tau, _, info = dgeqp3(block.T, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise RuntimeError(f"dgeqp3 failed with info={info}")
+        factors.append((jpvt, tau))
 
-    diag = np.abs(qr.diagonal())
-    rank = 0
-    if diag.size and diag[0] != 0.0:
-        # diagonal of a pivoted R is non-increasing in exact arithmetic;
+    diag = np.abs(np.diagonal(stack, axis1=1, axis2=2))
+    if diag.shape[1] == 0:  # no columns: the empty fit
+        ranks, spread = np.zeros(count, dtype=np.intp), np.full(count, math.inf)
+    else:
+        lead, last = diag[:, 0], diag[:, -1]
+        # the diagonal of a pivoted R is non-increasing in exact arithmetic;
         # cut at the first drop below threshold to be safe
-        keep = diag >= rcond * diag[0]
-        rank = int(keep.argmin())
-        if keep[rank]:  # nothing falls below the threshold
-            rank = diag.size
+        keep = (diag >= (rcond * lead)[:, None]) & (lead != 0.0)[:, None]
+        ranks = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+        # full-diagonal spread, not just the kept block: the estimate should keep
+        # reporting how unstable the column family is even when rcond cut it
+        spread = np.divide(lead, last, out=np.full(count, math.inf), where=last > 0.0)
 
-    x = np.zeros(n)
-    if rank:
-        # reflector block only: dormqr reads the reflector count off the width.
-        # A one-column workspace selects the unblocked path, which for a single
-        # right-hand side skips forming the blocked reflectors' triangular factors.
-        c, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, c, 1, overwrite_c=1)
-        if info != 0:
-            raise RuntimeError(f"dormqr failed with info={info}")
-        # The leading `rank` columns, read with leading dimension m, hold R's
-        # top rank x rank block in place; dtrtrs solves for c's first `rank`
-        # entries and returns a copy, so c keeps the residual part.
-        y, info = lapack.dtrtrs(qr[:, :rank], c)
-        if info != 0:
-            raise RuntimeError(f"dtrtrs failed with info={info}")
-        x[jpvt[:rank] - 1] = y[:rank, 0]  # jpvt is 1-based
-
-    tail = c[rank:, 0]  # all of b when nothing is kept
-    # full-diagonal spread, not just the kept block: the estimate should keep
-    # reporting how unstable the column family is even when rcond cut it
-    cond = float(diag[0] / diag[-1]) if diag.size and diag[-1] > 0 else math.inf
-    # an empty fit counts as rank-deficient
-    return x, LeastSquaresReport(math.sqrt(tail @ tail), cond, rank, rank < n or rank == 0)
+    norms = []
+    for block, c, xk, (jpvt, tau), rank in zip(stack, rhs, x, factors, ranks.tolist()):
+        if rank:
+            qr, col = block.T, c[:, None]
+            # reflector block only: dormqr reads the reflector count off the width.
+            # A one-column workspace selects the unblocked path, which for a single
+            # right-hand side skips forming the blocked reflectors' triangular factors.
+            _, _, info = dormqr("L", "T", qr[:, : tau.shape[0]], tau, col, 1, overwrite_c=1)
+            if info != 0:
+                raise RuntimeError(f"dormqr failed with info={info}")
+            # The leading `rank` columns, read with leading dimension m, hold R's
+            # top rank x rank block in place; dtrtrs overwrites c's first `rank`
+            # entries with the solution, so the rest stays the residual part.
+            _, info = dtrtrs(qr[:, :rank], col, overwrite_b=1)
+            if info != 0:
+                raise RuntimeError(f"dtrtrs failed with info={info}")
+            xk[jpvt[:rank] - 1] = c[:rank]  # jpvt is 1-based
+        tail = c[rank:]  # all of b when nothing is kept
+        norms.append(math.sqrt(tail @ tail))
+    return ranks, spread, norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,11 +228,16 @@ def modal_lstsq_solve(
     all modes.
 
     The blocks ``a + lam_k g`` are formed in a C-order ``(modes, n_t, n_pts)``
-    buffer of at most 1 MiB (at least one block), allocated once per call,
-    as many modes at a time as fit: one broadcast forms a chunk and one sum
-    along its contiguous axis gives its column norms.  Each block's transpose
-    is the Fortran-order matrix that ``lstsq_solve``, called once per mode,
-    factors in place.
+    chunk of at most 1 MiB (at least one block), as many modes at a time as
+    fit, in one scratch allocated once per call that holds a chunk and its
+    squares: one broadcast forms a chunk and one sum along its contiguous
+    axis gives its column norms.  Each block's transpose is the
+    Fortran-order matrix that ``dgeqp3`` factors in place; then the chunk's
+    R diagonals are read, and its thresholds and ranks set, at once, and
+    ``dormqr`` and ``dtrtrs`` solve each mode that keeps columns straight
+    into its rows of the rotated load and of ``D`` (``_solve_stack``, the
+    routine ``lstsq_solve`` runs on a stack of one).  The residual and the
+    pivot spread are summed once, in mode order.
     """
     lam, v = modes.lam, modes.v
     # C-contiguous (n_t, n_pts) views, made contiguous once rather than per chunk
@@ -212,28 +252,38 @@ def modal_lstsq_solve(
         raise ValueError(f"load has shape {load.shape}, expected {(nk, npts)}")
 
     per = max(1, _CHUNK_BYTES // (8 * nc * npts))  # modes per chunk
+    blocks_buf, squares_buf = np.empty((2, min(per, nk), nc, npts))
+
+    def form(lams):
+        """The blocks of ``lams`` at the head of the scratch, and their largest column norms."""
+        blocks, squares = blocks_buf[: len(lams)], squares_buf[: len(lams)]
+        np.multiply(gt, lams[:, None, None], out=blocks)
+        blocks += at
+        np.multiply(blocks, blocks, out=squares)
+        return blocks, np.sqrt(np.add.reduce(squares, axis=2).max(axis=1))
+
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
-        ends = at + lam[[0, -1], None, None] * gt
-        top = math.sqrt(np.add.reduce(ends * ends, axis=2).max())
-
-        d = np.empty((nk, nc))
-        buf = np.empty((min(per, nk), nc, npts))
-        rank = 0
-        residual2 = 0.0
-        floor = math.inf  # smallest trailing pivot over all modes
+        top = max(form(lam[[0]])[1][0], form(lam[[-1]])[1][0])
+        d = np.zeros((nk, nc))
+        colmax = np.empty(nk)
+        ranks = np.empty(nk, dtype=np.intp)
+        spread = np.empty(nk)
+        norms = []
         for k0 in range(0, nk, per):
-            blocks = buf[: min(per, nk - k0)]
-            np.multiply(gt, lam[k0 : k0 + len(blocks), None, None], out=blocks)
-            blocks += at
-            colmax = np.sqrt(np.add.reduce(blocks * blocks, axis=2).max(axis=1))
-            for k, block, cm in zip(range(k0, nk), blocks, colmax):
-                d[k], rep = lstsq_solve(block.T, rhs[k], rcond=rcond * top / cm)
-                rank += rep.rank
-                residual2 += rep.residual_norm**2
-                floor = min(floor, cm / rep.condition_estimate)
+            k1 = min(nk, k0 + per)
+            blocks, colmax[k0:k1] = form(lam[k0:k1])
+            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(
+                blocks, rhs[k0:k1], d[k0:k1], rcond * top / colmax[k0:k1]
+            )
+            norms += chunk_norms
 
-        spread = top / floor if floor > 0.0 else math.inf
-        cond = float(modes.mass_cond * spread)
+        # one mode at a time, in mode order: a pairwise sum rounds differently
+        residual2 = 0.0
+        for norm in norms:
+            residual2 += norm**2
+        floor = (colmax / spread).min()  # smallest trailing pivot over all modes
+        cond = float(modes.mass_cond * (top / floor if floor > 0.0 else math.inf))
+        rank = int(ranks.sum())
         return v @ d, LeastSquaresReport(math.sqrt(residual2), cond, rank, rank < nk * nc)

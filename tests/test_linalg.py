@@ -2,18 +2,22 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from dense_oracle import materialize_kron_sum
-from fracspline import _blas, linalg
+from modal_oracle import oracle_lstsq_solve, oracle_modal_lstsq_solve
+from fracspline import _blas, linalg, solver
 from fracspline.linalg import (
     LeastSquaresReport,
     lstsq_solve,
     modal_lstsq_solve,
     spatial_modes,
 )
+from fracspline.problems import example1
 
 
 def _normal_solve_longdouble(a, b):
@@ -150,6 +154,17 @@ class TestLstsqSolve:
         x_c, _ = lstsq_solve(a, b)
         x_f, _ = lstsq_solve(np.asfortranarray(a.copy()), b)
         assert np.array_equal(x_c, x_f)
+
+    def test_read_only_input_is_not_overwritten(self):
+        rng = np.random.default_rng(151)
+        a = np.asfortranarray(rng.standard_normal((20, 8)))
+        b = rng.standard_normal(20)
+        want = lstsq_solve(a.copy(order="F"), b)
+        frozen = a.copy(order="F")
+        frozen.flags.writeable = False
+        got = lstsq_solve(frozen, b)
+        assert np.array_equal(frozen, a)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     @pytest.mark.parametrize("n", [3, 0])
     def test_no_rows_raises_before_lapack(self, n, capfd):
@@ -291,11 +306,11 @@ class TestModalLstsq:
             pytest.skip("no OpenBLAS thread controls in this process")
         before = [get() for get, _ in controls]
         seen = []
-        solve_block = linalg.lstsq_solve
+        factor_block = linalg.dgeqp3
 
         def recording(*args, **kwargs):
             seen.append([get() for get, _ in controls])
-            return solve_block(*args, **kwargs)
+            return factor_block(*args, **kwargs)
 
         real_eigh = linalg.eigh
 
@@ -303,7 +318,7 @@ class TestModalLstsq:
             seen.append([get() for get, _ in controls])
             return real_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "lstsq_solve", recording)
+        monkeypatch.setattr(linalg, "dgeqp3", recording)
         monkeypatch.setattr(linalg, "eigh", recording_eigh)
         rng = np.random.default_rng(179)
         nk, npts, nc = 6, 40, 20
@@ -313,6 +328,103 @@ class TestModalLstsq:
             rng.standard_normal((npts, nc)),
             rng.standard_normal((nk, npts)),
         )
-        assert len(seen) == nk + 1  # the eigensolve, then one block per mode
+        assert len(seen) == nk + 1  # the eigensolve, then one factorisation per mode
         assert all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
+
+
+def _cell_system(monkeypatch, gamma, j, s, beta):
+    """The arguments ``solve`` hands the mode loop for one example-1 cell."""
+    seen = {}
+
+    def capture(*args):
+        seen["args"] = args
+        return modal_lstsq_solve(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "modal_lstsq_solve", capture)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solver.solve(example1(gamma), solver.SolveConfig(gamma=gamma, j=j, s=s, beta=beta))
+    return seen["args"]
+
+
+class TestModeLoopOracle:
+    """The chunked mode loop against one block at a time through a per-block solve."""
+
+    @pytest.mark.parametrize(
+        "gamma, j, s, beta",
+        [
+            (0.5, 5, 2, 2.0),  # curves cells: every mode in one chunk
+            (1.0, 5, 3, 2.5),
+            (0.5, 5, 4, 3.5),
+            (1.0, 5, 5, 4.0),
+            (0.5, 6, 6, 3.5),  # 65 blocks of 128 x 72 over five chunks
+            (0.5, 6, 6, 3.0),  # as many, each with a residual: its sum is order-sensitive
+            (0.5, 3, 2, 3.5),  # underdetermined 8 x 12 blocks
+            (0.5, 3, 5, 3.0),  # the full-rank cubic cell
+        ],
+    )
+    def test_matches_one_block_at_a_time(self, monkeypatch, gamma, j, s, beta):
+        args = _cell_system(monkeypatch, gamma, j, s, beta)
+        coeffs, rep = modal_lstsq_solve(*args)
+        want_coeffs, want_rep = oracle_modal_lstsq_solve(*args)
+        assert np.array_equal(coeffs, want_coeffs)
+        assert rep == want_rep
+
+    def test_zero_block_keeps_nothing(self):
+        # a = 0 and the first eigenvalue 0 make mode 0's block exactly zero
+        rng = np.random.default_rng(191)
+        a = np.zeros((12, 5))
+        g = rng.standard_normal((12, 5))
+        modes = spatial_modes(np.eye(3), np.diag([0.0, 1.0, 2.0]))
+        load = rng.standard_normal((3, 12))
+        # the zero block's threshold is rcond * top / 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeffs, rep = modal_lstsq_solve(modes, a, g, load)
+            want_coeffs, want_rep = oracle_modal_lstsq_solve(modes, a, g, load)
+        assert np.array_equal(coeffs, want_coeffs)
+        assert rep == want_rep
+        assert rep.rank == 10 and math.isinf(rep.condition_estimate)
+
+    @pytest.mark.parametrize(
+        "kind, rcond",
+        [
+            ("graded", None),
+            ("graded", 1e-6),
+            ("graded", 1e-2),
+            ("underdetermined", None),
+            ("zero", None),
+            ("no columns", None),
+        ],
+    )
+    def test_single_block_matches(self, kind, rcond):
+        rng = np.random.default_rng(193)
+        a = {
+            "graded": lambda: _graded_matrix(rng, 40, 10, decades=9),
+            "underdetermined": lambda: rng.standard_normal((8, 12)),
+            "zero": lambda: np.zeros((5, 3)),
+            "no columns": lambda: np.zeros((3, 0)),
+        }[kind]()
+        b = rng.standard_normal(a.shape[0])
+        x, rep = lstsq_solve(a.copy(), b, rcond=rcond)
+        want_x, want_rep = oracle_lstsq_solve(a, b, rcond=rcond)
+        assert np.array_equal(x, want_x)
+        assert rep == want_rep
+
+    def test_qr_work_is_one_factorisation_per_mode(self, monkeypatch):
+        # the same dgeqp3 calls, block shapes and workspaces as one block at a time
+        args = _cell_system(monkeypatch, 0.5, 6, 6, 3.5)
+        calls = {}
+        for name, module in (("chunked", linalg), ("oracle", lapack)):
+            calls[name] = []
+
+            def recording(a, *rest, _real=module.dgeqp3, _calls=calls[name], **kwargs):
+                _calls.append((a.shape, kwargs.get("lwork")))
+                return _real(a, *rest, **kwargs)
+
+            monkeypatch.setattr(module, "dgeqp3", recording)
+        modal_lstsq_solve(*args)
+        oracle_modal_lstsq_solve(*args)
+        nk, (npts, nc) = args[0].lam.shape[0], args[1].shape
+        assert calls["chunked"] == calls["oracle"] == [((npts, nc), 2 * nc + (nc + 1) * 128)] * nk

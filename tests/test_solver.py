@@ -1,5 +1,6 @@
 """End-to-end solves: exactness limits, evaluation, diagnostics, oracle."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -12,6 +13,7 @@ from scipy.linalg import eigh
 
 from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
+from error_oracle import grid_l2_error, grid_l2_error_at_time
 from kernel_oracle import column_loop_basis_matrix
 from fracspline import _blas, kernels, solver
 from fracspline.assembly import spatial_operators
@@ -613,6 +615,39 @@ class TestErrorMeasures:
         sol, _ = proxy
         with pytest.raises(ValueError, match="outside"):
             l2_error_at_time(sol, example1(0.5).exact, t)
+
+    @pytest.mark.parametrize("budget", [None, 100_000])  # None: the library's; then blocks with a short last one
+    @pytest.mark.parametrize("j, s, horizon", [(5, 5, 1), (6, 5, 1), (5, 6, 1), (7, 7, 1), (5, 5, 2)])
+    def test_column_blocks_match_one_grid(self, monkeypatch, j, s, horizon, budget):
+        # same products and sums as the whole grid; bits matched on OpenBLAS,
+        # but another BLAS may split a product differently
+        if budget is not None:
+            monkeypatch.setattr(solver, "_ERROR_BYTES", budget)
+        for problem in (example1(0.5), example2(0.5)):
+            problem = dataclasses.replace(problem, horizon=horizon)
+            sol, _ = _solve_quiet(problem, SolveConfig(gamma=0.5, j=j, s=s, horizon=horizon))
+            pairs = [(l2_error(sol, problem.exact), grid_l2_error(sol, problem.exact))]
+            for t in (0.7, horizon):
+                pairs.append((l2_error_at_time(sol, problem.exact, t), grid_l2_error_at_time(sol, problem.exact, t)))
+            for got, want in pairs:
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_error_scratch_is_one_column_block(self):
+        problem = example1(0.5)
+        sol, _ = _solve_quiet(problem, SolveConfig(gamma=0.5, j=7, s=7))
+        l2_error(sol, problem.exact)  # the error tables are in the store from here on
+        n_t = n_x = 4 * 2**8  # nodes of the level-8 error rule on [0, 1]
+        left = 8 * n_t * sol.coeffs.shape[0]
+        # the residual block, the reference's block of the same size, `left`
+        # and 1 MiB for the rest; the whole grid alone is 8 MiB
+        bound = 2 * solver._ERROR_BYTES + left + 2**20
+        tracemalloc.start()
+        try:
+            l2_error(sol, problem.exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 8 * n_t * n_x
 
     def test_error_report_fields(self, proxy):
         sol, rep = proxy
