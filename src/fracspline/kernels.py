@@ -67,14 +67,16 @@ def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):
 
 def _unit_step_sum(u0, w, expo, out, power, term):
     """``_power_sum`` of the arguments ``u0 + i`` of every point into ``out``,
-    slot-major, shape (slots, points), for ``0 <= u0 < 1``; ``power`` and
-    ``term`` are scratch of the same shape.
+    slot-major, shape (slots, points), for ``0 <= u0 < 1`` (``u0 == 1`` only
+    for an ``expo`` that is not an integer); ``power`` and ``term`` are
+    scratch of the same shape.
 
-    Term k of slot i has argument ``u0 + i - k`` for k <= i and a negative
-    one for k > i, so one truncated power per slot serves every term; the
-    terms are added in the order of ``_power_sum``.  Only slot 0 can hold a
-    zero argument, where ``0**expo`` is 0 (1 for the zeroth power, which
-    counts ``u == 0``) and a negative ``expo`` is kept out.
+    Term k of slot i has argument ``u0 + i - k``.  For k > i it is below 0,
+    or 0 at ``u0 == 1``, which ``_power_sum`` counts for the zeroth power
+    alone, so one truncated power per slot serves every term; the terms are
+    added in the order of ``_power_sum``.  Only slot 0 can hold a zero
+    argument, where ``0**expo`` is 0 (1 for the zeroth power, which counts
+    ``u == 0``) and a negative ``expo`` is kept out.
     """
     width = out.shape[0]
     np.add(u0, np.arange(width, dtype=np.float64)[:, None], out=power)
@@ -92,34 +94,40 @@ def _unit_step_sum(u0, w, expo, out, power, term):
 def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff, scratch=None):
     """The translates of ``basis_matrix`` that can be nonzero at each point.
 
-    Translate ``r = shift0 + c`` is live at ``t`` only if ``0 <= scale * t -
-    r <= cutoff``, so the ``floor(cutoff) + 1`` translates ``r =
-    floor(scale * t) - i`` cover every nonzero entry of a row.  Returns
-    ``(values, first)``: ``values`` slot-major, shape ``(floor(cutoff) + 1,
-    len(t))``, and ``first``, the column ``floor(scale * t) - shift0`` of
-    slot 0 as one integer per point; slot i sits in column ``first - i``.
+    A translate ``r`` is live at ``t`` only where its argument ``scale * t -
+    r`` lies in ``[0, cutoff]`` (``_live``).  The ``S = ceil(cutoff)``
+    translates ``r = floor(scale * t) - i``, i = 0 .. S-1, have the
+    arguments ``u0 + i``, ``u0`` the fraction of ``scale * t``: every live
+    one but the cutoff itself, which is live only for an integer cutoff and
+    an ``expo`` that is not an integer, and only at a knot (``u0 == 0``),
+    whose zero argument is not.  So there a knot is taken as the right end
+    of the unit to its left: every ``r`` one less and ``u0 = 1``.  Returns
+    ``(values, first)``: ``values`` slot-major, shape ``(S, len(t))``, and
+    ``first``, the column ``r - shift0`` of slot 0 as one integer per
+    point; slot i sits in column ``first - i``.
     ``values[i, p]`` is bit-identical to ``basis_matrix(...)[p, first[p] -
     i]`` where that column lies in ``0 .. n_cols-1``, and 0 where it does
     not.  ``cutoff`` must be finite.  A caller that goes block by block
-    passes ``scratch``, a float64 array of shape ``(3, floor(cutoff) + 1,
-    m)`` with ``m >= len(t)``, for the call to work in instead of
-    allocating; ``values`` is then a view of ``scratch[0]``.
+    passes ``scratch``, a float64 array of shape ``(3, S, m)`` with ``m >=
+    len(t)``, for the call to work in instead of allocating; ``values`` is
+    then a view of ``scratch[0]``.
 
-    The arguments of a point are ``u[i] = scale * t - r``, its fraction
-    ``u0`` plus i.  Where that sum is exact, the point needs one truncated
-    power per slot instead of one per slot and term (``_unit_step_sum``),
-    and only the last slot can pass the cutoff.  The sum is exact in every
-    slot exactly when it is in the last one, whose argument is the largest
-    and so the most coarsely rounded; then ``u0 + i`` equals ``u[i]`` bit
-    for bit.  The other points, whose fraction has bits below the unit in
-    the last place of ``u[i]`` (small or negative ``scale * t``), are
-    summed term by term.  Either way each sum adds its terms one at a time
-    in the order of ``_power_sum``, so a value does not depend on the other
-    points of the call.
+    The arguments of a point are ``u[i] = scale * t - r``, its ``u0`` plus
+    i.  Where that sum is exact, the point needs one truncated power per
+    slot instead of one per slot and term (``_unit_step_sum``), knots
+    included; only a cutoff that is not an integer can fall inside the
+    last slot.  The sum is exact in every slot exactly when it is in the
+    last one, whose argument is the largest and so the most coarsely
+    rounded; then ``u0 + i`` equals ``u[i]`` bit for bit.  The other
+    points, whose fraction has bits below the unit in the last place of
+    ``u[i]`` (small or negative ``scale * t``), are summed term by term.
+    Either way each sum adds its terms one at a time in the order of
+    ``_power_sum``, so a value does not depend on the other points of the
+    call.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    width = int(cutoff) + 1
+    width = math.ceil(cutoff)
     top = width - 1
     n = t.shape[0]
     if scratch is None:
@@ -127,13 +135,19 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff, scratc
     values, power, term = scratch[:, :, :n]
     st = scale * t
     fl = np.floor(st)
-    first = (fl - shift0).astype(np.intp)
     u0 = st - fl
+    # u0 == 1 can come from rounding when scale * t < 0
+    rounded = u0 >= 1.0
+    if width == cutoff and not float(expo).is_integer():
+        knot = u0 == 0.0
+        fl -= knot
+        u0 += knot
+    first = (fl - shift0).astype(np.intp)
     u_top = st - (fl - top)
     _unit_step_sum(u0, w, expo, values, power, term)
-    np.copyto(values[top], 0.0, where=_past(u_top, expo, cutoff))
-    # u0 == 1 can come from rounding when scale * t < 0
-    rest = ((u_top - top != u0) | (u0 >= 1.0)).nonzero()[0]
+    if width != cutoff:
+        np.copyto(values[top], 0.0, where=_past(u_top, expo, cutoff))
+    rest = ((u_top - top != u0) | rounded).nonzero()[0]
     steps = np.arange(width)[:, None]
     if rest.size:
         u = st[rest] - (fl[rest] - steps)

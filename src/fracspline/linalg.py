@@ -139,8 +139,10 @@ def _solve_stack(
     else:
         lead, last = diag[:, 0], diag[:, -1]
         # the diagonal of a pivoted R is non-increasing in exact arithmetic;
-        # cut at the first drop below threshold to be safe
-        keep = (diag >= (rcond * lead)[:, None]) & (lead != 0.0)[:, None]
+        # cut at the first drop below threshold to be safe.  A zero block
+        # keeps nothing, whatever its (possibly infinite) rcond.
+        cut = np.multiply(rcond, lead, out=np.full(count, math.inf), where=lead != 0.0)
+        keep = diag >= cut[:, None]
         ranks = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
         # full-diagonal spread, not just the kept block: the estimate should keep
         # reporting how unstable the column family is even when rcond cut it
@@ -274,9 +276,10 @@ def modal_lstsq_solve(
         for k0 in range(0, nk, per):
             k1 = min(nk, k0 + per)
             blocks, colmax[k0:k1] = form(lam[k0:k1])
-            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(
-                blocks, rhs[k0:k1], d[k0:k1], rcond * top / colmax[k0:k1]
-            )
+            # a zero block's threshold, rcond * top / 0, is infinite
+            cuts = np.full(k1 - k0, math.inf)
+            np.divide(rcond * top, colmax[k0:k1], out=cuts, where=colmax[k0:k1] > 0.0)
+            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(blocks, rhs[k0:k1], d[k0:k1], cuts)
             norms += chunk_norms
 
         # one mode at a time, in mode order: a pairwise sum rounds differently

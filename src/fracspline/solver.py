@@ -295,11 +295,22 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
 
 
 # Points per block of ``evaluate``: the (space, time) slot-pair terms of a
-# block fill this many bytes (4766 points at 5 x 11 slots, where all of a
-# block's scratch comes to 4.3 MiB).  A block costs about a hundred small
+# block fill this many bytes (6553 points at 4 x 10 slots, where all of a
+# block's scratch comes to 4.8 MiB).  A block costs about a hundred small
 # NumPy calls besides its arithmetic; at half this budget the benchmark's
 # evaluate-field pass took a fifth longer.
 _BLOCK_BYTES = 2 << 20
+
+
+def _views(buf, m, *shapes):
+    """Consecutive C-contiguous views of ``buf``, of ``shapes`` each with
+    a last axis of length ``m``."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape) * m
+        views.append(buf[lo : lo + size].reshape(*shape, m))
+        lo += size
+    return views
 
 
 def evaluate(sol: Solution, t, x):
@@ -308,13 +319,14 @@ def evaluate(sol: Solution, t, x):
     ``t`` and ``x`` broadcast against each other by NumPy's rules, so a
     scalar ``t`` with an array ``x`` gives a profile at one time.
 
-    Local-support evaluation: each point touches only the ``S + 1`` time
-    and ``alpha + 2`` space translates that can be nonzero there, never a
+    Local-support evaluation: each point touches only the ``S`` time and
+    ``alpha + 1`` space translates that can be nonzero there, never a
     full points x translates table.  The points go block by block
     (``_BLOCK_BYTES``) through scratch sized for one block, so a call needs
-    its output plus one block's scratch whatever its size.  Per block, each
-    basis gives the values of a point's slots and the column of its slot 0
-    as one integer (``kernels.supported_translates``).  The translate
+    its output plus one block's scratch whatever its size, a broadcast grid
+    included.  Per block, each basis gives the values of a point's slots
+    and the column of its slot 0 as one integer
+    (``kernels.supported_translates``).  The translate
     coefficient matrix is padded with zeros on each side, so every slot of
     a point in the domain has a column to read, 0 off the table, without a
     clamp; the coefficients of each (space, time) slot pair are gathered
@@ -339,23 +351,17 @@ def evaluate(sol: Solution, t, x):
             f"t and x must have matching shapes (or broadcast together), "
             f"got {t_arr.shape} and {x_arr.shape}"
         ) from None
-    t_flat = np.atleast_1d(t_b).ravel()
-    x_flat = np.atleast_1d(x_b).ravel()
     spatial, temporal = sol.spatial, sol.temporal
-    # slots per point: floor(cutoff) + 1, the value cutoff being the support
-    wx, wt = spatial.spline.effective_support + 1, temporal.spline.effective_support + 1
-    n = t_flat.size
+    # slots per point: ceil(cutoff), the value cutoff being the support
+    wx, wt = spatial.spline.effective_support, temporal.spline.effective_support
+    n = t_b.size
     block = max(1, min(n, _BLOCK_BYTES // (8 * wx * wt)))
     # One allocation holds the scratch of every block: freed whole, the C
     # allocator hands it back on the next call, while separate arrays of
     # this size can go back to the system and fault in again page by page,
     # which costs more than the arithmetic on them.
-    work = np.empty((3 * wx + 3 * wt + wx * wt + wx, block))
-    x_scratch = work[: 3 * wx].reshape(3, wx, block)
-    t_scratch = work[3 * wx : 3 * (wx + wt)].reshape(3, wt, block)
-    terms = work[3 * (wx + wt) : -wx].reshape(wx, wt, block)
-    acc = work[-wx:]
-    cols = np.empty((wt, block), dtype=np.intp)
+    work = np.empty((3 * wx + 3 * wt + wx * wt + wx) * block)
+    cols = np.empty(wt * block, dtype=np.intp)
     # every slot column of a point in the domain lies in -1 .. n_cols
     n_x, n_t = spatial.combinations.shape[1] + 2, sol.coeffs.shape[1] + 2
     pair = np.zeros((n_x, n_t))
@@ -366,24 +372,30 @@ def evaluate(sol: Solution, t, x):
     rows = [flat[(wx - 1 - a) * n_t :] for a in range(wx)]
     back = np.arange(1, 1 - wt, -1)[:, None]
     vals = np.empty(n)
-    for lo in range(0, n, block):
-        xv, x_first = spatial.supported_translates(x_flat[lo : lo + block], x_scratch)
-        tv, t_first = temporal.supported_translates(t_flat[lo : lo + block], t_scratch)
-        m = xv.shape[1]
+    lo = 0
+    # a buffered iterator hands out the points in order, at most a block at a
+    # time, so a broadcast grid is never copied whole
+    blocks = np.nditer((t_b, x_b), ("external_loop", "buffered", "zerosize_ok"), order="C", buffersize=block)
+    for t_blk, x_blk in blocks:
+        # scratch of the block's own width: a take into a strided view is
+        # twice as slow, and the iterator may hand out less than a block
+        m = t_blk.size
+        x_scratch, t_scratch, prods, sums = _views(work, m, (3, wx), (3, wt), (wx, wt), (wx,))
+        xv, x_first = spatial.supported_translates(x_blk, x_scratch)
+        tv, t_first = temporal.supported_translates(t_blk, t_scratch)
         # padded column of time slot b in the padded row of the last space slot
-        idx = cols[:, :m]
+        idx = cols[: wt * m].reshape(wt, m)
         np.add((x_first - (wx - 2)) * n_t + t_first, back, out=idx)
-        prods = terms[:, :, :m]
         for a in range(wx):
             # in range by construction; "clip" spares the copy "raise" makes
             rows[a].take(idx, out=prods[a], mode="clip")
         prods *= tv
-        sums = acc[:, :m]
         np.copyto(sums, prods[:, 0])
         for b in range(1, wt):
             sums += prods[:, b]
         sums *= xv
         out = vals[lo : lo + m]
+        lo += m
         out.fill(0.0)
         for a in range(wx):
             out += sums[a]

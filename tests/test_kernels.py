@@ -77,6 +77,17 @@ def _scatter(values, first, n_cols):
     return out
 
 
+def _slot_first(t, scale, shift0, expo, cutoff):
+    """The column of slot 0: ``floor(scale t) - shift0``, one less at a knot
+    when the cutoff is an integer and ``expo`` is not, so that the cutoff's
+    own argument falls in the last slot."""
+    st = scale * t
+    first = np.floor(st) - shift0
+    if float(cutoff).is_integer() and not float(expo).is_integer():
+        first -= st == np.floor(st)
+    return first
+
+
 @pytest.mark.parametrize("points", ["grid", "random"])
 @pytest.mark.parametrize(
     "degree,scale,shift0,n_cols,cutoff",
@@ -86,19 +97,23 @@ def _scatter(values, first, n_cols):
         (2.5, 16.0, -13.0, 29, None),
         (0.0, 16.0, 0.0, 16, 1.0),
         (3.5, 16.0, -9.0, 25, 7.5),  # non-integer cutoff
+        (-0.3, 16.0, -3.0, 21, None),  # negative degree
     ],
 )
 def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, cutoff, points):
     sp = FractionalBSpline(degree)
     cutoff = float(sp.effective_support) if cutoff is None else cutoff
-    t = np.concatenate([_points(points), [0.0, 1.0]])
+    # every knot of the table, where a cutoff's own argument can be live
+    knots = np.arange(shift0, shift0 + n_cols + 1) / scale
+    t = np.concatenate([_points(points), [0.0, 1.0], knots])
     args = (scale, shift0, n_cols, sp.value_weights, degree, cutoff)
     values, first = kernels.supported_translates(t, *args)
     dense = column_loop_basis_matrix(t, *args)
-    width = math.floor(cutoff) + 1
+    width = math.ceil(cutoff)
     assert values.shape == (width, t.size) and first.shape == (t.size,)
-    # slot i holds translate floor(scale t) - i, in column first - i ...
-    assert np.array_equal(first, np.floor(scale * t) - shift0)
+    # slot i holds translate floor(scale t) - i (one less at a knot), in
+    # column first - i ...
+    assert np.array_equal(first, _slot_first(t, scale, shift0, degree, cutoff))
     cols = first - np.arange(width)[:, None]
     valid = (cols >= 0) & (cols < n_cols)
     assert not values[~valid].any()
@@ -112,11 +127,14 @@ def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, c
 def test_supported_translates_random_weights_and_shifts():
     rng = np.random.default_rng(13)
     # -1e-20: the fraction of scale * t rounds up to 1, so the zeroth power
-    # counts one term more than the slot index
+    # counts one term more than the slot index; the multiples of 1/64 are
+    # knots at every scale
     t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200), [-1e-20]])
     rows = np.arange(t.size)
-    for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0)):
-        width = math.floor(cutoff) + 1
+    # (3.5, 10.0) and the last three: integer cutoffs of exponents that are
+    # not integers, where a knot moves to the unit on its left
+    for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.5, 4.0), (-0.3, 4.0), (0.7, 1.0)):
+        width = math.ceil(cutoff)
         # weight vectors shorter and longer than the window of a point
         for n_weights in (max(width - 2, 1), width + 4):
             w = rng.standard_normal(n_weights)
@@ -126,7 +144,9 @@ def test_supported_translates_random_weights_and_shifts():
                 args = (scale, shift0, n_cols, w, expo, cutoff)
                 values, first = kernels.supported_translates(t, *args)
                 dense = column_loop_basis_matrix(t, *args)
-                r = np.floor(scale * t) - np.arange(width)[:, None]
+                assert values.shape == (width, t.size)
+                assert np.array_equal(first, _slot_first(t, scale, shift0, expo, cutoff))
+                r = first + shift0 - np.arange(width)[:, None]
                 valid = (r >= shift0) & (r < shift0 + n_cols)
                 assert not values[~valid].any()
                 cols = (first - np.arange(width)[:, None])[valid]

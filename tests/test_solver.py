@@ -560,6 +560,29 @@ class TestEvaluate:
         edges = tt.size + tiny.size
         assert np.array_equal([evaluate(sol, ti, xi) for ti, xi in zip(t[:edges], x[:edges])], want[:edges])
 
+    @pytest.mark.parametrize("beta", [2.5, 3.5])
+    def test_dyadic_grid_takes_no_term_by_term_sum(self, beta, monkeypatch):
+        # at a time knot the cutoff's own argument is live; the knot is taken
+        # as the right end of the unit to its left, one power per slot
+        horizon = 2
+        sol, _ = self._random_solution(beta, horizon)
+        q = max(sol.config.s, sol.config.j) + 1  # every knot, both ends and the midpoints
+        t_grid = np.arange(2**q * horizon + 1) / 2**q
+        x_grid = np.arange(2**q + 1) / 2**q
+        tt, xx = np.meshgrid(t_grid, x_grid, indexing="ij")
+        t, x = tt.ravel(), xx.ravel()
+        want = _slot_order_values(sol, t, x)
+        calls = []
+        power_sum = kernels._power_sum
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return power_sum(*args)
+
+        monkeypatch.setattr(kernels, "_power_sum", counted)
+        assert np.array_equal(evaluate(sol, t, x), want)
+        assert calls == []
+
     def test_scratch_is_one_block(self):
         # a 200k-point call needs its output plus the scratch of one block
         sol, rng = self._random_solution(3.5)
@@ -570,6 +593,20 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= values.nbytes + 8 * 2**20
+
+    def test_broadcast_grid_scratch_is_one_block(self):
+        # a grid of broadcast inputs is read a block at a time, not copied
+        # whole (two copies would be twice the output)
+        sol, _ = self._random_solution(3.5)
+        g = np.arange(769) / 768
+        tracemalloc.start()
+        try:
+            values = evaluate(sol, g[:, None], g[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (g.size, g.size)
         assert peak <= values.nbytes + 8 * 2**20
 
     @pytest.mark.parametrize("beta", [2.5, 3.0, 3.5])
