@@ -1,8 +1,9 @@
 """Spatial Galerkin operators: the Gram matrices and the load.
 
 The mass and stiffness matrices and the load vectors are integrated by
-composite Gauss-Legendre quadrature on the dyadic cells; with 8 points per
-cell the spline-times-spline integrands are handled exactly (up to roundoff).
+composite Gauss-Legendre quadrature on the dyadic cells, 8 points per cell
+or ``degree + 1`` where 8 fall short, so the spline-times-spline integrands
+are handled exactly (up to roundoff).
 The temporal collocation tables are plain basis tables
 (``TemporalBasis.eval_many``), which the solver takes directly.
 """
@@ -39,8 +40,8 @@ def gauss_rule(points: int, level: int, span: int = 1) -> tuple[np.ndarray, np.n
     return x, w
 
 
-def spatial_operators(basis: SpatialBasis, points: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The level's Galerkin operators on one ``points``-per-cell rule.
+def spatial_operators(basis: SpatialBasis) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The level's Galerkin operators on one Gauss rule.
 
     Returns ``mass``, the Gram matrix of member values (symmetric positive
     definite); ``stiffness``, that of first derivatives (the weak Laplacian
@@ -48,7 +49,9 @@ def spatial_operators(basis: SpatialBasis, points: int) -> tuple[np.ndarray, np.
     nodes and the weighted member values ``v * w[:, None]``, which the mass
     shares.
     """
-    x, w = gauss_rule(points, basis.level)
+    # p points per cell are exact to degree 2p - 1, the Gram products have
+    # degree 2 * degree: 8 points serve every degree up to 7
+    x, w = gauss_rule(max(8, basis.degree + 1), basis.level)
     d = basis.eval_many(x, deriv=1)
     stiffness = (d * w[:, None]).T @ d
     del d  # so that at most two (nodes, members) tables are alive at once

@@ -30,9 +30,10 @@ from .problems import ProblemSpec, example1, example2
 from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
 
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
-# CLI-level sanity bounds; the library accepts any level or rule that fits in memory.
+# CLI-level sanity bounds; the library accepts any level or degree that fits in memory.
 LEVEL_RANGE = (2, 8)
-QUAD_POINTS_MAX = 32
+# a degree-31 space has a 32-point Galerkin rule per cell
+ALPHA_MAX = 31
 # range of --threads, a flag that selects nothing: sweep cells run one at a time
 THREADS_MAX = 64
 
@@ -110,12 +111,12 @@ class _Cell:
 
 
 def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
+    if not 1 <= args.alpha <= ALPHA_MAX:
+        raise ConfigError(f"--alpha: degree {args.alpha} outside 1..{ALPHA_MAX}")
     # q = LEVEL_RANGE[1] + 1 is the default collocation level of the finest cell
     q_max = LEVEL_RANGE[1] + 1
     if args.q is not None and not s <= args.q <= q_max:
         raise ConfigError(f"-q: collocation level {args.q} outside {s}..{q_max}")
-    if args.quad_points > QUAD_POINTS_MAX:
-        raise ConfigError(f"--quad-points: {args.quad_points} exceeds {QUAD_POINTS_MAX}")
     problem = _make_problem(args.example, gamma)
     try:
         config = SolveConfig(
@@ -126,7 +127,6 @@ def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
             beta=beta,
             q=args.q,
             tail_tol=args.tail_tol,
-            quad_points=args.quad_points,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -207,7 +207,6 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("-s", default=None, help="temporal level(s)" if sweep else "temporal level")
     p.add_argument("-q", type=int, default=None, help="collocation level (default s+1)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
-    p.add_argument("--quad-points", type=int, default=8)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if sweep:
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; cells run one at a time")

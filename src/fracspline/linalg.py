@@ -24,8 +24,9 @@ that holds a 1 MiB chunk of blocks and their squares: one broadcast forms
 the chunk and one reduction its column norms, ``dgeqp3`` factors each block
 in place, the chunk's ranks are read off its R diagonals at once, and past
 that each mode that keeps columns makes only its ``dormqr`` and ``dtrtrs``
-calls.  ``lstsq_solve`` runs the same per-chunk routine on a stack of one
-block, so the rank rule has one home.  Both steps run at one BLAS thread
+calls.  It is the one least-squares entry point, so the rank rule has one
+home; a single block ``a`` is its one-mode case (``lam = 0``, ``v = 1``,
+``g = 0``).  Both steps run at one BLAS thread
 (``_blas``): the blocks are small enough that a second thread only adds
 overhead, and the rounding of the factorisation then depends on neither the
 caller's thread count nor the machine's core count.  The cap is
@@ -47,7 +48,6 @@ __all__ = [
     "RCOND",
     "LeastSquaresReport",
     "SpatialModes",
-    "lstsq_solve",
     "modal_lstsq_solve",
     "spatial_modes",
 ]
@@ -70,41 +70,6 @@ class LeastSquaresReport:
     condition_estimate: float
     rank: int
     rank_deficient: bool
-
-
-def lstsq_solve(
-    a: np.ndarray, b: np.ndarray, rcond: float | None = None
-) -> tuple[np.ndarray, LeastSquaresReport]:
-    """Minimum-residual solve of an overdetermined dense system.
-
-    Rank decisions use the pivoted R diagonal: columns whose diagonal falls
-    below ``rcond`` times the leading one are dropped and their coefficients
-    set to zero (basic solution).  The returned report carries the residual
-    norm, the R-diagonal condition estimate and the rank-deficiency flag.
-
-    ``a`` is overwritten when it is Fortran-contiguous and writeable (the
-    intended use: hand it a scratch block and let QR work in place).  It is
-    solved as a stack of one block by the routine the mode loop runs on
-    every chunk.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    # the one copy of the right-hand side; it is solved in place
-    c = np.array(b, dtype=np.float64).reshape(1, -1)
-    m, n = a.shape
-    if m == 0:  # dgeqp3 would print an illegal-value message to stderr
-        raise ValueError("matrix has no rows")
-    if c.shape[1] != m:
-        raise ValueError(f"rhs length {c.shape[1]} does not match {m} rows")
-    if rcond is None:
-        rcond = max(m, n) * np.finfo(np.float64).eps
-    x = np.zeros((1, n))
-    # a Fortran-order ``a`` is the transpose of a C-order stack of one, a view;
-    # LAPACK's wrappers would write into it even when it is read-only
-    at = a.T if a.flags.writeable else a.T.copy()
-    ranks, spread, norms = _solve_stack(np.ascontiguousarray(at)[None], c, x, np.array([rcond]))
-    rank = int(ranks[0])
-    # an empty fit counts as rank-deficient
-    return x[0], LeastSquaresReport(norms[0], float(spread[0]), rank, rank < n or rank == 0)
 
 
 def _solve_stack(
@@ -134,19 +99,16 @@ def _solve_stack(
         factors.append((jpvt, tau))
 
     diag = np.abs(np.diagonal(stack, axis1=1, axis2=2))
-    if diag.shape[1] == 0:  # no columns: the empty fit
-        ranks, spread = np.zeros(count, dtype=np.intp), np.full(count, math.inf)
-    else:
-        lead, last = diag[:, 0], diag[:, -1]
-        # the diagonal of a pivoted R is non-increasing in exact arithmetic;
-        # cut at the first drop below threshold to be safe.  A zero block
-        # keeps nothing, whatever its (possibly infinite) rcond.
-        cut = np.multiply(rcond, lead, out=np.full(count, math.inf), where=lead != 0.0)
-        keep = diag >= cut[:, None]
-        ranks = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
-        # full-diagonal spread, not just the kept block: the estimate should keep
-        # reporting how unstable the column family is even when rcond cut it
-        spread = np.divide(lead, last, out=np.full(count, math.inf), where=last > 0.0)
+    lead, last = diag[:, 0], diag[:, -1]
+    # the diagonal of a pivoted R is non-increasing in exact arithmetic;
+    # cut at the first drop below threshold to be safe.  A zero block
+    # keeps nothing, whatever its (possibly infinite) rcond.
+    cut = np.multiply(rcond, lead, out=np.full(count, math.inf), where=lead != 0.0)
+    keep = diag >= cut[:, None]
+    ranks = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+    # full-diagonal spread, not just the kept block: the estimate should keep
+    # reporting how unstable the column family is even when rcond cut it
+    spread = np.divide(lead, last, out=np.full(count, math.inf), where=last > 0.0)
 
     norms = []
     for block, c, xk, (jpvt, tau), rank in zip(stack, rhs, x, factors, ranks.tolist()):
@@ -237,9 +199,10 @@ def modal_lstsq_solve(
     Fortran-order matrix that ``dgeqp3`` factors in place; then the chunk's
     R diagonals are read, and its thresholds and ranks set, at once, and
     ``dormqr`` and ``dtrtrs`` solve each mode that keeps columns straight
-    into its rows of the rotated load and of ``D`` (``_solve_stack``, the
-    routine ``lstsq_solve`` runs on a stack of one).  The residual and the
-    pivot spread are summed once, in mode order.
+    into its rows of the rotated load and of ``D`` (``_solve_stack``).  The
+    residual and the pivot spread are summed once, in mode order.  A system
+    with no rows or no columns is a ``ValueError``, raised before any
+    allocation or LAPACK call.
     """
     lam, v = modes.lam, modes.v
     # C-contiguous (n_t, n_pts) views, made contiguous once rather than per chunk
@@ -248,6 +211,8 @@ def modal_lstsq_solve(
     load = np.asarray(load, dtype=np.float64)
     nk = lam.shape[0]
     nc, npts = at.shape
+    if nc == 0 or npts == 0:  # a chunk would hold no block, and dgeqp3 takes no empty matrix
+        raise ValueError(f"a has shape {(npts, nc)}: nothing to fit")
     if v.shape != (nk, nk) or gt.shape != at.shape:
         raise ValueError("factor shape mismatch")
     if load.shape != (nk, npts):

@@ -17,8 +17,8 @@ interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
 
 What depends on levels alone is built once per process and shared
 read-only through one store (``_SHARED``), bounded by the bytes of the
-arrays it holds: per ``(j, alpha, quad_points)`` the basis, the Gram
-matrices, their eigenpairs and the load's value table (``_spatial_level``);
+arrays it holds: per ``(j, alpha)`` the basis, the eigenpairs of the Gram
+matrices and the load's value table (``_spatial_level``);
 per ``(s, beta, horizon, tail_tol, q)`` the time basis with its spline, the
 nodes, the elimination and ``G`` after it (``_temporal_level``); and the
 value tables of both error norms.  A solve builds only ``A`` (gamma varies)
@@ -72,7 +72,6 @@ class SolveConfig:
     q: Optional[int] = None
     horizon: int = 1
     tail_tol: float = DEFAULT_TAIL_TOL
-    quad_points: int = 8
 
     def __post_init__(self):
         # ``type(v) is int``, as bool is an int subclass but no level or degree
@@ -97,13 +96,6 @@ class SolveConfig:
         if self.q is not None and not (type(self.q) is int and self.q >= self.s):
             raise ValueError(
                 f"collocation level q={self.q!r} must be an integer >= s={self.s!r}"
-            )
-        if type(self.quad_points) is not int:
-            raise ValueError(f"quad_points must be an integer, got {self.quad_points!r}")
-        if self.quad_points < self.alpha + 1:
-            raise ValueError(
-                f"{self.quad_points} quadrature points cannot integrate degree-"
-                f"{self.alpha} splines exactly; need at least {self.alpha + 1}"
             )
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
@@ -147,8 +139,6 @@ class _SpatialLevel:
     """Everything a solve needs that depends on the spatial level alone."""
 
     basis: SpatialBasis
-    mass: np.ndarray
-    stiffness: np.ndarray
     load_table: tuple[np.ndarray, np.ndarray]
     modes: SpatialModes
 
@@ -192,24 +182,26 @@ def _read_only(*arrays: Optional[np.ndarray]) -> int:
     return nbytes
 
 
-# Two (8, 8) cells' worth of level-only entries (one cell's come to 15.8 MiB).
+# Two (8, 8) cells' worth of level-only entries (one cell's come to 14.8 MiB).
 # Beyond it a large ``table`` sweep evicts its error tables, most of which
 # serve one cell.
 _SHARED_BYTES = 32 << 20
 _SHARED = _Shared(_SHARED_BYTES)
 
 
-def _build_spatial_level(j: int, alpha: int, quad_points: int) -> tuple[_SpatialLevel, int]:
+def _build_spatial_level(j: int, alpha: int) -> tuple[_SpatialLevel, int]:
+    """The basis, its load table and the eigenpairs of its Gram matrices,
+    which are let go once the eigenpairs are taken."""
     basis = build_spatial(j, alpha)
-    mass, stiffness, table = spatial_operators(basis, quad_points)
-    level = _SpatialLevel(basis, mass, stiffness, table, spatial_modes(mass, stiffness))
-    nbytes = _read_only(basis.combinations, basis.spline.value_weights, mass, stiffness, *table, level.modes.lam, level.modes.v)
+    mass, stiffness, table = spatial_operators(basis)
+    level = _SpatialLevel(basis, table, spatial_modes(mass, stiffness))
+    nbytes = _read_only(basis.combinations, basis.spline.value_weights, *table, level.modes.lam, level.modes.v)
     return level, nbytes
 
 
 def _spatial_level(config: SolveConfig) -> _SpatialLevel:
     """The shared, read-only spatial level of a validated ``config``."""
-    key = (config.j, config.alpha, config.quad_points)
+    key = (config.j, config.alpha)
     return _SHARED.get(("spatial", *key), _build_spatial_level, *key)
 
 

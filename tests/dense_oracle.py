@@ -1,17 +1,24 @@
 """Dense Kronecker least squares: the reference the modal solve is checked against.
 
-``dense_lstsq_solve`` has the signature of ``linalg.modal_lstsq_solve`` but
-materialises ``kron(mass, a) + kron(stiffness, g)`` and runs one pivoted QR
-on it, minimising the Euclidean residual.  Its rank cut defaults to the
-library's, ``linalg.RCOND`` times the leading pivot.  Its memory grows as
+``dense_lstsq_solve`` takes the Gram matrices in place of their eigenpairs
+but otherwise the arguments of ``linalg.modal_lstsq_solve``; it materialises
+``kron(mass, a) + kron(stiffness, g)`` and runs one pivoted QR on it,
+minimising the Euclidean residual.  Its rank cut defaults to the library's,
+``linalg.RCOND`` times the leading pivot.  Its memory grows as
 n_x**2 * n_pts * n_t, so use it on small cells only.
+
+``one_block_lstsq`` is how a single dense block reaches the library's one
+least-squares routine: as the one mode, with ``lam = 0`` and ``v = 1``, of a
+system whose ``g`` is zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fracspline.linalg import RCOND, lstsq_solve
+from fracspline.linalg import RCOND, SpatialModes, modal_lstsq_solve
+
+ONE_MODE = SpatialModes(lam=np.zeros(1), v=np.eye(1), mass_cond=1.0)
 
 
 def materialize_kron_sum(
@@ -34,8 +41,16 @@ def materialize_kron_sum(
     return out
 
 
+def one_block_lstsq(a, b, rcond):
+    """Least-squares solve of ``a x = b``, columns cut below ``rcond`` times
+    the leading pivot; returns ``x`` and the report."""
+    a = np.asarray(a, dtype=np.float64)
+    x, report = modal_lstsq_solve(ONE_MODE, a, np.zeros_like(a), np.asarray(b, dtype=np.float64)[None], rcond=rcond)
+    return x[0], report
+
+
 def dense_lstsq_solve(mass, stiffness, a, g, load, rcond=RCOND):
     """One Euclidean least-squares solve of ``mass C a^T + stiffness C g^T = load``."""
     big = materialize_kron_sum(mass, a, stiffness, g)
-    x, report = lstsq_solve(big, np.ravel(load), rcond=rcond)
+    x, report = one_block_lstsq(big, np.ravel(load), rcond)
     return x.reshape(mass.shape[0], a.shape[1]), report

@@ -18,16 +18,12 @@ from fracspline import _blas
 from fracspline.linalg import RCOND, LeastSquaresReport
 
 
-def oracle_lstsq_solve(a, b, rcond=None):
+def oracle_lstsq_solve(a, b, rcond):
     """One block: ``dgeqp3``, a cut at the first pivot below ``rcond`` times
     the leading one, then ``dormqr`` and ``dtrtrs`` on the kept columns."""
     a = np.array(a, dtype=np.float64, order="F")
     c = np.array(b, dtype=np.float64).reshape(-1, 1)
-    m, n = a.shape
-    if m == 0:
-        raise ValueError("matrix has no rows")
-    if rcond is None:
-        rcond = max(m, n) * np.finfo(np.float64).eps
+    n = a.shape[1]
     lwork = max(3 * (n + 1), 2 * n + (n + 1) * 128)
     qr, jpvt, tau, _, info = lapack.dgeqp3(a, lwork=lwork, overwrite_a=1)
     assert info == 0

@@ -8,6 +8,7 @@ from scipy import integrate
 from fracspline import solver
 from fracspline.assembly import assemble_load_matrix, gauss_rule, spatial_operators
 from fracspline.basis import SpatialBasis, build_spatial
+from fracspline.linalg import spatial_modes
 from fracspline.problems import ProblemSpec, example1, example2
 
 # Gram values of the cardinal cubic family: the autocorrelation of B_3 is
@@ -40,10 +41,18 @@ def test_quadrature_validation():
         gauss_rule(0, 2)
 
 
+@pytest.mark.parametrize("alpha, points", [(1, 8), (3, 8), (7, 8), (8, 9), (12, 13)])
+def test_galerkin_rule_follows_the_degree(alpha, points):
+    # p Gauss points are exact to degree 2p - 1, the Gram products have
+    # degree 2 alpha: 8 points up to alpha = 7, alpha + 1 beyond
+    x, _ = spatial_operators(build_spatial(5, alpha))[2]
+    np.testing.assert_array_equal(x, gauss_rule(points, 5)[0])
+
+
 @pytest.mark.parametrize("j", [3, 4])
 def test_mass_interior_band(j):
     basis = build_spatial(j, 3)
-    m, _, _ = spatial_operators(basis, 8)
+    m, _, _ = spatial_operators(basis)
     mid = basis.size // 2  # a pure translate, well clear of both ends
     for offset, exact in enumerate(MASS_BAND):
         want = float(exact) * 2.0**-j
@@ -55,7 +64,7 @@ def test_mass_interior_band(j):
 def test_stiffness_interior_band():
     j = 4
     basis = build_spatial(j, 3)
-    _, l, _ = spatial_operators(basis, 8)
+    _, l, _ = spatial_operators(basis)
     mid = basis.size // 2
     for offset, exact in enumerate(STIFF_BAND):
         want = float(exact) * 2.0**j
@@ -65,7 +74,7 @@ def test_stiffness_interior_band():
 @pytest.mark.parametrize("operator,deriv", [("mass", 0), ("stiffness", 1)])
 def test_gram_entries_against_adaptive_quadrature(operator, deriv):
     basis = build_spatial(3, 3)
-    mass, stiffness, _ = spatial_operators(basis, 8)
+    mass, stiffness, _ = spatial_operators(basis)
     mat = {"mass": mass, "stiffness": stiffness}[operator]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     # include boundary-combination rows: entries (0, 0), (0, 2), (5, 5)
@@ -84,28 +93,28 @@ def test_gram_entries_against_adaptive_quadrature(operator, deriv):
 
 def test_mass_spd_and_symmetric():
     basis = build_spatial(4, 3)
-    m, _, _ = spatial_operators(basis, 8)
+    m, _, _ = spatial_operators(basis)
     assert np.max(np.abs(m - m.T)) < 1e-14
     assert np.linalg.eigvalsh(m).min() > 0.0
 
 
 def test_stiffness_spd_on_dirichlet_space():
     basis = build_spatial(4, 3)
-    _, l, _ = spatial_operators(basis, 8)
+    _, l, _ = spatial_operators(basis)
     assert np.max(np.abs(l - l.T)) < 1e-12
     assert np.linalg.eigvalsh(l).min() > 0.0
 
 
 def test_gram_centro_symmetry():
     basis = build_spatial(4, 3)
-    for mat in spatial_operators(basis, 8)[:2]:
+    for mat in spatial_operators(basis)[:2]:
         np.testing.assert_allclose(mat, mat[::-1, ::-1], atol=1e-13)
 
 
 def test_load_against_adaptive_quadrature():
     basis = build_spatial(3, 3)
     forcing = lambda t, x: (1.0 + t) * np.sin(2.0 * np.pi * x)
-    vec = assemble_load_matrix(spatial_operators(basis, 8)[2], forcing, np.array([0.3]))[:, 0]
+    vec = assemble_load_matrix(spatial_operators(basis)[2], forcing, np.array([0.3]))[:, 0]
     knots = np.linspace(0.0, 1.0, 2**3 + 1)[1:-1]
     for k in (0, 1, 4, 8):
         ref, err = integrate.quad(
@@ -121,7 +130,7 @@ def test_load_against_adaptive_quadrature():
 
 @pytest.mark.parametrize("j", [3, 5])
 def test_a_cold_level_evaluates_the_basis_once_per_order(monkeypatch, j):
-    # the mass, the stiffness and the load table come from one rule: one
+    # the Gram matrices and the load table come from one rule: one
     # value table, which the mass and the load share, and one derivative table
     orders = []
     eval_many = SpatialBasis.eval_many
@@ -131,7 +140,7 @@ def test_a_cold_level_evaluates_the_basis_once_per_order(monkeypatch, j):
         return eval_many(basis, x, deriv)
 
     monkeypatch.setattr(SpatialBasis, "eval_many", counting)
-    solver._build_spatial_level(j, 3, 8)
+    solver._build_spatial_level(j, 3)
     assert sorted(orders) == [0, 1]
 
 
@@ -143,7 +152,7 @@ def _per_time_columns(vw, x, forcing, times):
 @pytest.mark.parametrize("example", [example1, example2])
 def test_example_forcings_take_the_vectorised_path(example):
     # one forcing call on the (time, node) grid gives the per-time columns
-    table = spatial_operators(build_spatial(3, 3), 8)[2]
+    table = spatial_operators(build_spatial(3, 3))[2]
     forcing = example(0.5).forcing
     times = np.array([0.0, 0.3, 0.625, 1.0])
     with warnings.catch_warnings():
@@ -154,15 +163,15 @@ def test_example_forcings_take_the_vectorised_path(example):
 
 
 def test_load_rejects_a_forcing_that_does_not_broadcast():
-    table = spatial_operators(build_spatial(3, 3), 8)[2]
+    table = spatial_operators(build_spatial(3, 3))[2]
     with pytest.raises(ValueError, match=r"shape \(3,\).*grid \(2, 64\)"):
         assemble_load_matrix(table, lambda t, x: np.ones(3), np.array([0.25, 0.5]))
 
 
 # The temporal collocation tables and the load are built inside ``solve``;
 # these tests read them where ``solve`` hands them to the modal solve, and
-# check the load against one built column by column.  The Gram matrices and
-# the load table come from the spatial level whose modes ``solve`` passed.
+# check the load against one built column by column.  The load table and the
+# eigenpairs come from the spatial level whose modes ``solve`` passed.
 def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     seen = {}
     real = solver.modal_lstsq_solve
@@ -179,7 +188,7 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
         sol, _ = solver.solve(problem, config)
     level = solver._spatial_level(config)
     assert seen["modes"] is level.modes and sol.spatial is level.basis
-    seen.update(mass=level.mass, stiffness=level.stiffness, table=level.load_table)
+    seen.update(table=level.load_table)
     x, w = gauss_rule(8, 3)
     nodes = np.arange(1, 2**q * horizon + 1) / 2**q
     ref = _per_time_columns(sol.spatial.eval_many(x) * w[:, None], x, forcing, nodes)
@@ -198,12 +207,15 @@ def test_collocation_interior_nodes(monkeypatch):
     z = solver._ic_nullspace(sol.temporal)
     np.testing.assert_array_equal(seen["a"], sol.temporal.eval_many(nodes, 0.5) @ z)
     np.testing.assert_array_equal(seen["g"], sol.temporal.eval_many(nodes) @ z)
-    mass, stiffness, table = spatial_operators(sol.spatial, 8)
+    mass, stiffness, table = spatial_operators(sol.spatial)
     np.testing.assert_array_equal(seen["table"][0], table[0])
     np.testing.assert_array_equal(seen["table"][1], table[1])
     np.testing.assert_array_equal(seen["load"], assemble_load_matrix(table, _forcing, nodes))
-    np.testing.assert_array_equal(seen["mass"], mass)
-    np.testing.assert_array_equal(seen["stiffness"], stiffness)
+    # the level keeps the eigenpairs of the Gram matrices, not the matrices
+    modes = spatial_modes(mass, stiffness)
+    np.testing.assert_array_equal(seen["modes"].lam, modes.lam)
+    np.testing.assert_array_equal(seen["modes"].v, modes.v)
+    assert seen["modes"].mass_cond == modes.mass_cond
 
 
 def test_collocation_horizon_scales_node_count(monkeypatch):
@@ -211,7 +223,7 @@ def test_collocation_horizon_scales_node_count(monkeypatch):
     nodes = np.arange(1, 17) / 8.0
     assert seen["a"].shape[0] == seen["g"].shape[0] == seen["load"].shape[1] == 16
     np.testing.assert_array_equal(
-        seen["load"], assemble_load_matrix(spatial_operators(sol.spatial, 8)[2], _forcing, nodes)
+        seen["load"], assemble_load_matrix(spatial_operators(sol.spatial)[2], _forcing, nodes)
     )
 
 
@@ -219,7 +231,7 @@ def test_assemble_system_shapes_and_ic_column(monkeypatch):
     for horizon in (1, 2):
         sol, seen = _operators_through_solve(monkeypatch, _forcing, horizon, s=3, q=4)
         n_x, n_t, rows = sol.spatial.size, sol.temporal.size, 16 * horizon
-        assert seen["mass"].shape == seen["stiffness"].shape == seen["modes"].v.shape == (n_x, n_x)
+        assert seen["modes"].lam.shape == (n_x,) and seen["modes"].v.shape == (n_x, n_x)
         assert seen["a"].shape == seen["g"].shape == (rows, n_t - 1)
         # no t = 0 constraint column: the first column is the load at t = 1/16
         assert seen["load"].shape == (n_x, rows)

@@ -257,13 +257,37 @@ class TestTableCommand:
     @pytest.mark.parametrize("points", ["33", "100000"])
     @pytest.mark.parametrize("command", ["solve", "table"])
     def test_quad_points_bound_builds_no_rule(self, command, points, monkeypatch, capsys):
-        # NumPy's 100000-point Gauss rule alone would take about 80 GB
+        # the Galerkin rule follows from --alpha; the removed flag ends in
+        # argparse's exit 2 before any rule is built
         def refuse(n):
             raise AssertionError(f"built a {n}-point Gauss rule")
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-        assert main([command, *FAST, "--quad-points", points]) == 2
-        assert "--quad-points" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, *FAST, "--quad-points", points])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["-1", "0", "32", "100"])
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_alpha_bound_builds_nothing(self, command, alpha, monkeypatch, capsys):
+        # --alpha 100 -j 8 would build a degree-100 space on a 101-point rule;
+        # the bound comes before the cell's first build, its problem
+        def refuse(*args):
+            raise AssertionError("built the cell's problem")
+
+        monkeypatch.setattr(cli, "_make_problem", refuse)
+        argv = [command, "--example", "1", "--gamma", "0.5", "-j", "8", "-s", "3", "--alpha", alpha]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: --alpha: degree {alpha} outside 1..31\n"
+        assert captured.out == ""
+
+    def test_alpha_bound_admits_every_degree_up_to_31(self):
+        parser = cli._build_parser()
+        for alpha in (1, 8, 31):
+            args = parser.parse_args(["solve", "--example", "1", "--gamma", "0.5", "-j", "8", "-s", "3", "--alpha", str(alpha)])
+            assert cli._build_cell(args, 0.5, 3.5, 8, 3).config.alpha == alpha
 
     @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])
     def test_threads_bound_starts_no_thread(self, command, levels, tmp_path, capsys):
@@ -376,9 +400,9 @@ class TestCurvesCommand:
             error_tables.append((type(basis).__name__, basis.degree, basis.level, level))
             return error_table(basis, level, *span)
 
-        def counting_operators(basis, points):
+        def counting_operators(basis):
             tables.append(basis.level)
-            return spatial_operators(basis, points)
+            return spatial_operators(basis)
 
         def counting_scan(spline, degree):
             scans.append(degree)

@@ -8,16 +8,23 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from dense_oracle import materialize_kron_sum
-from modal_oracle import oracle_lstsq_solve, oracle_modal_lstsq_solve
+from dense_oracle import ONE_MODE, materialize_kron_sum, one_block_lstsq
+from modal_oracle import oracle_modal_lstsq_solve
 from fracspline import _blas, linalg, solver
 from fracspline.linalg import (
     LeastSquaresReport,
-    lstsq_solve,
     modal_lstsq_solve,
     spatial_modes,
 )
 from fracspline.problems import example1
+
+EPS = np.finfo(np.float64).eps
+
+
+def _lstsq(a, b, rcond=None):
+    """One dense block as a one-mode solve; the cut defaults to
+    ``max(m, n) * eps`` times the leading pivot."""
+    return one_block_lstsq(a, b, max(np.shape(a)) * EPS if rcond is None else rcond)
 
 
 def _normal_solve_longdouble(a, b):
@@ -55,11 +62,13 @@ def _graded_matrix(rng, m, n, decades):
 
 
 class TestLstsqSolve:
+    """A single block through the one least-squares routine (``_lstsq``)."""
+
     def test_matches_numpy_lstsq(self):
         rng = np.random.default_rng(101)
         a = rng.standard_normal((60, 30))
         b = rng.standard_normal(60)
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         x_np = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.allclose(x, x_np, rtol=1e-10, atol=1e-12)
         assert rep.rank == 30
@@ -70,7 +79,7 @@ class TestLstsqSolve:
         rng = np.random.default_rng(103)
         a = rng.standard_normal((25, 25))
         b = rng.standard_normal(25)
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-9)
         assert rep.residual_norm < 1e-10 * np.linalg.norm(b)
 
@@ -79,7 +88,7 @@ class TestLstsqSolve:
         a = rng.standard_normal((45, 12))
         x_star = rng.standard_normal(12)
         b = a @ x_star
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         assert np.allclose(x, x_star, rtol=1e-10)
         assert rep.residual_norm < 1e-9 * np.linalg.norm(b)
 
@@ -87,7 +96,7 @@ class TestLstsqSolve:
         rng = np.random.default_rng(109)
         a = rng.standard_normal((50, 20))
         b = rng.standard_normal(50)
-        x, _ = lstsq_solve(a, b)
+        x, _ = _lstsq(a, b)
         x_ref = _normal_solve_longdouble(a, b)
         assert np.abs(x - x_ref.astype(np.float64)).max() < 1e-8
 
@@ -96,7 +105,7 @@ class TestLstsqSolve:
         a = rng.standard_normal((30, 10))
         a[:, 6] = a[:, 2]  # exact dependency
         b = rng.standard_normal(30)
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         assert rep.rank == 9
         assert rep.rank_deficient
         # one of the twins is dropped, its coefficient exactly zero
@@ -109,7 +118,7 @@ class TestLstsqSolve:
         rng = np.random.default_rng(127)
         a = rng.standard_normal((8, 14))
         b = a @ rng.standard_normal(14)
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         assert rep.rank == 8
         assert rep.residual_norm == 0.0
         assert np.linalg.norm(a @ x - b) < 1e-10 * np.linalg.norm(b)
@@ -118,7 +127,7 @@ class TestLstsqSolve:
         rng = np.random.default_rng(131)
         a = _graded_matrix(rng, 40, 10, decades=9)
         b = rng.standard_normal(40)
-        ranks = [lstsq_solve(a.copy(), b, rcond=rc)[1].rank for rc in (None, 1e-6, 1e-2)]
+        ranks = [_lstsq(a.copy(), b, rcond=rc)[1].rank for rc in (None, 1e-6, 1e-2)]
         assert ranks[0] == 10
         assert ranks[0] >= ranks[1] >= ranks[2]
         assert ranks[2] < 10
@@ -127,13 +136,13 @@ class TestLstsqSolve:
         rng = np.random.default_rng(137)
         a = rng.standard_normal((40, 15))
         b = rng.standard_normal(40)
-        x, rep = lstsq_solve(a, b)
+        x, rep = _lstsq(a, b)
         assert rep.residual_norm <= np.linalg.norm(b) * (1.0 + 1e-12)
         grad = np.linalg.norm(a.T @ (a @ x - b))
         assert grad < 1e-8 * np.linalg.norm(a, 2) * np.linalg.norm(b)
 
     def test_condition_estimate_identity(self):
-        x, rep = lstsq_solve(np.eye(9), np.arange(9.0))
+        x, rep = _lstsq(np.eye(9), np.arange(9.0))
         assert np.allclose(x, np.arange(9.0))
         assert rep.condition_estimate == pytest.approx(1.0)
 
@@ -143,7 +152,7 @@ class TestLstsqSolve:
         rng = np.random.default_rng(139)
         a = _graded_matrix(rng, 30, 8, decades=8)
         b = rng.standard_normal(30)
-        _, rep = lstsq_solve(a, b, rcond=1e-3)
+        _, rep = _lstsq(a, b, rcond=1e-3)
         assert rep.rank < 8
         assert rep.condition_estimate > 1e6
 
@@ -151,35 +160,44 @@ class TestLstsqSolve:
         rng = np.random.default_rng(149)
         a = rng.standard_normal((20, 8))
         b = rng.standard_normal(20)
-        x_c, _ = lstsq_solve(a, b)
-        x_f, _ = lstsq_solve(np.asfortranarray(a.copy()), b)
+        x_c, _ = _lstsq(a, b)
+        x_f, _ = _lstsq(np.asfortranarray(a.copy()), b)
         assert np.array_equal(x_c, x_f)
 
     def test_read_only_input_is_not_overwritten(self):
         rng = np.random.default_rng(151)
         a = np.asfortranarray(rng.standard_normal((20, 8)))
         b = rng.standard_normal(20)
-        want = lstsq_solve(a.copy(order="F"), b)
+        want = _lstsq(a.copy(order="F"), b)
         frozen = a.copy(order="F")
         frozen.flags.writeable = False
-        got = lstsq_solve(frozen, b)
+        got = _lstsq(frozen, b)
         assert np.array_equal(frozen, a)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
+    @pytest.fixture
+    def no_scratch(self, monkeypatch):
+        """Fail the test if the mode loop allocates its scratch."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated scratch for an empty system")
+
+        monkeypatch.setattr(linalg.np, "empty", refuse)
+
     @pytest.mark.parametrize("n", [3, 0])
-    def test_no_rows_raises_before_lapack(self, n, capfd):
-        with pytest.raises(ValueError, match="no rows"):
-            lstsq_solve(np.zeros((0, n)), np.zeros(0))
+    def test_no_rows_raises_before_lapack(self, n, capfd, no_scratch):
+        with pytest.raises(ValueError, match=rf"shape \(0, {n}\)"):
+            modal_lstsq_solve(ONE_MODE, np.zeros((0, n)), np.zeros((0, n)), np.zeros((1, 0)))
         assert capfd.readouterr().err == ""
 
-    def test_no_columns_is_the_empty_fit(self):
-        x, rep = lstsq_solve(np.zeros((3, 0)), np.ones(3))
-        assert x.shape == (0,)
-        assert rep == LeastSquaresReport(math.sqrt(3.0), math.inf, 0, True)
+    def test_no_columns_raises_before_lapack(self, capfd, no_scratch):
+        with pytest.raises(ValueError, match=r"shape \(5, 0\)"):
+            modal_lstsq_solve(ONE_MODE, np.zeros((5, 0)), np.zeros((5, 0)), np.zeros((1, 5)))
+        assert capfd.readouterr().err == ""
 
     def test_zero_matrix(self):
         b = np.ones(5)
-        x, rep = lstsq_solve(np.zeros((5, 3)), b)
+        x, rep = _lstsq(np.zeros((5, 3)), b)
         assert np.array_equal(x, np.zeros(3))
         assert rep.rank == 0
         assert rep.rank_deficient
@@ -187,11 +205,11 @@ class TestLstsqSolve:
         assert np.isinf(rep.condition_estimate)
 
     def test_rhs_length_mismatch(self):
-        with pytest.raises(ValueError, match="rhs length"):
-            lstsq_solve(np.eye(4), np.ones(5))
+        with pytest.raises(ValueError, match="load has shape"):
+            _lstsq(np.eye(4), np.ones(5))
 
     def test_report_is_frozen(self):
-        _, rep = lstsq_solve(np.eye(2), np.ones(2))
+        _, rep = _lstsq(np.eye(2), np.ones(2))
         assert isinstance(rep, LeastSquaresReport)
         with pytest.raises(AttributeError):
             rep.rank = 99
@@ -260,7 +278,7 @@ class TestModalLstsq:
         assert rep.rank == 4
         assert rep.rank_deficient
         assert np.abs(c[0]).max() == 0.0
-        assert lstsq_solve(a.copy(), load[0], rcond=1e-3)[1].rank == 4
+        assert _lstsq(a.copy(), load[0], rcond=1e-3)[1].rank == 4
 
     def test_table_order_does_not_change_the_result(self):
         rng = np.random.default_rng(181)
@@ -288,7 +306,7 @@ class TestModalLstsq:
         modes = spatial_modes(mass, np.zeros((2, 2)))
         assert modes.mass_cond == pytest.approx(1e3, rel=1e-12)
         _, rep = modal_lstsq_solve(modes, a, g, rng.standard_normal((2, 10)))
-        spread = lstsq_solve(a.copy(), np.ones(10))[1].condition_estimate
+        spread = _lstsq(a.copy(), np.ones(10))[1].condition_estimate
         assert rep.condition_estimate == pytest.approx(1e3 * spread, rel=1e-10)
 
     def test_shape_checks(self):
@@ -396,20 +414,24 @@ class TestModeLoopOracle:
             ("graded", 1e-2),
             ("underdetermined", None),
             ("zero", None),
-            ("no columns", None),
         ],
     )
     def test_single_block_matches(self, kind, rcond):
+        # one block as the one mode of a system with zero g; None is the
+        # cut max(m, n) * eps
         rng = np.random.default_rng(193)
         a = {
             "graded": lambda: _graded_matrix(rng, 40, 10, decades=9),
             "underdetermined": lambda: rng.standard_normal((8, 12)),
             "zero": lambda: np.zeros((5, 3)),
-            "no columns": lambda: np.zeros((3, 0)),
         }[kind]()
         b = rng.standard_normal(a.shape[0])
-        x, rep = lstsq_solve(a.copy(), b, rcond=rcond)
-        want_x, want_rep = oracle_lstsq_solve(a, b, rcond=rcond)
+        rcond = max(a.shape) * EPS if rcond is None else rcond
+        args = ONE_MODE, a, np.zeros_like(a), b[None]
+        x, rep = modal_lstsq_solve(*args, rcond=rcond)
+        # the zero block's threshold is rcond * 0 / 0 in the oracle
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_x, want_rep = oracle_modal_lstsq_solve(*args, rcond=rcond)
         assert np.array_equal(x, want_x)
         assert rep == want_rep
 

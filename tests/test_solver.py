@@ -15,11 +15,12 @@ from caputo_oracle import caputo_oracle
 from dense_oracle import dense_lstsq_solve
 from error_oracle import grid_l2_error, grid_l2_error_at_time
 from kernel_oracle import column_loop_basis_matrix
+from modal_oracle import oracle_lstsq_solve
 from fracspline import _blas, kernels, solver
 from fracspline.assembly import spatial_operators
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL
-from fracspline.linalg import RCOND, lstsq_solve, modal_lstsq_solve, spatial_modes
+from fracspline.linalg import RCOND, modal_lstsq_solve, spatial_modes
 from fracspline.problems import ProblemSpec, example1, example2
 from fracspline.solver import (
     SolveConfig,
@@ -126,7 +127,7 @@ class TestModalSolve:
         config = SolveConfig(gamma=0.5, j=j, s=s, beta=beta)
         modal, _ = _solve_quiet(problem, config)
         sbasis = build_spatial(j, 3)
-        mass, stiffness, _ = spatial_operators(sbasis, 8)
+        mass, stiffness, _ = spatial_operators(sbasis)
 
         def dense_solve(modes, a, g, load):
             return dense_lstsq_solve(mass, stiffness, a, g, load)
@@ -160,7 +161,7 @@ class TestModalSolve:
         _, solve_rep = _solve_quiet(example1(0.5), SolveConfig(gamma=0.5, j=j, s=s, beta=beta))
         _, a, g, load = seen["args"]
         sbasis = build_spatial(j, 3)
-        mass, stiffness, _ = spatial_operators(sbasis, 8)
+        mass, stiffness, _ = spatial_operators(sbasis)
         coeffs, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load)
         # the solve's shared modes give the same bits as modes built here
         assert np.array_equal(coeffs, modal_lstsq_solve(*seen["args"])[0])
@@ -173,7 +174,7 @@ class TestModalSolve:
             top = max(colmax)
             rank, d = 0, []
             for block, cm, rhs in zip(blocks, colmax, v.T @ load):
-                x, block_rep = lstsq_solve(np.asfortranarray(block), rhs, rcond=RCOND * top / cm)
+                x, block_rep = oracle_lstsq_solve(block, rhs, rcond=RCOND * top / cm)
                 rank += block_rep.rank
                 d.append(x)
             expected = v @ np.array(d)
@@ -188,7 +189,7 @@ class TestModalSolve:
         nodes = np.arange(1, 2**5 + 1) / 2**5
         a = tbasis.eval_many(nodes, 0.5)
         g = tbasis.eval_many(nodes)
-        mass, stiffness, _ = spatial_operators(sbasis, 8)
+        mass, stiffness, _ = spatial_operators(sbasis)
         c_star = np.random.default_rng(179).standard_normal((sbasis.size, tbasis.size))
         load = mass @ c_star @ a.T + stiffness @ c_star @ g.T
         c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load, rcond=1e-8)
@@ -222,8 +223,6 @@ class TestSharedOperators:
             "combinations": sol.spatial.combinations,
             "spatial weights": sol.spatial.spline.value_weights,
             "temporal weights": sol.temporal.spline.value_weights,
-            "mass": level.mass,
-            "stiffness": level.stiffness,
             "load nodes": level.load_table[0],
             "load table": level.load_table[1],
             "lam": level.modes.lam,
@@ -361,7 +360,7 @@ class TestSolveConfig:
             (dict(gamma=1.2, j=3, s=3), "gamma"),
             (dict(gamma=1.0, j=3, s=3, beta=0.4), "beta"),
             (dict(gamma=0.5, j=3, s=5, q=4), "collocation level"),
-            (dict(gamma=0.5, j=3, s=3, quad_points=3), "quadrature points"),
+            (dict(gamma=0.5, j=3, s=3, tail_tol=math.nan), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=0.0), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, alpha=2.5), "alpha"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
@@ -373,7 +372,7 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=0, s=3), "spatial level"),
             (dict(gamma=0.5, j=3, s=3.0), "time level"),
             (dict(gamma=0.5, j=3, s=-1), "time level"),
-            (dict(gamma=0.5, j=3, s=3, quad_points=8.0), "quad_points"),
+            (dict(gamma=math.nan, j=3, s=3), "gamma"),
             (dict(gamma=0.5, j=3, s=3, horizon=0), "horizon"),
             (dict(gamma=0.5, j=3, s=3, horizon=1.5), "horizon"),
             (dict(gamma=0.5, j=2, s=3), "too coarse"),  # 2**j < 2 alpha: build_spatial refuses it
@@ -384,7 +383,7 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=3, alpha=True), "alpha"),
             (dict(gamma=0.5, j=3, s=3, horizon=True), "horizon"),
             (dict(gamma=0.5, j=3, s=0, q=True), "collocation level"),
-            (dict(gamma=0.5, j=3, s=3, quad_points=True), "quad_points"),
+            (dict(gamma=0.5, j=3, s=0, q=False), "collocation level"),  # 0 >= s, but no level
             (dict(gamma=0.5, j=3, s=3, beta=True), "beta must be finite"),
             (dict(gamma=True, j=3, s=3), "gamma"),
         ],
@@ -397,6 +396,11 @@ class TestSolveConfig:
         # the rank cut is fixed in linalg, not a per-solve option
         with pytest.raises(TypeError, match="rcond"):
             SolveConfig(gamma=0.5, j=3, s=3, rcond=1e-8)
+
+    def test_has_no_quad_points_field(self):
+        # the Galerkin rule follows from alpha (assembly.spatial_operators)
+        with pytest.raises(TypeError, match="quad_points"):
+            SolveConfig(gamma=0.5, j=3, s=3, quad_points=8)
 
     def test_collocation_level_default(self):
         assert SolveConfig(gamma=0.5, j=3, s=4).collocation_level == 5
