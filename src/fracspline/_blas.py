@@ -13,7 +13,11 @@ re-entrant and thread-safe.  The first entry saves the counts and sets them
 to 1, later entries (nested, or from other threads) only count, and the last
 exit restores the saved counts.
 
-The pools are found through ``/proc/self/maps``, once per process.  Where no
+The pools are found through ``/proc/self/maps``, once per process.  SciPy
+is loaded only by a solve, and a library loaded after the scan is not seen,
+so the scan loads SciPy's LAPACK, and with it SciPy's OpenBLAS, first: a cap
+taken before any solve still covers the pool that solve's LAPACK calls run
+on.  Only the solve steps take the cap.  Where no
 OpenBLAS shows there (another BLAS such as MKL or Accelerate, or no
 ``/proc``), nothing is capped, and what rests on the cap, such as output that
 does not depend on the thread or core count, is not guaranteed.
@@ -42,8 +46,11 @@ def thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], 
     """``(get, set)`` thread-count functions of every OpenBLAS library loaded
     in this process; empty where the loaded libraries cannot be listed.
 
-    Found on the first call and kept: a library loaded later is not seen.
+    Found on the first call and kept, after loading SciPy's LAPACK; a library
+    loaded later is not seen.
     """
+    import scipy.linalg  # noqa: F401  (maps SciPy's OpenBLAS before the scan)
+
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()})

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import kernels
 from .bspline import DEFAULT_TAIL_TOL, FractionalBSpline
@@ -28,6 +27,18 @@ __all__ = [
     "build_spatial",
     "build_temporal",
 ]
+
+
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``, one column per direction.
+
+    ``scipy.linalg.null_space`` from NumPy alone: the right singular vectors
+    of the full SVD whose singular values are at most
+    ``max(a.shape) * eps * s.max()``.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = max(a.shape) * np.finfo(s.dtype).eps * s.max(initial=0.0)
+    return vh[np.count_nonzero(s > tol) :].T
 
 
 def _left_boundary_combos(spline: FractionalBSpline) -> list[np.ndarray]:
@@ -47,7 +58,7 @@ def _left_boundary_combos(spline: FractionalBSpline) -> list[np.ndarray]:
         cond = np.array(
             [spline.frac_derivative(nu, pts) if nu else spline(pts) for nu in range(i)]
         )
-        ns = null_space(cond)
+        ns = _null_space(cond)
         if ns.shape[1] != 1:
             raise RuntimeError(
                 f"endpoint conditions degenerate for degree {n}, combo {i}"

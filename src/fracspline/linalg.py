@@ -31,6 +31,12 @@ home; a single block ``a`` is its one-mode case (``lam = 0``, ``v = 1``,
 overhead, and the rounding of the factorisation then depends on neither the
 caller's thread count nor the machine's core count.  The cap is
 process-wide while it is held.
+
+SciPy serves the two steps alone (``eigh`` and the LAPACK calls), so
+importing this module loads none of it: ``scipy.linalg`` is imported by the
+first ``spatial_modes`` or ``modal_lstsq_solve`` call, before its BLAS cap,
+and its routines are then module attributes like any import (``_scipy``).
+A process that only evaluates a stored solution never loads it.
 """
 
 from __future__ import annotations
@@ -39,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
 
 from . import _blas
 
@@ -60,6 +64,31 @@ RCOND = 1e-8
 # the chunk's squares): one chunk holds every mode of a curves cell, and a
 # level-8 block (513 x 265, 1.04 MiB) alone fills one.
 _CHUNK_BYTES = 1 << 20
+
+# SciPy's routines, bound as module attributes by ``_scipy``
+_SCIPY_NAMES = ("eigh", "dgeqp3", "dormqr", "dtrtrs")
+
+
+def _scipy() -> None:
+    """Bind ``eigh``, ``dgeqp3``, ``dormqr`` and ``dtrtrs`` as module
+    attributes, importing ``scipy.linalg`` the first time.  A name already
+    bound (a patched one, say) is kept."""
+    bound = globals()
+    if all(name in bound for name in _SCIPY_NAMES):
+        return
+    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
+
+    for name, routine in zip(_SCIPY_NAMES, (eigh, dgeqp3, dormqr, dtrtrs)):
+        bound.setdefault(name, routine)
+
+
+def __getattr__(name: str):
+    """``linalg.eigh`` and the LAPACK routines before the first solve."""
+    if name in _SCIPY_NAMES:
+        _scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +186,7 @@ def spatial_modes(mass: np.ndarray, stiffness: np.ndarray) -> SpatialModes:
     nk = mass.shape[0]
     if mass.shape != (nk, nk) or stiffness.shape != mass.shape:
         raise ValueError("factor shape mismatch")
+    _scipy()
     with _blas.single_thread():
         lam, v = eigh(stiffness, mass)
         mass_eigs = np.linalg.eigvalsh(mass)
@@ -229,6 +259,7 @@ def modal_lstsq_solve(
         np.multiply(blocks, blocks, out=squares)
         return blocks, np.sqrt(np.add.reduce(squares, axis=2).max(axis=1))
 
+    _scipy()
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import binom
 
 from combination_oracle import loop_combinations
+from fracspline import basis
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import FractionalBSpline
 
@@ -133,6 +135,42 @@ def test_combinations_match_the_loop_oracle_and_their_mirror(j, n):
     ref = loop_combinations(j, n)
     assert np.array_equal(c, ref) and np.array_equal(np.signbit(c), np.signbit(ref))
     assert np.array_equal(c, c[::-1, ::-1])
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+def test_null_space_is_scipys_bit_for_bit():
+    # every endpoint-condition matrix of degrees 1..31, formed as
+    # _left_boundary_combos forms it: the NumPy SVD must give SciPy's null
+    # space to the last bit, signs included
+    checked = 0
+    for n in range(1, 32):
+        spline = FractionalBSpline(float(n))
+        for i in range(1, n):
+            pts = np.arange(i + 1, 0, -1, dtype=float)
+            cond = np.array([spline.frac_derivative(nu, pts) if nu else spline(pts) for nu in range(i)])
+            ours, ref = basis._null_space(cond), scipy.linalg.null_space(cond)
+            assert ours.shape == ref.shape, (n, i)
+            assert np.array_equal(_bits(ours), _bits(ref)), (n, i)
+            checked += 1
+    assert checked == 465
+
+
+def _combos_or_failure(n):
+    try:
+        return [_bits(c).tolist() for c in basis._left_boundary_combos(FractionalBSpline(float(n)))]
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_combinations_and_degeneracy_checks_match_scipys_null_space(monkeypatch):
+    ours = [_combos_or_failure(n) for n in range(1, 32)]
+    monkeypatch.setattr(basis, "_null_space", scipy.linalg.null_space)
+    assert ours == [_combos_or_failure(n) for n in range(1, 32)]
+    # degrees 20 and up lose the deepest translate of a combination either way
+    assert [isinstance(c, str) for c in ours] == [n >= 20 for n in range(1, 32)]
 
 
 # ---------------------------------------------------------------- temporal

@@ -1,9 +1,12 @@
 """The single-thread BLAS cap: re-entrant, shared by threads, restored once."""
 
 import builtins
+import json
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +137,40 @@ def test_loaded_libraries_are_listed_once(monkeypatch):
         with _blas.single_thread():
             assert _blas.thread_controls() is first
     assert opened.count("/proc/self/maps") == 1
+
+
+CAP_BEFORE_SOLVE = """
+import json, warnings
+from fracspline import _blas, linalg, problems, solver
+warnings.simplefilter("ignore")
+seen = []
+solve_stack = linalg._solve_stack
+
+def recording(*args):
+    # a scan of its own, so a pool the cap's cached scan missed shows here
+    seen.append([get() for get, _ in _blas.thread_controls.__wrapped__()])
+    return solve_stack(*args)
+
+linalg._solve_stack = recording
+with _blas.single_thread():
+    solver.solve(problems.example1(0.5), solver.SolveConfig(gamma=0.5, j=3, s=3))
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+def test_a_cap_taken_before_any_solve_covers_the_solves_pools():
+    # a fresh process, so SciPy is not loaded when the cap scans.  Every pool
+    # mapped inside the mode loop, SciPy's among them, must read 1; a 1-core
+    # box runs every pool at one thread either way and cannot show a miss
+    src = str(Path(_blas.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    out = subprocess.run(
+        [sys.executable, "-c", CAP_BEFORE_SOLVE], env=env, capture_output=True, text=True, check=True
+    )
+    seen = json.loads(out.stdout.splitlines()[-1])
+    if not seen[0]:
+        pytest.skip("no OpenBLAS thread controls in this process")
+    assert len(seen) == 1 and len(seen[0]) == len(_blas.thread_controls())
+    assert seen[0] == [1] * len(seen[0])
