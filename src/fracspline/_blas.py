@@ -1,4 +1,15 @@
-"""One thread for every OpenBLAS pool that NumPy and SciPy load.
+"""SciPy's compiled LAPACK module, and one thread for every OpenBLAS pool
+that NumPy and SciPy load.
+
+The solve needs four LAPACK routines, and SciPy's compiled module
+``scipy.linalg._flapack`` holds them.  ``flapack`` loads that module without
+the ``scipy.linalg`` package, whose Python side (about 0.25 s and 24 MiB)
+the solve does not use.  It reuses the module when ``scipy.linalg`` was
+imported first.  Otherwise it imports the top-level ``scipy`` package
+(SciPy's own start-up, such as its DLL paths on Windows), loads the module
+from its file and registers it under its own name, so a later ``import
+scipy.linalg`` reuses the same module object.  Where the file is not where
+SciPy puts it today, it imports the module through ``scipy.linalg``.
 
 NumPy and SciPy wheels each bundle their own OpenBLAS, and each sizes its
 thread pool to the whole machine.  The rounding of a blocked factorisation
@@ -15,9 +26,9 @@ exit restores the saved counts.
 
 The pools are found through ``/proc/self/maps``, once per process.  SciPy
 is loaded only by a solve, and a library loaded after the scan is not seen,
-so the scan loads SciPy's LAPACK, and with it SciPy's OpenBLAS, first: a cap
-taken before any solve still covers the pool that solve's LAPACK calls run
-on.  Only the solve steps take the cap.  Where no
+so the scan loads SciPy's LAPACK module, and with it SciPy's OpenBLAS,
+first: a cap taken before any solve still covers the pool that solve's
+LAPACK calls run on.  Only the solve steps take the cap.  Where no
 OpenBLAS shows there (another BLAS such as MKL or Accelerate, or no
 ``/proc``), nothing is capped, and what rests on the cap, such as output that
 does not depend on the thread or core count, is not guaranteed.
@@ -26,10 +37,14 @@ does not depend on the thread or core count, is not guaranteed.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from contextlib import contextmanager
 from functools import cache
+from types import ModuleType
 from typing import Callable, Iterator
 
 _PREFIXES = ("scipy_openblas", "openblas")
@@ -40,16 +55,46 @@ _lock = threading.Lock()
 _depth = 0
 _saved: tuple[int, ...] = ()
 
+_FLAPACK = "scipy.linalg._flapack"
+_flapack_lock = threading.Lock()
+
+
+def _flapack_file() -> str | None:
+    """Path of SciPy's ``linalg/_flapack`` extension file, or ``None``."""
+    import scipy
+
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    return next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+
+
+def flapack() -> ModuleType:
+    """SciPy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
+    once per process without the ``scipy.linalg`` package."""
+    with _flapack_lock:
+        module = sys.modules.get(_FLAPACK)
+        if module is not None:
+            return module
+        path = _flapack_file()
+        if path is None:  # SciPy does not promise its file layout
+            from scipy.linalg import _flapack
+
+            return _flapack
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+        return module
+
 
 @cache
 def thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """``(get, set)`` thread-count functions of every OpenBLAS library loaded
     in this process; empty where the loaded libraries cannot be listed.
 
-    Found on the first call and kept, after loading SciPy's LAPACK; a library
-    loaded later is not seen.
+    Found on the first call and kept, after loading SciPy's LAPACK module; a
+    library loaded later is not seen.
     """
-    import scipy.linalg  # noqa: F401  (maps SciPy's OpenBLAS before the scan)
+    flapack()  # maps SciPy's OpenBLAS before the scan
 
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:

@@ -32,11 +32,15 @@ overhead, and the rounding of the factorisation then depends on neither the
 caller's thread count nor the machine's core count.  The cap is
 process-wide while it is held.
 
-SciPy serves the two steps alone (``eigh`` and the LAPACK calls), so
-importing this module loads none of it: ``scipy.linalg`` is imported by the
-first ``spatial_modes`` or ``modal_lstsq_solve`` call, before its BLAS cap,
-and its routines are then module attributes like any import (``_scipy``).
-A process that only evaluates a stored solution never loads it.
+SciPy serves the two steps alone, with four LAPACK routines: ``dsygvd``
+behind ``eigh`` and the ``dgeqp3``, ``dormqr`` and ``dtrtrs`` of the mode
+loop.  Importing this module loads none of it.  The first ``spatial_modes``
+or ``modal_lstsq_solve`` call loads SciPy's compiled LAPACK module, before
+its BLAS cap, and binds the four as module attributes like any import
+(``_lapack``).  It never imports the ``scipy.linalg`` package
+(``_blas.flapack``), and the routines are the very objects that
+``scipy.linalg.lapack`` exports.  A process that only evaluates a stored
+solution never loads SciPy.
 """
 
 from __future__ import annotations
@@ -65,30 +69,51 @@ RCOND = 1e-8
 # level-8 block (513 x 265, 1.04 MiB) alone fills one.
 _CHUNK_BYTES = 1 << 20
 
-# SciPy's routines, bound as module attributes by ``_scipy``
-_SCIPY_NAMES = ("eigh", "dgeqp3", "dormqr", "dtrtrs")
+# SciPy's LAPACK routines, bound as module attributes by ``_lapack``
+_LAPACK_NAMES = ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")
 
 
-def _scipy() -> None:
-    """Bind ``eigh``, ``dgeqp3``, ``dormqr`` and ``dtrtrs`` as module
-    attributes, importing ``scipy.linalg`` the first time.  A name already
+def _lapack() -> None:
+    """Bind ``dsygvd``, ``dgeqp3``, ``dormqr`` and ``dtrtrs`` as module
+    attributes, loading SciPy's LAPACK module the first time.  A name already
     bound (a patched one, say) is kept."""
     bound = globals()
-    if all(name in bound for name in _SCIPY_NAMES):
+    if all(name in bound for name in _LAPACK_NAMES):
         return
-    from scipy.linalg import eigh
-    from scipy.linalg.lapack import dgeqp3, dormqr, dtrtrs
-
-    for name, routine in zip(_SCIPY_NAMES, (eigh, dgeqp3, dormqr, dtrtrs)):
-        bound.setdefault(name, routine)
+    flapack = _blas.flapack()
+    for name in _LAPACK_NAMES:
+        bound.setdefault(name, getattr(flapack, name))
 
 
 def __getattr__(name: str):
-    """``linalg.eigh`` and the LAPACK routines before the first solve."""
-    if name in _SCIPY_NAMES:
-        _scipy()
+    """The LAPACK routines before the first solve."""
+    if name in _LAPACK_NAMES:
+        _lapack()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric pencil ``a v = b v diag(w)``, ``b``
+    positive definite, ``v^T b v = I`` and ``w`` ascending: ``dsygvd`` with
+    the arguments that ``scipy.linalg.eigh(a, b)`` passes, so the same bits.
+    A failure is a ``LinAlgError`` in SciPy's words."""
+    _lapack()
+    w, v, info = dsygvd(a=a, b=b, itype=1, jobz="V", uplo="L")
+    if info == 0:
+        return w, v
+    n = a.shape[0]
+    if info < 0:
+        raise np.linalg.LinAlgError(f"Illegal value in argument {-info} of internal dsygvd")
+    if info > n:
+        raise np.linalg.LinAlgError(
+            f"The leading minor of order {info - n} of B is not positive definite. The factorization "
+            "of B could not be completed and no eigenvalues or eigenvectors were computed."
+        )
+    raise np.linalg.LinAlgError(
+        f"The algorithm failed to compute an eigenvalue while working on the submatrix lying in "
+        f"rows and columns {info}/{n + 1} through mod({info},{n + 1})."
+    )
 
 
 @dataclass(frozen=True)
@@ -186,7 +211,6 @@ def spatial_modes(mass: np.ndarray, stiffness: np.ndarray) -> SpatialModes:
     nk = mass.shape[0]
     if mass.shape != (nk, nk) or stiffness.shape != mass.shape:
         raise ValueError("factor shape mismatch")
-    _scipy()
     with _blas.single_thread():
         lam, v = eigh(stiffness, mass)
         mass_eigs = np.linalg.eigvalsh(mass)
@@ -259,7 +283,7 @@ def modal_lstsq_solve(
         np.multiply(blocks, blocks, out=squares)
         return blocks, np.sqrt(np.add.reduce(squares, axis=2).max(axis=1))
 
-    _scipy()
+    _lapack()
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam

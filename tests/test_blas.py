@@ -1,4 +1,6 @@
-"""The single-thread BLAS cap: re-entrant, shared by threads, restored once."""
+"""The single-thread BLAS cap: re-entrant, shared by threads, restored once;
+and the loader of SciPy's LAPACK module, which binds the same routines
+whichever way it finds them."""
 
 import builtins
 import json
@@ -139,6 +141,62 @@ def test_loaded_libraries_are_listed_once(monkeypatch):
     assert opened.count("/proc/self/maps") == 1
 
 
+def _run(code: str, *args: str) -> str:
+    """The last line a fresh interpreter prints after running ``code`` with ``args``."""
+    src = str(Path(_blas.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+# one solve, its LAPACK module loaded one of three ways: whether the solve
+# imported the scipy.linalg package, whether the routines it bound are the
+# objects scipy.linalg exports, the coefficient bytes and the report
+LOADED_SOLVE = """
+import hashlib, json, sys, warnings
+from fracspline import _blas, linalg, problems, solver
+warnings.simplefilter("ignore")
+order = sys.argv[1]
+if order == "fallback":
+    _blas._flapack_file = lambda: None
+if order == "import first":
+    import scipy.linalg
+sol, report = solver.solve(problems.example1(0.5), solver.SolveConfig(gamma=0.5, j=5, s=4, beta=3.5))
+package = "scipy.linalg" in sys.modules
+import scipy.linalg
+from scipy.linalg import _flapack
+same = [
+    getattr(linalg, name) is getattr(scipy.linalg.lapack, name)
+    for name in ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")
+] + [_blas.flapack() is _flapack is sys.modules["scipy.linalg._flapack"]]
+print(json.dumps({
+    "package": package, "same": same,
+    "coeffs": hashlib.sha256(sol.coeffs.tobytes()).hexdigest(), "report": repr(report),
+}))
+"""
+
+
+def test_every_way_of_loading_lapack_binds_the_same_routines_and_bits():
+    # solve then import scipy.linalg (the module loaded from its file), import
+    # it first (the module reused), and a file lookup that finds nothing (the
+    # import through scipy.linalg)
+    runs = {order: json.loads(_run(LOADED_SOLVE, order)) for order in ("solve first", "import first", "fallback")}
+    assert {order: run.pop("package") for order, run in runs.items()} == {
+        "solve first": False, "import first": True, "fallback": True
+    }
+    for order, run in runs.items():
+        assert run["same"] == [True] * 5, order
+    assert runs["solve first"] == runs["import first"] == runs["fallback"]
+
+
+def test_lapack_file_is_the_one_scipy_linalg_loads():
+    # else every process would take the fallback, and a solve would import scipy.linalg
+    import scipy.linalg.lapack
+
+    assert _blas._flapack_file() == scipy.linalg.lapack._flapack.__file__
+
+
 CAP_BEFORE_SOLVE = """
 import json, warnings
 from fracspline import _blas, linalg, problems, solver
@@ -163,13 +221,7 @@ def test_a_cap_taken_before_any_solve_covers_the_solves_pools():
     # a fresh process, so SciPy is not loaded when the cap scans.  Every pool
     # mapped inside the mode loop, SciPy's among them, must read 1; a 1-core
     # box runs every pool at one thread either way and cannot show a miss
-    src = str(Path(_blas.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    out = subprocess.run(
-        [sys.executable, "-c", CAP_BEFORE_SOLVE], env=env, capture_output=True, text=True, check=True
-    )
-    seen = json.loads(out.stdout.splitlines()[-1])
+    seen = json.loads(_run(CAP_BEFORE_SOLVE))
     if not seen[0]:
         pytest.skip("no OpenBLAS thread controls in this process")
     assert len(seen) == 1 and len(seen[0]) == len(_blas.thread_controls())

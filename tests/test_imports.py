@@ -4,9 +4,12 @@ Start-up cost: SciPy serves the solve alone, so only a solve loads it.  A
 fresh interpreter imports every ``fracspline`` module, the CLI included, and
 reports what ended up in ``sys.modules``: no SciPy.  Nor does rebuilding a
 stored solution's bases and evaluating it, or a CLI run that exits before
-solving.  A solve loads ``scipy.linalg`` and no other SciPy subpackage.  Test
-helpers such as the quadrature oracle of ``tests/caputo_oracle.py`` pull in
-the heavy SciPy subpackages, so they must never be reached from the package.
+solving.  A solve, from the library or the CLI, loads no SciPy subpackage:
+the top-level ``scipy`` package, its private modules and SciPy's compiled
+LAPACK module ``scipy.linalg._flapack``, never the ``scipy.linalg`` package.
+Test helpers such as the quadrature oracle of ``tests/caputo_oracle.py`` pull
+in the heavy SciPy subpackages, so they must never be reached from the
+package.
 
 Public names: every name a module lists in ``__all__`` exists in it, so a
 deleted function cannot leave a stale entry behind (tools that instrument
@@ -77,6 +80,12 @@ sol, _ = solver.solve(problems.example1(0.5), solver.SolveConfig(gamma=0.5, j=3,
 ran = sol.coeffs.shape
 """
 
+CLI_SOLVE = """
+import json, sys
+from fracspline import cli
+ran = cli.main(["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--format", "json"])
+"""
+
 # the CLI's exits that come before any solve: help, and a bad configuration
 CLI_EXITS = """
 import json, sys
@@ -118,11 +127,25 @@ def test_evaluating_a_stored_solution_loads_no_scipy():
     assert _scipy_modules(report) == []
 
 
-def test_solve_loads_only_scipy_linalg():
+def _assert_loads_no_scipy_subpackage(report: dict) -> None:
+    assert [name for name in FORBIDDEN if name in report["modules"]] == []
+    assert report["scipy"] == []
+    assert "scipy.linalg" not in report["modules"]
+    # inside SciPy's public subpackages, the LAPACK module alone
+    inside = [n for n in _scipy_modules(report) if n.count(".") > 1 and not n.split(".")[1].startswith("_")]
+    assert inside == ["scipy.linalg._flapack"]
+
+
+def test_solve_loads_no_scipy_subpackage():
     report = _probe(SOLVE)
     assert report["ran"] == [9, 17]
-    assert [name for name in FORBIDDEN if name in report["modules"]] == []
-    assert report["scipy"] == ["scipy.linalg"]
+    _assert_loads_no_scipy_subpackage(report)
+
+
+def test_cli_solve_loads_no_scipy_subpackage():
+    report = _probe(CLI_SOLVE)
+    assert report["ran"] == 0
+    _assert_loads_no_scipy_subpackage(report)
 
 
 def test_cli_exits_before_a_solve_load_no_scipy():

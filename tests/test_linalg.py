@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import lapack
 
 from dense_oracle import ONE_MODE, materialize_kron_sum, one_block_lstsq
 from modal_oracle import oracle_modal_lstsq_solve
 from fracspline import _blas, linalg, solver
+from fracspline.assembly import spatial_operators
+from fracspline.basis import build_spatial
 from fracspline.linalg import (
     LeastSquaresReport,
     modal_lstsq_solve,
@@ -349,6 +352,34 @@ class TestModalLstsq:
         assert len(seen) == nk + 1  # the eigensolve, then one factorisation per mode
         assert all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
+
+
+class TestEigh:
+    @pytest.mark.parametrize(
+        "j, alpha", [(j, alpha) for alpha in (1, 3, 5, 9) for j in range(3, 9) if 2**j >= 2 * alpha]
+    )
+    def test_spatial_pencil_matches_scipy_bit_for_bit(self, j, alpha):
+        mass, stiffness, _ = spatial_operators(build_spatial(j, alpha))
+        lam, v = linalg.eigh(stiffness, mass)
+        want_lam, want_v = scipy.linalg.eigh(stiffness, mass)
+        assert np.array_equal(lam, want_lam)
+        assert np.array_equal(v, want_v)
+
+    def test_inputs_are_not_overwritten(self):
+        rng = np.random.default_rng(211)
+        mass, stiffness = _spd(rng, 6, 2), _spd(rng, 6, 1)
+        copies = mass.copy(), stiffness.copy()
+        linalg.eigh(stiffness, mass)
+        assert np.array_equal(mass, copies[0]) and np.array_equal(stiffness, copies[1])
+
+    def test_indefinite_mass_fails_in_scipys_words(self):
+        b = np.diag([1.0, 2.0, -1.0, 3.0])
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            linalg.eigh(np.eye(4), b)
+        with pytest.raises(np.linalg.LinAlgError) as scipys:
+            scipy.linalg.eigh(np.eye(4), b)
+        assert str(ours.value) == str(scipys.value)
+        assert "leading minor of order 3 of B" in str(ours.value)
 
 
 def _cell_system(monkeypatch, gamma, j, s, beta):

@@ -406,6 +406,13 @@ class TestSolveConfig:
         assert SolveConfig(gamma=0.5, j=3, s=4).collocation_level == 5
         assert SolveConfig(gamma=0.5, j=3, s=4, q=7).collocation_level == 7
 
+    def test_degree_ten_is_accepted_and_fails_in_the_eigensolve(self):
+        # the CLI stops --alpha at 9; the library takes any degree, and from 10
+        # up the mass matrix of the endpoint combinations is not positive definite
+        config = SolveConfig(gamma=0.5, j=5, s=3, alpha=10)
+        with pytest.raises(np.linalg.LinAlgError, match="leading minor of order .* of B is not positive definite"):
+            _solve_quiet(example1(0.5), config)
+
 
 def _slot_order_values(sol, t, x):
     """``evaluate`` written out over the column-loop translate tables: per
