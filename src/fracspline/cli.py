@@ -1,11 +1,15 @@
 """Experiment runner: single solves, (s, j) sweeps, error-curve families.
 
-Three subcommands share one flag vocabulary:
+Three subcommands share one flag vocabulary and one cell plan (``_cells``).
+The plan parses the ``--gamma``/``--beta``/``-j``/``-s`` lists once, applies
+the command's defaults, checks the levels, ``--threads`` and every cell
+before any cell runs, and orders the cells gamma, beta, s, j, each
+ascending, with duplicated entries kept.  Each command then only emits:
 
-* ``solve``  -- one cell, human-readable summary (or ``--format csv|json``)
-* ``table``  -- Cartesian sweep over comma-separated ``-s``/``-j`` (and
-  ``--gamma``/``--beta``) lists, emitted as CSV or JSON in deterministic
-  row order
+* ``solve``  -- the plan's one cell, human-readable summary (or
+  ``--format csv|json``)
+* ``table``  -- one row per cell of the Cartesian sweep over comma-separated
+  ``-s``/``-j`` (and ``--gamma``/``--beta``) lists, as CSV or JSON
 * ``curves`` -- one gnuplot-ready data file per gamma, columns ``s`` then
   one error column per beta, at fixed ``-j``
 
@@ -17,6 +21,7 @@ exception is named on stderr, and the sweep keeps going.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -87,22 +92,11 @@ def _int_list(text: str, flag: str) -> list[int]:
     return out
 
 
-def _check_levels(values: Sequence[int], flag: str) -> None:
-    lo, hi = LEVEL_RANGE
-    for v in values:
-        if not lo <= v <= hi:
-            raise ConfigError(f"{flag}: level {v} outside {lo}..{hi}")
-
-
 def _make_problem(example: int, gamma: float) -> ProblemSpec:
     try:
-        if example == 1:
-            return example1(gamma)
-        if example == 2:
-            return example2(gamma)
+        return (example1 if example == 1 else example2)(gamma)
     except ValueError as exc:
         raise ConfigError(f"--example {example} with --gamma {gamma:g}: {exc}") from None
-    raise ConfigError(f"--example must be 1 or 2, got {example}")
 
 
 @dataclass(frozen=True)
@@ -185,12 +179,6 @@ def _row_object(r: TableRow) -> dict:
     return {name: None if isinstance(v, float) and math.isnan(v) else v for name, v in values}
 
 
-def _json_text(rows: Sequence[TableRow], single: bool) -> str:
-    if single:
-        return json.dumps(_row_object(rows[0]), indent=2) + "\n"
-    return json.dumps([_row_object(r) for r in rows], indent=2) + "\n"
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -234,29 +222,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads(args) -> None:
-    if not 1 <= args.threads <= THREADS_MAX:
-        raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {args.threads}")
+# per command: the --beta list and the -j text taken when the flag is absent,
+# and the error raised when -j or -s is still missing
+_DEFAULTS = {
+    "solve": ("3.5", None, "solve needs -j and -s"),
+    "table": ("3.5", None, "table needs -j and -s sweep lists"),
+    "curves": (",".join(map(str, DEFAULT_CURVE_BETAS)), "5", "curves needs an -s list (e.g. -s 2,3,4,5)"),
+}
 
 
-def _cmd_solve(args) -> int:
+def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
+    """The command's cells in output order, every one checked, none run.
+
+    Returns the sorted ``(gammas, betas, ss, js)`` lists, duplicated entries
+    kept, and one cell per combination: gamma-major, then beta, s and j.
+    """
+    beta_text, j_text, missing = _DEFAULTS[args.command]
     gammas = _float_list(args.gamma, "--gamma")
-    betas = _float_list(args.beta, "--beta") if args.beta is not None else [3.5]
-    js = _int_list(args.j, "-j") if args.j is not None else None
-    ss = _int_list(args.s, "-s") if args.s is not None else None
-    if js is None or ss is None:
-        raise ConfigError("solve needs -j and -s")
-    if len(gammas) != 1 or len(betas) != 1 or len(js) != 1 or len(ss) != 1:
+    betas = _float_list(beta_text if args.beta is None else args.beta, "--beta")
+    j_text = j_text if args.j is None else args.j
+    if j_text is None or args.s is None:
+        raise ConfigError(missing)
+    js, ss = _int_list(j_text, "-j"), _int_list(args.s, "-s")
+    if args.command == "solve" and len(gammas) * len(betas) * len(js) * len(ss) > 1:
         raise ConfigError("solve takes single values, not lists; use the table subcommand to sweep")
-    _check_levels(js, "-j")
-    _check_levels(ss, "-s")
-    cell = _build_cell(args, gammas[0], betas[0], js[0], ss[0])
-    row, sol, rep = _measure(cell)
+    if args.command == "curves" and len(js) > 1:
+        raise ConfigError("curves uses a single -j (default 5)")
+    lo, hi = LEVEL_RANGE
+    for flag, levels in (("-j", js), ("-s", ss)):
+        for v in levels:
+            if not lo <= v <= hi:
+                raise ConfigError(f"{flag}: level {v} outside {lo}..{hi}")
+    threads = getattr(args, "threads", 1)  # solve has no --threads
+    if not 1 <= threads <= THREADS_MAX:
+        raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {threads}")
+    axes = tuple(sorted(values) for values in (gammas, betas, ss, js))
+    return axes, [_build_cell(args, gamma, beta, j, s) for gamma, beta, s, j in itertools.product(*axes)]
 
+
+def _cmd_solve(args, cell: _Cell) -> int:
+    row, sol, rep = _measure(cell)
     if args.format == "csv":
-        _emit(_csv_lines([row]), args.out)
+        text = _csv_lines([row])
     elif args.format == "json":
-        _emit(_json_text([row], single=True), args.out)
+        text = json.dumps(_row_object(row), indent=2) + "\n"
     else:
         final_t = float(cell.config.horizon)
         if cell.problem.exact is not None:
@@ -265,7 +274,7 @@ def _cmd_solve(args) -> int:
         else:
             err_t_text = "n/a"
         err_text = f"{rep.l2_error:.5e}" if not math.isnan(rep.l2_error) else "n/a"
-        summary = (
+        text = (
             f"{cell.problem.name}  gamma={cell.config.gamma:g}  beta={cell.config.beta:g}  "
             f"alpha={cell.config.alpha}  j={cell.config.j}  s={cell.config.s}  "
             f"q={cell.config.collocation_level}\n"
@@ -276,93 +285,48 @@ def _cmd_solve(args) -> int:
             f"  lsq residual       {rep.residual_norm:.5e}\n"
             f"  runtime            {row.runtime_ms:.1f} ms\n"
         )
-        _emit(summary, args.out)
+    _emit(text, args.out)
     return 0
 
 
-def _cmd_table(args) -> int:
-    gammas = _float_list(args.gamma, "--gamma")
-    betas = _float_list(args.beta, "--beta") if args.beta is not None else [3.5]
-    if args.j is None or args.s is None:
-        raise ConfigError("table needs -j and -s sweep lists")
-    js = _int_list(args.j, "-j")
-    ss = _int_list(args.s, "-s")
-    _check_levels(js, "-j")
-    _check_levels(ss, "-s")
-    _check_threads(args)
-
-    # Validate every cell before any output so a config error leaves no file.
-    cells = [
-        _build_cell(args, gamma, beta, j, s)
-        for gamma in sorted(gammas)
-        for beta in sorted(betas)
-        for s in sorted(ss)
-        for j in sorted(js)
-    ]
+def _cmd_table(args, cells: Sequence[_Cell]) -> int:
     rows = [_run_cell(c) for c in cells]
     if args.format == "json":
-        _emit(_json_text(rows, single=False), args.out)
+        _emit(json.dumps([_row_object(r) for r in rows], indent=2) + "\n", args.out)
     else:
         _emit(_csv_lines(rows), args.out)
     return 0
 
 
-def _curve_file_name(prefix: str, gamma: float) -> str:
-    return f"{prefix}_gamma{gamma:g}.dat"
-
-
-def _cmd_curves(args) -> int:
-    gammas = _float_list(args.gamma, "--gamma")
-    betas = _float_list(args.beta, "--beta") if args.beta is not None else list(DEFAULT_CURVE_BETAS)
-    js = _int_list(args.j, "-j") if args.j is not None else [5]
-    if len(js) != 1:
-        raise ConfigError("curves uses a single -j (default 5)")
-    if args.s is None:
-        raise ConfigError("curves needs an -s list (e.g. -s 2,3,4,5)")
-    ss = sorted(_int_list(args.s, "-s"))
-    _check_levels(js, "-j")
-    _check_levels(ss, "-s")
-    betas = sorted(betas)
-    gammas = sorted(gammas)
-    _check_threads(args)
+def _cmd_curves(args, axes: tuple[list, ...], cells: Sequence[_Cell]) -> int:
+    gammas, betas, ss, (j,) = axes
     prefix = args.out if args.out is not None else "curves"
-
-    plan = [
-        (gamma, beta, s)
-        for gamma in gammas
-        for beta in betas
-        for s in ss
-    ]
-    cells = [_build_cell(args, gamma, beta, js[0], s) for gamma, beta, s in plan]
-    rows = [_run_cell(c) for c in cells]
-    by_key = {key: row for key, row in zip(plan, rows)}
-
+    rows = iter([_run_cell(c) for c in cells])
+    beta_heads = "  ".join(f"err[beta={b:g}]" for b in betas)
     for gamma in gammas:
-        beta_heads = "  ".join(f"err[beta={b:g}]" for b in betas)
+        # within one gamma the plan runs beta-major, then s
+        columns = [[_f17(next(rows).l2_error) for _ in ss] for _ in betas]
         lines = [
-            f"# example {args.example}  gamma={gamma:g}  j={js[0]}  alpha={args.alpha}  "
+            f"# example {args.example}  gamma={gamma:g}  j={j}  alpha={args.alpha}  "
             f"q={'s+1' if args.q is None else args.q}",
             f"# s  {beta_heads}",
+            *(f"{s}  {'  '.join(errs)}" for s, *errs in zip(ss, *columns)),
         ]
-        for s in ss:
-            errs = "  ".join(_f17(by_key[(gamma, beta, s)].l2_error) for beta in betas)
-            lines.append(f"{s}  {errs}")
-        path = _curve_file_name(prefix, gamma)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        path = f"{prefix}_gamma{gamma:g}.dat"
+        _emit("\n".join(lines) + "\n", path)
         print(f"wrote {path} ({len(ss)} rows)")
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        axes, cells = _cells(args)
         if args.command == "solve":
-            return _cmd_solve(args)
+            return _cmd_solve(args, cells[0])
         if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_curves(args)
+            return _cmd_table(args, cells)
+        return _cmd_curves(args, axes, cells)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -192,7 +192,10 @@ class SpatialModes:
 
     ``stiffness v = mass v diag(lam)`` with ``v^T mass v = I`` and ``lam``
     ascending; ``mass_cond`` is ``cond(mass)``, the largest over the
-    smallest eigenvalue.  One set serves every solve at that spatial level.
+    smallest eigenvalue, or ``inf`` when the smallest is not positive (a
+    mass matrix indefinite in double precision, as at degrees 8 and 9),
+    never a negative number.  One set serves every solve at that spatial
+    level.
     """
 
     lam: np.ndarray
@@ -214,7 +217,9 @@ def spatial_modes(mass: np.ndarray, stiffness: np.ndarray) -> SpatialModes:
     with _blas.single_thread():
         lam, v = eigh(stiffness, mass)
         mass_eigs = np.linalg.eigvalsh(mass)
-    return SpatialModes(lam=lam, v=v, mass_cond=float(mass_eigs[-1] / mass_eigs[0]))
+    lowest = mass_eigs[0]
+    mass_cond = float(mass_eigs[-1] / lowest) if lowest > 0.0 else math.inf
+    return SpatialModes(lam=lam, v=v, mass_cond=mass_cond)
 
 
 def modal_lstsq_solve(

@@ -86,50 +86,50 @@ def binomial_row(alpha: float, k_max: int) -> np.ndarray:
     return out
 
 
-def kummer_1f1(
-    a: float,
-    b: float,
-    z,
-    *,
-    rel_tol: float = 1e-14,
-    max_terms: int = 500,
-    max_abs_z: float = 50.0,
-):
+# The 1F1 series: a term ratio below KUMMER_REL_TOL ends an element's sum,
+# KUMMER_MAX_TERMS terms without that is a ConvergenceError, and
+# |z| > KUMMER_MAX_ABS_Z is refused before any term.
+KUMMER_REL_TOL = 1e-14
+KUMMER_MAX_TERMS = 500
+KUMMER_MAX_ABS_Z = 50.0
+
+
+def kummer_1f1(a: float, b: float, z):
     """Confluent hypergeometric function 1F1(a; b; z) by its power series,
     elementwise over a scalar (giving a ``complex``) or array ``z``.
 
     Each element stops taking terms at its own convergence, so its value
     does not depend on the rest of the array.  The series is fine for the
     moderate arguments this package needs (|z| <= pi * T in practice);
-    ``max_abs_z`` guards against silent cancellation blow-up outside that
-    regime.
+    ``KUMMER_MAX_ABS_Z`` guards against silent cancellation blow-up outside
+    that regime.
 
     Raises
     ------
     PoleError
         If ``b`` is zero or a negative integer.
     ConvergenceError
-        If some term ratio has not dropped below ``rel_tol`` after
-        ``max_terms`` terms, or some sum is not finite.
+        If some term ratio has not dropped below ``KUMMER_REL_TOL`` after
+        ``KUMMER_MAX_TERMS`` terms, or some sum is not finite.
     ValueError
-        If some ``|z| > max_abs_z``.
+        If some ``|z| > KUMMER_MAX_ABS_Z``.
     """
     if b <= 0.0 and float(b) == math.floor(b):
         raise PoleError(f"1F1 undefined for non-positive integer b = {b!r}")
     z = np.asarray(z, dtype=np.complex128)
     size = float(np.abs(z).max(initial=0.0))
-    if size > max_abs_z:
-        raise ValueError(f"|z| = {size:g} exceeds the series guard {max_abs_z:g}")
+    if size > KUMMER_MAX_ABS_Z:
+        raise ValueError(f"|z| = {size:g} exceeds the series guard {KUMMER_MAX_ABS_Z:g}")
     total = np.ones_like(z)
     term = np.ones_like(z)
     live = np.ones(z.shape, dtype=bool)
-    for k in range(max_terms):
+    for k in range(KUMMER_MAX_TERMS):
         term *= (a + k) / (b + k) * z / (k + 1)
         np.add(total, term, out=total, where=live)
         # written so that a NaN term never counts as converged
-        live &= ~(np.abs(term) <= rel_tol * np.abs(total))
+        live &= ~(np.abs(term) <= KUMMER_REL_TOL * np.abs(total))
         if not live.any():
             break
     if live.any() or not np.isfinite(total).all():
-        raise ConvergenceError(f"1F1 series did not reach a finite sum in {max_terms} terms for a={a}, b={b}")
+        raise ConvergenceError(f"1F1 series did not reach a finite sum in {KUMMER_MAX_TERMS} terms for a={a}, b={b}")
     return complex(total) if z.ndim == 0 else total

@@ -1,5 +1,6 @@
 """Command-line interface: formats, ordering, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -341,6 +342,75 @@ class TestTableCommand:
             assert [get() for get, _ in controls] == before
 
 
+class TestCellPlan:
+    def test_cells_in_output_order_with_duplicates(self):
+        args = cli._build_parser().parse_args(
+            ["table", "--example", "1", "--gamma", "1.0,0.5,0.5", "--beta", "3.5,3", "-j", "4,3", "-s", "4,3,3"]
+        )
+        axes, cells = cli._cells(args)
+        assert axes == ([0.5, 0.5, 1.0], [3.0, 3.5], [3, 3, 4], [3, 4])
+        keys = [(c.config.gamma, c.config.beta, c.config.s, c.config.j) for c in cells]
+        # nested loops over the sorted lists: a duplicated s repeats its run of j
+        assert keys == [
+            (gamma, beta, s, j) for gamma in (0.5, 0.5, 1.0) for beta in (3.0, 3.5) for s in (3, 3, 4) for j in (3, 4)
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, betas, js",
+        [
+            (["solve", "-j", "3", "-s", "3"], [3.5], [3]),
+            (["table", "-j", "3", "-s", "3"], [3.5], [3]),
+            (["curves", "-s", "3"], list(cli.DEFAULT_CURVE_BETAS), [5]),
+        ],
+    )
+    def test_command_defaults(self, argv, betas, js):
+        args = cli._build_parser().parse_args([*argv, "--example", "1", "--gamma", "0.5"])
+        axes, _ = cli._cells(args)
+        assert axes[1] == betas and axes[3] == js
+
+    @pytest.mark.parametrize("command", ["table", "curves"])
+    def test_every_cell_is_checked_before_any_runs(self, command, monkeypatch, tmp_path, capsys):
+        def refuse(cell):
+            raise AssertionError("ran a cell")
+
+        monkeypatch.setattr(cli, "_run_cell", refuse)
+        # example 2 takes gamma 0.5 but not 1.0, whose cells come last
+        argv = [command, "--example", "2", "--gamma", "0.5,1.0", "-j", "3", "-s", "3", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: --example 2 with --gamma 1:")
+        assert not list(tmp_path.iterdir())
+
+    def test_one_cell_agrees_across_commands(self, tmp_path, capsys):
+        cell = ["--example", "1", "--gamma", "0.5", "--beta", "3.5", "-j", "3", "-s", "3"]
+        assert main(["solve", *cell, "--format", "csv"]) == 0
+        solve_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert main(["table", *cell]) == 0
+        table_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert main(["curves", *cell, "--out", str(tmp_path / "cv")]) == 0
+        curve_value = (tmp_path / "cv_gamma0.5.dat").read_text().splitlines()[2].split()[1]
+        error = CSV_COLUMNS.index("l2_error")
+        assert solve_row[:-1] == table_row[:-1]  # all but runtime_ms
+        assert solve_row[error] == curve_value and math.isfinite(float(curve_value))
+
+    def test_duplicated_entries_repeat_rows_and_lines(self, tmp_path, capsys):
+        cells = ["--example", "1", "--gamma", "0.5,0.5", "--beta", "3.5,3,3.5", "-j", "3", "-s", "3,3"]
+        assert main(["table", *cells]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        # gamma, beta, s: each duplicate repeats its cell's row
+        assert [(r[3], r[2], r[0]) for r in rows] == list(itertools.product(["0.5"] * 2, ["3", "3.5", "3.5"], ["3"] * 2))
+        error = CSV_COLUMNS.index("l2_error")
+        by_beta = {r[2]: r[error] for r in rows}
+        assert all(r[error] == by_beta[r[2]] for r in rows)
+        prefix = tmp_path / "cv"
+        assert main(["curves", *cells, "--out", str(prefix)]) == 0
+        path = tmp_path / "cv_gamma0.5.dat"
+        # the one file is written once per gamma entry, with a line per s entry
+        assert capsys.readouterr().out == f"wrote {path} (2 rows)\n" * 2
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# s  err[beta=3]  err[beta=3.5]  err[beta=3.5]"
+        assert lines[2:] == [f"3  {by_beta['3']}  {by_beta['3.5']}  {by_beta['3.5']}"] * 2
+
+
 class TestCurvesCommand:
     def test_one_file_per_gamma(self, tmp_path, capsys):
         prefix = str(tmp_path / "cv")
@@ -506,3 +576,12 @@ def test_runtime_covers_error_report(command, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[CSV_COLUMNS.index("runtime_ms")]) >= 50.0
+
+
+def test_indefinite_mass_prints_infinite_condition(capsys):
+    # degree 9's mass matrix is indefinite in double precision; the summary
+    # shows an inf estimate and the solve warns, where it printed a negative one
+    argv = ["solve", "--example", "1", "--gamma", "0.5", "--alpha", "9", "-j", "5", "-s", "4", "--beta", "3"]
+    with pytest.warns(UserWarning, match="condition estimate inf exceeds"):
+        assert main(argv) == 0
+    assert "  condition estimate inf\n" in capsys.readouterr().out

@@ -312,6 +312,18 @@ class TestModalLstsq:
         spread = _lstsq(a.copy(), np.ones(10))[1].condition_estimate
         assert rep.condition_estimate == pytest.approx(1e3 * spread, rel=1e-10)
 
+    @pytest.mark.parametrize("j, alpha", [(5, alpha) for alpha in range(1, 10)] + [(8, 9)])
+    def test_mass_condition(self, j, alpha):
+        # from degree 8 the mass matrix can have a negative eigenvalue in double
+        # precision while its eigensolve still succeeds; the ratio would then be
+        # a negative number, so the condition is inf
+        mass, stiffness, _ = spatial_operators(build_spatial(j, alpha))
+        with _blas.single_thread():
+            eigs = np.linalg.eigvalsh(mass)
+        assert (eigs[0] > 0.0) == (alpha < 8)
+        want = float(eigs[-1] / eigs[0]) if alpha < 8 else math.inf
+        assert spatial_modes(mass, stiffness).mass_cond == want
+
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="factor shape"):
             spatial_modes(np.eye(3), np.eye(2))

@@ -118,6 +118,13 @@ class TestSolveBasics:
         assert not rep.rank_deficient
         assert rep.condition_estimate < 1e12
 
+    def test_indefinite_mass_warns_with_infinite_estimate(self):
+        # at degree 9 the mass matrix is indefinite in double precision: the
+        # estimate is inf, not a negative number that passes the 1e12 check
+        with pytest.warns(UserWarning, match="condition estimate inf exceeds"):
+            _, rep = solve(example1(0.5), SolveConfig(gamma=0.5, j=5, s=4, alpha=9, beta=3.0))
+        assert rep.condition_estimate == math.inf
+
 
 class TestModalSolve:
     @pytest.mark.parametrize("beta", [3.0, 3.5])

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from fracspline import specfun
 from fracspline.specfun import ConvergenceError, PoleError, binomial_row, gamma, kummer_1f1
 
 
@@ -91,8 +92,14 @@ class TestKummer:
             with pytest.raises(ValueError):
                 kummer_1f1(1.0, 1.5, z)
 
-    def test_term_cap(self):
+    def test_term_cap(self, monkeypatch):
         # an array fails when any element has not converged
+        monkeypatch.setattr(specfun, "KUMMER_MAX_TERMS", 4)
         for z in (30.0, np.array([0.0, 30.0])):
             with pytest.raises(ConvergenceError):
-                kummer_1f1(1.0, 1.5, z, max_terms=4)
+                kummer_1f1(1.0, 1.5, z)
+
+    def test_series_bounds_are_not_keywords(self):
+        for keyword, value in (("rel_tol", 1e-10), ("max_terms", 4), ("max_abs_z", 100.0)):
+            with pytest.raises(TypeError, match=keyword):
+                kummer_1f1(1.0, 1.5, 0.5, **{keyword: value})
