@@ -28,7 +28,11 @@ The pools are found through ``/proc/self/maps``, once per process.  SciPy
 is loaded only by a solve, and a library loaded after the scan is not seen,
 so the scan loads SciPy's LAPACK module, and with it SciPy's OpenBLAS,
 first: a cap taken before any solve still covers the pool that solve's
-LAPACK calls run on.  Only the solve steps take the cap.  Where no
+LAPACK calls run on.  Only the solve steps take the cap, so a solve's
+coefficients and report do not depend on the thread or core count, but the
+matrix products of the error norms run outside it and an ``l2_error`` can
+differ in its last digits (at level j = 8, say).  Capping them would load
+SciPy into a process that only evaluates a stored solution.  Where no
 OpenBLAS shows there (another BLAS such as MKL or Accelerate, or no
 ``/proc``), nothing is capped, and what rests on the cap, such as output that
 does not depend on the thread or core count, is not guaranteed.

@@ -92,10 +92,9 @@ class _Translates:
         """Values of the translates that can be nonzero at each t, slot-major,
         and the ``translate_values`` column of each point's slot 0 (see
         ``kernels.supported_translates``, which works in ``scratch``)."""
-        first, count = self._span()
         terms = self.spline._terms(0.0, math.inf)
         return kernels.supported_translates(
-            np.atleast_1d(t), float(2**self.level), float(first), count, *terms, scratch
+            np.atleast_1d(t), float(2**self.level), float(self._span()[0]), *terms, scratch
         )
 
 

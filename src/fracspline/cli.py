@@ -175,8 +175,10 @@ def _csv_lines(rows: Sequence[TableRow]) -> str:
 
 
 def _row_object(r: TableRow) -> dict:
+    """The row as a JSON object: a NaN or infinite value is ``null``, which
+    strict JSON parsers accept and ``NaN`` or ``Infinity`` they reject."""
     values = ((name, getattr(r, name)) for name in CSV_COLUMNS)
-    return {name: None if isinstance(v, float) and math.isnan(v) else v for name, v in values}
+    return {name: None if isinstance(v, float) and not math.isfinite(v) else v for name, v in values}
 
 
 def _emit(text: str, out: Optional[str]) -> None:

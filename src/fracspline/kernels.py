@@ -91,7 +91,7 @@ def _unit_step_sum(u0, w, expo, out, power, term):
     return out
 
 
-def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff, scratch=None):
+def supported_translates(t, scale, shift0, weights, expo, cutoff, scratch=None):
     """The translates of ``basis_matrix`` that can be nonzero at each point.
 
     A translate ``r`` is live at ``t`` only where its argument ``scale * t -
@@ -104,13 +104,14 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff, scratc
     of the unit to its left: every ``r`` one less and ``u0 = 1``.  Returns
     ``(values, first)``: ``values`` slot-major, shape ``(S, len(t))``, and
     ``first``, the column ``r - shift0`` of slot 0 as one integer per
-    point; slot i sits in column ``first - i``.
-    ``values[i, p]`` is bit-identical to ``basis_matrix(...)[p, first[p] -
-    i]`` where that column lies in ``0 .. n_cols-1``, and 0 where it does
-    not.  ``cutoff`` must be finite.  A caller that goes block by block
-    passes ``scratch``, a float64 array of shape ``(3, S, m)`` with ``m >=
-    len(t)``, for the call to work in instead of allocating; ``values`` is
-    then a view of ``scratch[0]``.
+    point; slot i sits in column ``first - i``.  ``values[i, p]`` is
+    bit-identical to the ``basis_matrix`` entry of translate ``shift0 +
+    first[p] - i`` at ``t[p]`` in any table that holds it: there is no
+    table edge, and a caller whose table ends reads the slots past it
+    against 0 coefficients.  ``cutoff`` must be finite.  A caller that goes
+    block by block passes ``scratch``, a float64 array of shape ``(3, S,
+    m)`` with ``m >= len(t)``, for the call to work in instead of
+    allocating; ``values`` is then a view of ``scratch[0]``.
 
     The arguments of a point are ``u[i] = scale * t - r``, its ``u0`` plus
     i.  Where that sum is exact, the point needs one truncated power per
@@ -148,17 +149,9 @@ def supported_translates(t, scale, shift0, n_cols, weights, expo, cutoff, scratc
     if width != cutoff:
         np.copyto(values[top], 0.0, where=_past(u_top, expo, cutoff))
     rest = ((u_top - top != u0) | rounded).nonzero()[0]
-    steps = np.arange(width)[:, None]
     if rest.size:
-        u = st[rest] - (fl[rest] - steps)
+        u = st[rest] - (fl[rest] - np.arange(width)[:, None])
         vals = _power_sum(u.ravel(), w, expo).reshape(u.shape)
         vals[~_live(u, expo, cutoff)] = 0.0
         values[:, rest] = vals
-    # points with a slot off either end of the table
-    edge = ((first < top) | (first >= n_cols)).nonzero()[0]
-    if edge.size:
-        cols = first[edge] - steps
-        vals = values[:, edge]
-        vals[(cols < 0) | (cols >= n_cols)] = 0.0
-        values[:, edge] = vals
     return values, first

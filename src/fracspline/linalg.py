@@ -34,11 +34,10 @@ process-wide while it is held.
 
 SciPy serves the two steps alone, with four LAPACK routines: ``dsygvd``
 behind ``eigh`` and the ``dgeqp3``, ``dormqr`` and ``dtrtrs`` of the mode
-loop.  Importing this module loads none of it.  The first ``spatial_modes``
-or ``modal_lstsq_solve`` call loads SciPy's compiled LAPACK module, before
-its BLAS cap, and binds the four as module attributes like any import
-(``_lapack``).  It never imports the ``scipy.linalg`` package
-(``_blas.flapack``), and the routines are the very objects that
+loop.  Importing this module loads none of it.  Each ``eigh`` and
+``modal_lstsq_solve`` call reads them off SciPy's compiled LAPACK module,
+``_blas.flapack()``, which the first one loads, before its BLAS cap,
+without the ``scipy.linalg`` package; they are the very objects that
 ``scipy.linalg.lapack`` exports.  A process that only evaluates a stored
 solution never loads SciPy.
 """
@@ -69,37 +68,12 @@ RCOND = 1e-8
 # level-8 block (513 x 265, 1.04 MiB) alone fills one.
 _CHUNK_BYTES = 1 << 20
 
-# SciPy's LAPACK routines, bound as module attributes by ``_lapack``
-_LAPACK_NAMES = ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")
-
-
-def _lapack() -> None:
-    """Bind ``dsygvd``, ``dgeqp3``, ``dormqr`` and ``dtrtrs`` as module
-    attributes, loading SciPy's LAPACK module the first time.  A name already
-    bound (a patched one, say) is kept."""
-    bound = globals()
-    if all(name in bound for name in _LAPACK_NAMES):
-        return
-    flapack = _blas.flapack()
-    for name in _LAPACK_NAMES:
-        bound.setdefault(name, getattr(flapack, name))
-
-
-def __getattr__(name: str):
-    """The LAPACK routines before the first solve."""
-    if name in _LAPACK_NAMES:
-        _lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric pencil ``a v = b v diag(w)``, ``b``
     positive definite, ``v^T b v = I`` and ``w`` ascending: ``dsygvd`` with
     the arguments that ``scipy.linalg.eigh(a, b)`` passes, so the same bits.
     A failure is a ``LinAlgError`` in SciPy's words."""
-    _lapack()
-    w, v, info = dsygvd(a=a, b=b, itype=1, jobz="V", uplo="L")
+    w, v, info = _blas.flapack().dsygvd(a=a, b=b, itype=1, jobz="V", uplo="L")
     if info == 0:
         return w, v
     n = a.shape[0]
@@ -127,9 +101,10 @@ class LeastSquaresReport:
 
 
 def _solve_stack(
-    stack: np.ndarray, rhs: np.ndarray, x: np.ndarray, rcond: np.ndarray
+    lapack, stack: np.ndarray, rhs: np.ndarray, x: np.ndarray, rcond: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Pivoted-QR least-squares solves of a stack of blocks, in place.
+    """Pivoted-QR least-squares solves of a stack of blocks, in place, with
+    the routines of ``lapack`` (``_blas.flapack()``).
 
     Block k is the Fortran-order matrix ``stack[k].T`` (``stack`` is
     C-contiguous), ``rhs[k]`` its right-hand side and ``x[k]``, zero on
@@ -147,7 +122,7 @@ def _solve_stack(
     lwork = max(3 * (n + 1), 2 * n + (n + 1) * 128)
     factors = []
     for block in stack:
-        _, jpvt, tau, _, info = dgeqp3(block.T, lwork=lwork, overwrite_a=1)
+        _, jpvt, tau, _, info = lapack.dgeqp3(block.T, lwork=lwork, overwrite_a=1)
         if info != 0:
             raise RuntimeError(f"dgeqp3 failed with info={info}")
         factors.append((jpvt, tau))
@@ -171,13 +146,13 @@ def _solve_stack(
             # reflector block only: dormqr reads the reflector count off the width.
             # A one-column workspace selects the unblocked path, which for a single
             # right-hand side skips forming the blocked reflectors' triangular factors.
-            _, _, info = dormqr("L", "T", qr[:, : tau.shape[0]], tau, col, 1, overwrite_c=1)
+            _, _, info = lapack.dormqr("L", "T", qr[:, : tau.shape[0]], tau, col, 1, overwrite_c=1)
             if info != 0:
                 raise RuntimeError(f"dormqr failed with info={info}")
             # The leading `rank` columns, read with leading dimension m, hold R's
             # top rank x rank block in place; dtrtrs overwrites c's first `rank`
             # entries with the solution, so the rest stays the residual part.
-            _, info = dtrtrs(qr[:, :rank], col, overwrite_b=1)
+            _, info = lapack.dtrtrs(qr[:, :rank], col, overwrite_b=1)
             if info != 0:
                 raise RuntimeError(f"dtrtrs failed with info={info}")
             xk[jpvt[:rank] - 1] = c[:rank]  # jpvt is 1-based
@@ -227,7 +202,6 @@ def modal_lstsq_solve(
     a: np.ndarray,
     g: np.ndarray,
     load: np.ndarray,
-    rcond: float = RCOND,
 ) -> tuple[np.ndarray, LeastSquaresReport]:
     """Least-squares solve of ``mass C a^T + stiffness C g^T = load`` mode by mode.
 
@@ -237,9 +211,10 @@ def modal_lstsq_solve(
     modes.  The residual minimised, and reported as ``residual_norm``, is
     that of the whole system in the ``mass^-1 (x) I`` norm.
 
-    Rank decisions use one threshold for all modes, ``rcond`` times the
-    largest leading pivot of any mode; a per-mode relative cut would keep
-    directions in the weak modes that the strong ones swamp.  The leading
+    Rank decisions use one threshold for all modes, ``RCOND`` (read at
+    each call) times the largest leading pivot of any mode; a per-mode
+    relative cut would keep directions in the weak modes that the strong
+    ones swamp.  The leading
     pivot of a column-pivoted QR is the block's largest column norm, and
     the largest over all modes is that of the first or the last mode, so
     the threshold is known before any factorisation.
@@ -288,7 +263,7 @@ def modal_lstsq_solve(
         np.multiply(blocks, blocks, out=squares)
         return blocks, np.sqrt(np.add.reduce(squares, axis=2).max(axis=1))
 
-    _lapack()
+    lapack = _blas.flapack()
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
@@ -301,10 +276,10 @@ def modal_lstsq_solve(
         for k0 in range(0, nk, per):
             k1 = min(nk, k0 + per)
             blocks, colmax[k0:k1] = form(lam[k0:k1])
-            # a zero block's threshold, rcond * top / 0, is infinite
+            # a zero block's threshold, RCOND * top / 0, is infinite
             cuts = np.full(k1 - k0, math.inf)
-            np.divide(rcond * top, colmax[k0:k1], out=cuts, where=colmax[k0:k1] > 0.0)
-            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(blocks, rhs[k0:k1], d[k0:k1], cuts)
+            np.divide(RCOND * top, colmax[k0:k1], out=cuts, where=colmax[k0:k1] > 0.0)
+            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(lapack, blocks, rhs[k0:k1], d[k0:k1], cuts)
             norms += chunk_norms
 
         # one mode at a time, in mode order: a pairwise sum rounds differently

@@ -277,12 +277,9 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
     pivot = int(np.argmax(np.abs(g0)))
     if g0[pivot] == 0.0:
         return None
-    n = g0.size
-    z = np.zeros((n, n - 1))
-    cols = [r for r in range(n) if r != pivot]
-    for c, r in enumerate(cols):
-        z[r, c] = 1.0
-        z[pivot, c] = -g0[r] / g0[pivot]
+    # the identity without the pivot's column, whose row then eliminates it
+    z = np.delete(np.eye(g0.size), pivot, axis=1)
+    z[pivot] = -np.delete(g0, pivot) / g0[pivot]
     return z
 
 
@@ -320,12 +317,14 @@ def evaluate(sol: Solution, t, x):
     and the column of its slot 0 as one integer
     (``kernels.supported_translates``).  The translate
     coefficient matrix is padded with zeros on each side, so every slot of
-    a point in the domain has a column to read, 0 off the table, without a
-    clamp; the coefficients of each (space, time) slot pair are gathered
-    from offset views of it.  Every slot sum is written out slot by slot,
-    over the time slots and then over the space slots, rather than reduced
-    along an axis, whose order NumPy picks from the array's shape: a
-    point's value has the same bits whatever batch or block it comes in.
+    a point in the domain has a column to read without a clamp; that zero
+    border is the one off-table rule (a slot past the table holds the
+    spline's finite value there, times a 0 coefficient).  The coefficients
+    of each (space, time) slot pair are gathered from offset views of it.
+    Every slot sum is written out slot by slot, over the time slots and
+    then over the space slots, rather than reduced along an axis, whose
+    order NumPy picks from the array's shape: a point's value has the same
+    bits whatever batch or block it comes in.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)

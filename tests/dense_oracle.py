@@ -9,13 +9,17 @@ n_x**2 * n_pts * n_t, so use it on small cells only.
 
 ``one_block_lstsq`` is how a single dense block reaches the library's one
 least-squares routine: as the one mode, with ``lam = 0`` and ``v = 1``, of a
-system whose ``g`` is zero.
+system whose ``g`` is zero.  The library reads its cut from ``linalg.RCOND``
+alone, so this helper patches that constant for the length of the call.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+from fracspline import linalg
 from fracspline.linalg import RCOND, SpatialModes, modal_lstsq_solve
 
 ONE_MODE = SpatialModes(lam=np.zeros(1), v=np.eye(1), mass_cond=1.0)
@@ -45,7 +49,8 @@ def one_block_lstsq(a, b, rcond):
     """Least-squares solve of ``a x = b``, columns cut below ``rcond`` times
     the leading pivot; returns ``x`` and the report."""
     a = np.asarray(a, dtype=np.float64)
-    x, report = modal_lstsq_solve(ONE_MODE, a, np.zeros_like(a), np.asarray(b, dtype=np.float64)[None], rcond=rcond)
+    with mock.patch.object(linalg, "RCOND", rcond):
+        x, report = modal_lstsq_solve(ONE_MODE, a, np.zeros_like(a), np.asarray(b, dtype=np.float64)[None])
     return x[0], report
 
 

@@ -151,11 +151,11 @@ def _run(code: str, *args: str) -> str:
 
 
 # one solve, its LAPACK module loaded one of three ways: whether the solve
-# imported the scipy.linalg package, whether the routines it bound are the
+# imported the scipy.linalg package, whether the routines it calls are the
 # objects scipy.linalg exports, the coefficient bytes and the report
 LOADED_SOLVE = """
 import hashlib, json, sys, warnings
-from fracspline import _blas, linalg, problems, solver
+from fracspline import _blas, problems, solver
 warnings.simplefilter("ignore")
 order = sys.argv[1]
 if order == "fallback":
@@ -167,7 +167,7 @@ package = "scipy.linalg" in sys.modules
 import scipy.linalg
 from scipy.linalg import _flapack
 same = [
-    getattr(linalg, name) is getattr(scipy.linalg.lapack, name)
+    getattr(_blas.flapack(), name) is getattr(scipy.linalg.lapack, name)
     for name in ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")
 ] + [_blas.flapack() is _flapack is sys.modules["scipy.linalg._flapack"]]
 print(json.dumps({

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -585,3 +586,20 @@ def test_indefinite_mass_prints_infinite_condition(capsys):
     with pytest.warns(UserWarning, match="condition estimate inf exceeds"):
         assert main(argv) == 0
     assert "  condition estimate inf\n" in capsys.readouterr().out
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["solve", "table"])
+def test_infinite_condition_is_null_in_strict_json(capsys, command):
+    # the same cell: a strict parser reads its rows, where a bare Infinity stood
+    argv = [command, "--example", "1", "--gamma", "0.5", "--alpha", "9", "-j", "5", "-s", "4", "--beta", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    row = doc if command == "solve" else doc[0]
+    assert row["condition_estimate"] is None
+    assert list(row) == list(CSV_COLUMNS) and math.isfinite(row["l2_error"])

@@ -86,6 +86,14 @@ from fracspline import cli
 ran = cli.main(["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3", "--format", "json"])
 """
 
+# the linalg module alone, asked for each LAPACK routine by name: it binds
+# none, so asking loads nothing
+LINALG_NAMES = """
+import json, sys
+from fracspline import linalg
+ran = [hasattr(linalg, name) for name in ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")]
+"""
+
 # the CLI's exits that come before any solve: help, and a bad configuration
 CLI_EXITS = """
 import json, sys
@@ -124,6 +132,12 @@ def test_package_import_loads_no_scipy():
 def test_evaluating_a_stored_solution_loads_no_scipy():
     report = _probe(EVALUATE_STORED)
     assert report["ran"] is True
+    assert _scipy_modules(report) == []
+
+
+def test_linalg_import_binds_no_lapack_name_and_loads_no_scipy():
+    report = _probe(LINALG_NAMES)
+    assert report["ran"] == [False] * 4
     assert _scipy_modules(report) == []
 
 

@@ -65,16 +65,24 @@ def test_basis_matrix_random_weights_and_shifts():
             )
 
 
-def _scatter(values, first, n_cols):
-    """Dense table from the slot-major supported translates; slot i of a
-    point sits in column ``first - i``, and slots off the table are
-    dropped."""
-    cols = first - np.arange(values.shape[0])[:, None]
-    rows = np.broadcast_to(np.arange(values.shape[1]), cols.shape)
-    on = (cols >= 0) & (cols < n_cols)
-    out = np.zeros((values.shape[1], n_cols))
-    np.add.at(out, (rows[on], cols[on]), values[on])
-    return out
+def _widened(t, first, width, scale, shift0, weights, expo, cutoff):
+    """The dense table over every column the slots reach, on the table or
+    off it, and the column of each slot in it: slot i of a point sits in
+    column ``first - i`` of the table that starts at ``shift0``."""
+    cols = first - np.arange(width)[:, None]
+    lo = int(cols.min())
+    dense = column_loop_basis_matrix(t, scale, shift0 + lo, int(cols.max()) - lo + 1, weights, expo, cutoff)
+    return dense, cols - lo
+
+
+def _assert_slots_are_the_dense_rows(t, values, cols, dense):
+    """Every slot bit for bit, sign of zero included, and every nonzero of a
+    row in its slots."""
+    rows = np.broadcast_to(np.arange(t.size), cols.shape)
+    assert np.array_equal(values.view(np.uint64), dense[rows, cols].view(np.uint64))
+    scattered = np.zeros_like(dense)
+    np.add.at(scattered, (rows, cols), values)
+    assert np.array_equal(scattered, dense)
 
 
 def _slot_first(t, scale, shift0, expo, cutoff):
@@ -103,25 +111,19 @@ def _slot_first(t, scale, shift0, expo, cutoff):
 def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, cutoff, points):
     sp = FractionalBSpline(degree)
     cutoff = float(sp.effective_support) if cutoff is None else cutoff
-    # every knot of the table, where a cutoff's own argument can be live
+    # every knot of a basis of n_cols translates, where a cutoff's own
+    # argument can be live; the slots of its end points reach past it
     knots = np.arange(shift0, shift0 + n_cols + 1) / scale
     t = np.concatenate([_points(points), [0.0, 1.0], knots])
-    args = (scale, shift0, n_cols, sp.value_weights, degree, cutoff)
+    args = (scale, shift0, sp.value_weights, degree, cutoff)
     values, first = kernels.supported_translates(t, *args)
-    dense = column_loop_basis_matrix(t, *args)
     width = math.ceil(cutoff)
     assert values.shape == (width, t.size) and first.shape == (t.size,)
     # slot i holds translate floor(scale t) - i (one less at a knot), in
-    # column first - i ...
+    # column first - i, and its value is the dense entry, with no table edge
     assert np.array_equal(first, _slot_first(t, scale, shift0, degree, cutoff))
-    cols = first - np.arange(width)[:, None]
-    valid = (cols >= 0) & (cols < n_cols)
-    assert not values[~valid].any()
-    # ... its value is the dense entry, bit for bit ...
-    rows = np.broadcast_to(np.arange(t.size), cols.shape)
-    assert np.array_equal(values[valid], dense[rows[valid], cols[valid]])
-    # ... and the slots hold every nonzero of the row
-    assert np.array_equal(_scatter(values, first, n_cols), dense)
+    dense, cols = _widened(t, first, width, *args)
+    _assert_slots_are_the_dense_rows(t, values, cols, dense)
 
 
 def test_supported_translates_random_weights_and_shifts():
@@ -130,7 +132,6 @@ def test_supported_translates_random_weights_and_shifts():
     # counts one term more than the slot index; the multiples of 1/64 are
     # knots at every scale
     t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200), [-1e-20]])
-    rows = np.arange(t.size)
     # (3.5, 10.0) and the last three: integer cutoffs of exponents that are
     # not integers, where a knot moves to the unit on its left
     for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.5, 4.0), (-0.3, 4.0), (0.7, 1.0)):
@@ -139,16 +140,9 @@ def test_supported_translates_random_weights_and_shifts():
         for n_weights in (max(width - 2, 1), width + 4):
             w = rng.standard_normal(n_weights)
             for scale in (8.0, 16.0, 32.0):
-                shift0 = float(rng.integers(-12, 4))
-                n_cols = int(rng.integers(3, 45))
-                args = (scale, shift0, n_cols, w, expo, cutoff)
+                args = (scale, float(rng.integers(-12, 4)), w, expo, cutoff)
                 values, first = kernels.supported_translates(t, *args)
-                dense = column_loop_basis_matrix(t, *args)
                 assert values.shape == (width, t.size)
-                assert np.array_equal(first, _slot_first(t, scale, shift0, expo, cutoff))
-                r = first + shift0 - np.arange(width)[:, None]
-                valid = (r >= shift0) & (r < shift0 + n_cols)
-                assert not values[~valid].any()
-                cols = (first - np.arange(width)[:, None])[valid]
-                assert np.array_equal(values[valid], dense[np.broadcast_to(rows, r.shape)[valid], cols])
-                assert np.array_equal(_scatter(values, first, n_cols), dense)
+                assert np.array_equal(first, _slot_first(t, *args[:2], expo, cutoff))
+                dense, cols = _widened(t, first, width, *args)
+                _assert_slots_are_the_dense_rows(t, values, cols, dense)

@@ -267,8 +267,8 @@ class TestModalLstsq:
         weighted = np.linalg.norm(w @ (big @ c.ravel() - load.ravel()))
         assert rep.residual_norm == pytest.approx(weighted, rel=1e-9)
 
-    def test_rank_threshold_is_global_over_modes(self):
-        # the weak mode's block sits wholly below rcond times the strong
+    def test_rank_threshold_is_global_over_modes(self, monkeypatch):
+        # the weak mode's block sits wholly below RCOND times the strong
         # mode's leading pivot, so it is dropped although it is well
         # conditioned on its own
         rng = np.random.default_rng(167)
@@ -277,7 +277,8 @@ class TestModalLstsq:
         mass = np.eye(2)
         stiffness = np.diag([0.0, 1e6])
         load = rng.standard_normal((2, 12))
-        c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load, rcond=1e-3)
+        monkeypatch.setattr(linalg, "RCOND", 1e-3)
+        c, rep = modal_lstsq_solve(spatial_modes(mass, stiffness), a, g, load)
         assert rep.rank == 4
         assert rep.rank_deficient
         assert np.abs(c[0]).max() == 0.0
@@ -339,7 +340,8 @@ class TestModalLstsq:
             pytest.skip("no OpenBLAS thread controls in this process")
         before = [get() for get, _ in controls]
         seen = []
-        factor_block = linalg.dgeqp3
+        flapack = _blas.flapack()
+        factor_block = flapack.dgeqp3
 
         def recording(*args, **kwargs):
             seen.append([get() for get, _ in controls])
@@ -351,7 +353,7 @@ class TestModalLstsq:
             seen.append([get() for get, _ in controls])
             return real_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "dgeqp3", recording)
+        monkeypatch.setattr(flapack, "dgeqp3", recording)
         monkeypatch.setattr(linalg, "eigh", recording_eigh)
         rng = np.random.default_rng(179)
         nk, npts, nc = 6, 40, 20
@@ -364,6 +366,33 @@ class TestModalLstsq:
         assert len(seen) == nk + 1  # the eigensolve, then one factorisation per mode
         assert all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
+
+
+class TestOneRankRule:
+    """The cut is ``linalg.RCOND`` alone, and ``linalg`` binds no LAPACK names."""
+
+    def test_rcond_is_not_a_keyword(self):
+        a = np.eye(4)
+        with pytest.raises(TypeError, match="rcond"):
+            modal_lstsq_solve(ONE_MODE, a, np.zeros_like(a), np.ones((1, 4)), rcond=1e-3)
+
+    def test_patched_rcond_changes_the_kept_rank(self, monkeypatch):
+        # singular values 10**0 .. 10**-6: the default cut keeps all ten
+        rng = np.random.default_rng(223)
+        a = _graded_matrix(rng, 40, 10, decades=6)
+        args = ONE_MODE, a, np.zeros_like(a), rng.standard_normal((1, 40))
+        ranks = []
+        for rcond in (linalg.RCOND, 1e-4, 1e-2):
+            monkeypatch.setattr(linalg, "RCOND", rcond)
+            ranks.append(modal_lstsq_solve(*args)[1].rank)
+        assert ranks[0] == 10
+        assert ranks[0] > ranks[1] > ranks[2]
+
+    def test_no_lapack_attribute_after_a_solve(self):
+        modal_lstsq_solve(ONE_MODE, np.eye(3), np.zeros((3, 3)), np.ones((1, 3)))
+        for name in ("dsygvd", "dgeqp3", "dormqr", "dtrtrs"):
+            assert not hasattr(linalg, name)
+            assert callable(getattr(_blas.flapack(), name))
 
 
 class TestEigh:
@@ -459,9 +488,9 @@ class TestModeLoopOracle:
             ("zero", None),
         ],
     )
-    def test_single_block_matches(self, kind, rcond):
+    def test_single_block_matches(self, monkeypatch, kind, rcond):
         # one block as the one mode of a system with zero g; None is the
-        # cut max(m, n) * eps
+        # cut max(m, n) * eps, set through linalg.RCOND
         rng = np.random.default_rng(193)
         a = {
             "graded": lambda: _graded_matrix(rng, 40, 10, decades=9),
@@ -471,7 +500,8 @@ class TestModeLoopOracle:
         b = rng.standard_normal(a.shape[0])
         rcond = max(a.shape) * EPS if rcond is None else rcond
         args = ONE_MODE, a, np.zeros_like(a), b[None]
-        x, rep = modal_lstsq_solve(*args, rcond=rcond)
+        monkeypatch.setattr(linalg, "RCOND", rcond)
+        x, rep = modal_lstsq_solve(*args)
         # the zero block's threshold is rcond * 0 / 0 in the oracle
         with np.errstate(divide="ignore", invalid="ignore"):
             want_x, want_rep = oracle_modal_lstsq_solve(*args, rcond=rcond)
@@ -482,7 +512,9 @@ class TestModeLoopOracle:
         # the same dgeqp3 calls, block shapes and workspaces as one block at a time
         args = _cell_system(monkeypatch, 0.5, 6, 6, 3.5)
         calls = {}
-        for name, module in (("chunked", linalg), ("oracle", lapack)):
+        # the library's routines are read off SciPy's compiled module, the
+        # oracle's off scipy.linalg.lapack: the same objects, bound twice
+        for name, module in (("chunked", _blas.flapack()), ("oracle", lapack)):
             calls[name] = []
 
             def recording(a, *rest, _real=module.dgeqp3, _calls=calls[name], **kwargs):
