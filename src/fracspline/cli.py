@@ -2,9 +2,9 @@
 
 Three subcommands share one flag vocabulary and one cell plan (``_cells``).
 The plan parses the ``--gamma``/``--beta``/``-j``/``-s`` lists once, applies
-the command's defaults, checks the levels, ``--threads`` and every cell
-before any cell runs, and orders the cells gamma, beta, s, j, each
-ascending, with duplicated entries kept.  Each command then only emits:
+the command's defaults, checks the levels, ``--beta``, ``--threads`` and
+every cell before any cell runs, and orders the cells gamma, beta, s, j,
+each ascending, with duplicated entries kept.  Each command then only emits:
 
 * ``solve``  -- the plan's one cell, human-readable summary (or
   ``--format csv|json``)
@@ -40,6 +40,10 @@ LEVEL_RANGE = (2, 8)
 # from degree 10 up the mass matrix of the endpoint combinations is not
 # positive definite in double precision, so the solve's eigensolve fails
 ALPHA_MAX = 9
+# the truncated-power sums of the time spline cancel as beta grows: on 257
+# points of [0, 1] its translates sum to 1 within 2.2e-8 at beta = 16, below
+# DEFAULT_TAIL_TOL, but 2.1e-7 at 18 and 0.69 at 30, and beta = 170 overflows
+BETA_MAX = 16.0
 # range of --threads, a flag that selects nothing: sweep cells run one at a time
 THREADS_MAX = 64
 
@@ -255,6 +259,9 @@ def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
         for v in levels:
             if not lo <= v <= hi:
                 raise ConfigError(f"{flag}: level {v} outside {lo}..{hi}")
+    for beta in betas:
+        if beta > BETA_MAX:
+            raise ConfigError(f"--beta: degree {beta:g} exceeds {BETA_MAX:g}")
     threads = getattr(args, "threads", 1)  # solve has no --threads
     if not 1 <= threads <= THREADS_MAX:
         raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {threads}")

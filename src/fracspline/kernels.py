@@ -111,7 +111,9 @@ def supported_translates(t, scale, shift0, weights, expo, cutoff, scratch=None):
     against 0 coefficients.  ``cutoff`` must be finite.  A caller that goes
     block by block passes ``scratch``, a float64 array of shape ``(3, S,
     m)`` with ``m >= len(t)``, for the call to work in instead of
-    allocating; ``values`` is then a view of ``scratch[0]``.
+    allocating; ``values`` is then a view of ``scratch[0]``, and
+    ``scratch[1:]`` is free once the call returns (nothing returned views
+    it), for the caller to overwrite.
 
     The arguments of a point are ``u[i] = scale * t - r``, its ``u0`` plus
     i.  Where that sum is exact, the point needs one truncated power per

@@ -230,7 +230,9 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     Returns the solution together with the least-squares diagnostics; a
     condition estimate beyond 1e12 (``cond(mass)`` times the R-diagonal
     spread over all modes) triggers a warning, matching the observed
-    breakdown regime of the redundant translate family.  Only the order-gamma
+    breakdown regime of the redundant translate family; an infinite
+    ``cond(mass)`` is named in it as a mass matrix that is not positive
+    definite in double precision.  Only the order-gamma
     table ``A`` and the load are built here; the rest is per-level and shared.
     """
     if abs(problem.order - config.gamma) > 1e-12:
@@ -261,6 +263,8 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
             detail = f"rank-truncated solve kept {report.rank} of {n_cols * sbasis.size} columns"
         else:
             detail = "reported errors may stagnate"
+        if math.isinf(level.modes.mass_cond):
+            detail = f"the degree-{config.alpha} mass matrix is not positive definite in double precision; {detail}"
         warnings.warn(
             f"collocation system condition estimate "
             f"{report.condition_estimate:.2e} exceeds {ILL_CONDITION_THRESHOLD:.0e}; "
@@ -283,11 +287,12 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
     return z
 
 
-# Points per block of ``evaluate``: the (space, time) slot-pair terms of a
-# block fill this many bytes (6553 points at 4 x 10 slots, where all of a
-# block's scratch comes to 4.8 MiB).  A block costs about a hundred small
-# NumPy calls besides its arithmetic; at half this budget the benchmark's
-# evaluate-field pass took a fifth longer.
+# Points per block of ``evaluate``: as many as one term per (space, time)
+# slot pair fills in this many bytes (6553 points at 4 x 10 slots).  The
+# terms are not stored: a block works in the two kernels' scratch, 3 x (4 +
+# 10) float64 words per point at those slots (2.1 MiB).  A block costs a
+# couple of hundred small NumPy operations besides its arithmetic; at half
+# this budget the benchmark's evaluate-field pass took a fifth longer.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -319,12 +324,15 @@ def evaluate(sol: Solution, t, x):
     coefficient matrix is padded with zeros on each side, so every slot of
     a point in the domain has a column to read without a clamp; that zero
     border is the one off-table rule (a slot past the table holds the
-    spline's finite value there, times a 0 coefficient).  The coefficients
-    of each (space, time) slot pair are gathered from offset views of it.
-    Every slot sum is written out slot by slot, over the time slots and
-    then over the space slots, rather than reduced along an axis, whose
-    order NumPy picks from the array's shape: a point's value has the same
-    bits whatever batch or block it comes in.
+    spline's finite value there, times a 0 coefficient).  One space slot at
+    a time, the coefficients of its time slots are gathered from an offset
+    view of it, times the time values, and summed; no (space, time) slot
+    pair table is formed, and the block works in what the two kernels
+    leave free of their own scratch.  Every slot sum is written out slot
+    by slot, over the time slots and then over the space slots, rather
+    than reduced along an axis, whose order NumPy picks from the array's
+    shape: a point's value has the same bits whatever batch or block it
+    comes in.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     x_arr = np.asarray(x, dtype=np.float64)
@@ -351,8 +359,7 @@ def evaluate(sol: Solution, t, x):
     # allocator hands it back on the next call, while separate arrays of
     # this size can go back to the system and fault in again page by page,
     # which costs more than the arithmetic on them.
-    work = np.empty((3 * wx + 3 * wt + wx * wt + wx) * block)
-    cols = np.empty(wt * block, dtype=np.intp)
+    work = np.empty((3 * wx + 3 * wt) * block)
     # every slot column of a point in the domain lies in -1 .. n_cols
     n_x, n_t = spatial.combinations.shape[1] + 2, sol.coeffs.shape[1] + 2
     pair = np.zeros((n_x, n_t))
@@ -371,19 +378,27 @@ def evaluate(sol: Solution, t, x):
         # scratch of the block's own width: a take into a strided view is
         # twice as slow, and the iterator may hand out less than a block
         m = t_blk.size
-        x_scratch, t_scratch, prods, sums = _views(work, m, (3, wx), (3, wt), (wx, wt), (wx,))
+        x_scratch, t_scratch = _views(work, m, (3, wx), (3, wt))
         xv, x_first = spatial.supported_translates(x_blk, x_scratch)
         tv, t_first = temporal.supported_translates(t_blk, t_scratch)
-        # padded column of time slot b in the padded row of the last space slot
-        idx = cols[: wt * m].reshape(wt, m)
+        # the rest of each kernel's scratch is free now: the time kernel's
+        # holds the index and one space slot's products, the space kernel's
+        # the time sums of every space slot
+        _, prods, term = t_scratch
+        sums = x_scratch[1]
+        # padded column of time slot b in the padded row of the last space
+        # slot; the wt x m float64 words of term hold as many np.intp of
+        # either width
+        idx = term.reshape(-1).view(np.intp)[: wt * m].reshape(wt, m)
         np.add((x_first - (wx - 2)) * n_t + t_first, back, out=idx)
         for a in range(wx):
             # in range by construction; "clip" spares the copy "raise" makes
-            rows[a].take(idx, out=prods[a], mode="clip")
-        prods *= tv
-        np.copyto(sums, prods[:, 0])
-        for b in range(1, wt):
-            sums += prods[:, b]
+            rows[a].take(idx, out=prods, mode="clip")
+            prods *= tv
+            row = sums[a]
+            np.copyto(row, prods[0])
+            for b in range(1, wt):
+                row += prods[b]
         sums *= xv
         out = vals[lo : lo + m]
         lo += m

@@ -291,6 +291,31 @@ class TestTableCommand:
             args = parser.parse_args(["solve", "--example", "1", "--gamma", "0.5", "-j", "8", "-s", "3", "--alpha", str(alpha)])
             assert cli._build_cell(args, 0.5, 3.5, 8, 3).config.alpha == alpha
 
+    @pytest.mark.parametrize("command", ["solve", "table", "curves"])
+    def test_beta_bound_builds_nothing(self, command, monkeypatch, capsys, tmp_path):
+        # past 16 the time spline's translates no longer sum to 1 within the
+        # tail tolerance (--beta 60 exited 0 with l2_error 1.03, 170 ended in
+        # an overflow); the bound comes before the first cell is built, and a
+        # list is refused for any one entry
+        def refuse(*args):
+            raise AssertionError("built a cell")
+
+        monkeypatch.setattr(cli, "_build_cell", refuse)
+        betas = "16.5" if command == "solve" else "3.5,16.5"
+        argv = [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--beta", betas]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: --beta: degree 16.5 exceeds 16\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_beta_bound_admits_16(self, capsys):
+        argv = ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--format", "csv"]
+        assert main([*argv, "--beta", str(cli.BETA_MAX)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert float(row[CSV_COLUMNS.index("beta")]) == 16.0
+        assert float(row[CSV_COLUMNS.index("l2_error")]) < 1e-2
+
     @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])
     def test_threads_bound_starts_no_thread(self, command, levels, tmp_path, capsys):
         argv = [command, "--example", "1", "--gamma", "0.5", *levels, "--out", str(tmp_path / "out")]
@@ -583,9 +608,10 @@ def test_indefinite_mass_prints_infinite_condition(capsys):
     # degree 9's mass matrix is indefinite in double precision; the summary
     # shows an inf estimate and the solve warns, where it printed a negative one
     argv = ["solve", "--example", "1", "--gamma", "0.5", "--alpha", "9", "-j", "5", "-s", "4", "--beta", "3"]
-    with pytest.warns(UserWarning, match="condition estimate inf exceeds"):
+    with pytest.warns(UserWarning, match="condition estimate inf exceeds") as record:
         assert main(argv) == 0
     assert "  condition estimate inf\n" in capsys.readouterr().out
+    assert "degree-9 mass matrix is not positive definite" in str(record[0].message)
 
 
 def _refuse_constant(name):

@@ -146,3 +146,30 @@ def test_supported_translates_random_weights_and_shifts():
                 assert np.array_equal(first, _slot_first(t, *args[:2], expo, cutoff))
                 dense, cols = _widened(t, first, width, *args)
                 _assert_slots_are_the_dense_rows(t, values, cols, dense)
+
+
+@pytest.mark.parametrize(
+    "degree,scale,shift0,cutoff",
+    [
+        (3.0, 8.0, -3.0, 4.0),  # spatial cubic at j = 3
+        (3.5, 64.0, -9.0, None),  # temporal beta 3.5 at s = 6
+        (3.5, 16.0, -9.0, 7.5),  # non-integer cutoff
+    ],
+)
+def test_scratch_beyond_values_is_free_after_the_call(degree, scale, shift0, cutoff):
+    # evaluate works in scratch[1:] once the kernel returns: overwriting it
+    # must leave the returned values and columns as a fresh call gives them
+    sp = FractionalBSpline(degree)
+    cutoff = float(sp.effective_support) if cutoff is None else cutoff
+    width = math.ceil(cutoff)
+    # knots, random points and times whose fraction is summed term by term
+    t = np.concatenate([np.arange(65) / 64.0, _points("random"), [5e-324, 1e-300, 2.0**-60], np.arange(1, 97) / 96])
+    args = (scale, shift0, sp.value_weights, degree, cutoff)
+    want_values, want_first = kernels.supported_translates(t, *args)
+    scratch = np.empty((3, width, t.size + 5))
+    values, first = kernels.supported_translates(t, *args, scratch)
+    assert np.shares_memory(values, scratch[0])
+    for garbage in (np.nan, -0.0, np.inf):
+        scratch[1:] = garbage
+        assert np.array_equal(values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(first, want_first)

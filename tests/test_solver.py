@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -121,9 +122,19 @@ class TestSolveBasics:
     def test_indefinite_mass_warns_with_infinite_estimate(self):
         # at degree 9 the mass matrix is indefinite in double precision: the
         # estimate is inf, not a negative number that passes the 1e12 check
-        with pytest.warns(UserWarning, match="condition estimate inf exceeds"):
+        with pytest.warns(UserWarning, match="condition estimate inf exceeds") as record:
             _, rep = solve(example1(0.5), SolveConfig(gamma=0.5, j=5, s=4, alpha=9, beta=3.0))
         assert rep.condition_estimate == math.inf
+        assert "the degree-9 mass matrix is not positive definite in double precision" in str(record[0].message)
+
+    @pytest.mark.parametrize("alpha", [3, 7])
+    def test_definite_mass_warning_names_no_mass_matrix(self, alpha):
+        # up to degree 7 the mass matrix is positive definite and the warning
+        # reads as before: the estimate and what the solve kept
+        with pytest.warns(UserWarning, match="condition estimate") as record:
+            solve(example1(0.5), SolveConfig(gamma=0.5, j=5, s=4, alpha=alpha))
+        pattern = r"collocation system condition estimate \S+ exceeds 1e\+12; rank-truncated solve kept \d+ of \d+ columns"
+        assert re.fullmatch(pattern, str(record[0].message))
 
 
 class TestModalSolve:
@@ -601,31 +612,40 @@ class TestEvaluate:
         assert np.array_equal(evaluate(sol, t, x), want)
         assert calls == []
 
-    def test_scratch_is_one_block(self):
-        # a 200k-point call needs its output plus the scratch of one block
-        sol, rng = self._random_solution(3.5)
-        t, x = rng.uniform(0.0, 1.0, (2, 200_000))
+    @staticmethod
+    def _beyond_output(sol, t, x):
+        """Shape and ``tracemalloc`` peak beyond the output of one call."""
         tracemalloc.start()
         try:
             values = evaluate(sol, t, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= values.nbytes + 8 * 2**20
+        return values.shape, peak - values.nbytes
+
+    # beta 3, 3.5 and 4 take 4, 10 and 5 time slots, so 16384, 6553 and
+    # 13107 points per block and 3.0, 2.1 and 2.7 MiB of kernel scratch
+    def test_scratch_is_one_block(self):
+        # a 200k-point call needs its output plus the scratch of one block
+        # and the kernels' temporaries of one block (4.04 MiB at beta 3)
+        for beta in (3.0, 3.5, 4.0):
+            sol, rng = self._random_solution(beta)
+            t, x = rng.uniform(0.0, 1.0, (2, 200_000))
+            _, beyond = self._beyond_output(sol, t, x)
+            assert beyond <= 5 * 2**20, beta
 
     def test_broadcast_grid_scratch_is_one_block(self):
         # a grid of broadcast inputs is read a block at a time, not copied
-        # whole (two copies would be twice the output)
-        sol, _ = self._random_solution(3.5)
+        # whole (two copies would be twice the output); its times are not
+        # dyadic, so a third of them, all in t < 1/2, take the kernel's
+        # term-by-term sums, whose temporaries come on top of the scratch
+        # (6.2 MiB at beta 3)
         g = np.arange(769) / 768
-        tracemalloc.start()
-        try:
-            values = evaluate(sol, g[:, None], g[None, :])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert values.shape == (g.size, g.size)
-        assert peak <= values.nbytes + 8 * 2**20
+        for beta in (3.0, 3.5, 4.0):
+            sol, _ = self._random_solution(beta)
+            shape, beyond = self._beyond_output(sol, g[:, None], g[None, :])
+            assert shape == (g.size, g.size)
+            assert beyond <= 7 * 2**20, beta
 
     @pytest.mark.parametrize("beta", [2.5, 3.0, 3.5])
     def test_value_does_not_depend_on_batch(self, beta):
