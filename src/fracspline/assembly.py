@@ -63,7 +63,9 @@ def spatial_operators(basis: SpatialBasis) -> tuple[np.ndarray, np.ndarray, tupl
 def assemble_load_matrix(table: tuple[np.ndarray, np.ndarray], forcing, times: np.ndarray) -> np.ndarray:
     """Load vectors, one column per time, from one ``forcing`` call on
     ``times[:, None]`` against the nodes ``x[None, :]`` of the load table
-    of ``spatial_operators``."""
+    of ``spatial_operators``.  A load that is not finite (a forcing value
+    NaN or infinite) is a ``ValueError``, so no solve returns NaN
+    coefficients from it."""
     x, vw = table
     f = np.asarray(forcing(times[:, None], x[None, :]), dtype=np.float64)
     try:
@@ -72,4 +74,13 @@ def assemble_load_matrix(table: tuple[np.ndarray, np.ndarray], forcing, times: n
         raise ValueError(
             f"forcing returned shape {f.shape}, not broadcastable to the (times, nodes) grid {(times.size, x.size)}"
         ) from None
-    return vw.T @ f.T
+    # a NaN or infinite value is raised on below, not warned on here
+    with np.errstate(invalid="ignore", over="ignore"):
+        load = vw.T @ f.T
+    bad = ~np.isfinite(load).all(axis=0)
+    if bad.any():
+        raise ValueError(
+            f"forcing gave a load that is not finite at {bad.sum()} of {times.size} times, "
+            f"the first t={float(times[bad][0])!r}"
+        )
+    return load

@@ -88,14 +88,13 @@ class _Translates:
         terms = self.spline._terms(order, scale * float(t.max(initial=0.0)) - first)
         return kernels.basis_matrix(t, scale, float(first), count, *terms) * scale ** float(order)
 
-    def supported_translates(self, t, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    def supported_translates(self, t, scratch) -> tuple[np.ndarray, np.ndarray]:
         """Values of the translates that can be nonzero at each t, slot-major,
         and the ``translate_values`` column of each point's slot 0 (see
-        ``kernels.supported_translates``, which works in ``scratch``)."""
-        terms = self.spline._terms(0.0, math.inf)
-        return kernels.supported_translates(
-            np.atleast_1d(t), float(2**self.level), float(self._span()[0]), *terms, scratch
-        )
+        ``kernels.supported_translates``, which works in ``scratch``, of
+        shape ``(3, spline.effective_support, m)``)."""
+        weights, expo, _ = self.spline._terms(0.0, math.inf)
+        return kernels.supported_translates(t, float(2**self.level), float(self._span()[0]), weights, expo, scratch)
 
 
 @dataclass(frozen=True, eq=False)

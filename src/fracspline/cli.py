@@ -2,9 +2,10 @@
 
 Three subcommands share one flag vocabulary and one cell plan (``_cells``).
 The plan parses the ``--gamma``/``--beta``/``-j``/``-s`` lists once, applies
-the command's defaults, checks the levels, ``--beta``, ``--threads`` and
-every cell before any cell runs, and orders the cells gamma, beta, s, j,
-each ascending, with duplicated entries kept.  Each command then only emits:
+the command's defaults, checks the levels, ``--beta``, ``--threads``, the
+directory of ``--out`` and every cell before any cell runs, and orders the
+cells gamma, beta, s, j, each ascending, with duplicated entries kept.  Each
+command then only emits:
 
 * ``solve``  -- the plan's one cell, human-readable summary (or
   ``--format csv|json``)
@@ -13,9 +14,10 @@ each ascending, with duplicated entries kept.  Each command then only emits:
 * ``curves`` -- one gnuplot-ready data file per gamma, columns ``s`` then
   one error column per beta, at fixed ``-j``
 
-Exit codes: 0 success, 2 configuration error (nothing written), 3 solver
-failure.  Inside a sweep a failing cell becomes a NaN sentinel row, its
-exception is named on stderr, and the sweep keeps going.
+Exit codes: 0 success, 2 configuration error (a bad flag, or an ``--out``
+in a directory that does not exist; nothing written), 3 solver failure.
+Inside a sweep a failing cell becomes a NaN sentinel row, its exception is
+named on stderr, and the sweep keeps going.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -265,6 +268,10 @@ def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
     threads = getattr(args, "threads", 1)  # solve has no --threads
     if not 1 <= threads <= THREADS_MAX:
         raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {threads}")
+    # a path, or for curves a file-name prefix: either way its directory must exist
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out: no directory {out_dir!r}")
     axes = tuple(sorted(values) for values in (gammas, betas, ss, js))
     return axes, [_build_cell(args, gamma, beta, j, s) for gamma, beta, s, j in itertools.product(*axes)]
 

@@ -91,69 +91,60 @@ def _unit_step_sum(u0, w, expo, out, power, term):
     return out
 
 
-def supported_translates(t, scale, shift0, weights, expo, cutoff, scratch=None):
-    """The translates of ``basis_matrix`` that can be nonzero at each point.
+def supported_translates(t, scale, shift0, weights, expo, scratch):
+    """The translates of ``basis_matrix`` that can be nonzero at each point
+    ``t >= 0``, for a sum cut at an integer ``S`` (a spline's value cutoff,
+    its effective support).
 
-    A translate ``r`` is live at ``t`` only where its argument ``scale * t -
-    r`` lies in ``[0, cutoff]`` (``_live``).  The ``S = ceil(cutoff)``
-    translates ``r = floor(scale * t) - i``, i = 0 .. S-1, have the
-    arguments ``u0 + i``, ``u0`` the fraction of ``scale * t``: every live
-    one but the cutoff itself, which is live only for an integer cutoff and
-    an ``expo`` that is not an integer, and only at a knot (``u0 == 0``),
-    whose zero argument is not.  So there a knot is taken as the right end
-    of the unit to its left: every ``r`` one less and ``u0 = 1``.  Returns
-    ``(values, first)``: ``values`` slot-major, shape ``(S, len(t))``, and
-    ``first``, the column ``r - shift0`` of slot 0 as one integer per
-    point; slot i sits in column ``first - i``.  ``values[i, p]`` is
-    bit-identical to the ``basis_matrix`` entry of translate ``shift0 +
-    first[p] - i`` at ``t[p]`` in any table that holds it: there is no
-    table edge, and a caller whose table ends reads the slots past it
-    against 0 coefficients.  ``cutoff`` must be finite.  A caller that goes
-    block by block passes ``scratch``, a float64 array of shape ``(3, S,
-    m)`` with ``m >= len(t)``, for the call to work in instead of
-    allocating; ``values`` is then a view of ``scratch[0]``, and
-    ``scratch[1:]`` is free once the call returns (nothing returned views
-    it), for the caller to overwrite.
+    The call works in ``scratch``, a float64 array of shape ``(3, S, m)``
+    with ``m >= len(t)``, and reads ``S`` off it.  A translate ``r`` is
+    live at ``t`` only where its argument ``scale * t - r`` lies in ``[0,
+    S]`` (``_live``).  The ``S`` translates ``r = floor(scale * t) - i``, i
+    = 0 .. S-1, have the arguments ``u0 + i``, ``u0`` the fraction of
+    ``scale * t``: every live one but the cutoff itself, which is live only
+    for an ``expo`` that is not an integer, and only at a knot (``u0 ==
+    0``), whose zero argument is not.  So for such an ``expo`` a knot is
+    taken as the right end of the unit to its left: every ``r`` one less
+    and ``u0 = 1``.  Returns ``(values, first)``: ``values``, a view of
+    ``scratch[0]``, slot-major, shape ``(S, len(t))``, and ``first``, the
+    column ``r - shift0`` of slot 0 as one integer per point; slot i sits
+    in column ``first - i``.  ``values[i, p]`` is bit-identical to the
+    ``basis_matrix`` entry of translate ``shift0 + first[p] - i`` at
+    ``t[p]`` in any table that holds it: there is no table edge, and a
+    caller whose table ends reads the slots past it against 0
+    coefficients.  ``scratch[1:]`` is free once the call returns (nothing
+    returned views it), for the caller to overwrite.
 
     The arguments of a point are ``u[i] = scale * t - r``, its ``u0`` plus
     i.  Where that sum is exact, the point needs one truncated power per
     slot instead of one per slot and term (``_unit_step_sum``), knots
-    included; only a cutoff that is not an integer can fall inside the
-    last slot.  The sum is exact in every slot exactly when it is in the
+    included.  The sum is exact in every slot exactly when it is in the
     last one, whose argument is the largest and so the most coarsely
     rounded; then ``u0 + i`` equals ``u[i]`` bit for bit.  The other
     points, whose fraction has bits below the unit in the last place of
-    ``u[i]`` (small or negative ``scale * t``), are summed term by term.
-    Either way each sum adds its terms one at a time in the order of
-    ``_power_sum``, so a value does not depend on the other points of the
-    call.
+    ``u[i]`` (small ``scale * t``), are summed term by term.  Either way
+    each sum adds its terms one at a time in the order of ``_power_sum``,
+    so a value does not depend on the other points of the call.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    width = math.ceil(cutoff)
+    width = scratch.shape[1]
     top = width - 1
-    n = t.shape[0]
-    if scratch is None:
-        scratch = np.empty((3, width, n))
-    values, power, term = scratch[:, :, :n]
+    values, power, term = scratch[:, :, : t.shape[0]]
     st = scale * t
     fl = np.floor(st)
     u0 = st - fl
-    # u0 == 1 can come from rounding when scale * t < 0
-    rounded = u0 >= 1.0
-    if width == cutoff and not float(expo).is_integer():
+    if not float(expo).is_integer():
         knot = u0 == 0.0
         fl -= knot
         u0 += knot
     first = (fl - shift0).astype(np.intp)
     u_top = st - (fl - top)
     _unit_step_sum(u0, w, expo, values, power, term)
-    if width != cutoff:
-        np.copyto(values[top], 0.0, where=_past(u_top, expo, cutoff))
-    rest = ((u_top - top != u0) | rounded).nonzero()[0]
+    rest = (u_top - top != u0).nonzero()[0]
     if rest.size:
         u = st[rest] - (fl[rest] - np.arange(width)[:, None])
         vals = _power_sum(u.ravel(), w, expo).reshape(u.shape)
-        vals[~_live(u, expo, cutoff)] = 0.0
+        vals[~_live(u, expo, float(width))] = 0.0
         values[:, rest] = vals
     return values, first

@@ -101,7 +101,7 @@ class LeastSquaresReport:
 
 
 def _solve_stack(
-    lapack, stack: np.ndarray, rhs: np.ndarray, x: np.ndarray, rcond: np.ndarray
+    lapack, stack: np.ndarray, rhs: np.ndarray, x: np.ndarray, cut: float
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Pivoted-QR least-squares solves of a stack of blocks, in place, with
     the routines of ``lapack`` (``_blas.flapack()``).
@@ -109,10 +109,10 @@ def _solve_stack(
     Block k is the Fortran-order matrix ``stack[k].T`` (``stack`` is
     C-contiguous), ``rhs[k]`` its right-hand side and ``x[k]``, zero on
     entry, its solution.  Its rank is the number of R-diagonal entries
-    before the first one below ``rcond[k]`` times the leading one; the
-    dropped columns keep zero coefficients (basic solution).  The stack
-    ends up holding the factors and ``rhs[k]`` its residual part past the
-    rank.  Returns the ranks, the R-diagonal spreads (leading over trailing
+    before the first one below ``cut``, one absolute threshold for every
+    block (``inf`` keeps nothing); the dropped columns keep zero
+    coefficients (basic solution).  The stack ends up holding the factors
+    and ``rhs[k]`` its residual part past the rank.  Returns the ranks, the R-diagonal spreads (leading over trailing
     pivot of the whole diagonal, ``inf`` when the trailing one is zero) and
     the residual norms, one per block.
     """
@@ -130,13 +130,10 @@ def _solve_stack(
     diag = np.abs(np.diagonal(stack, axis1=1, axis2=2))
     lead, last = diag[:, 0], diag[:, -1]
     # the diagonal of a pivoted R is non-increasing in exact arithmetic;
-    # cut at the first drop below threshold to be safe.  A zero block
-    # keeps nothing, whatever its (possibly infinite) rcond.
-    cut = np.multiply(rcond, lead, out=np.full(count, math.inf), where=lead != 0.0)
-    keep = diag >= cut[:, None]
-    ranks = np.logical_and.accumulate(keep, axis=1).sum(axis=1)
+    # cut at the first drop below threshold to be safe
+    ranks = np.logical_and.accumulate(diag >= cut, axis=1).sum(axis=1)
     # full-diagonal spread, not just the kept block: the estimate should keep
-    # reporting how unstable the column family is even when rcond cut it
+    # reporting how unstable the column family is even when the cut dropped some
     spread = np.divide(lead, last, out=np.full(count, math.inf), where=last > 0.0)
 
     norms = []
@@ -211,13 +208,13 @@ def modal_lstsq_solve(
     modes.  The residual minimised, and reported as ``residual_norm``, is
     that of the whole system in the ``mass^-1 (x) I`` norm.
 
-    Rank decisions use one threshold for all modes, ``RCOND`` (read at
-    each call) times the largest leading pivot of any mode; a per-mode
-    relative cut would keep directions in the weak modes that the strong
-    ones swamp.  The leading
-    pivot of a column-pivoted QR is the block's largest column norm, and
-    the largest over all modes is that of the first or the last mode, so
-    the threshold is known before any factorisation.
+    Rank decisions use one absolute threshold for all modes, ``RCOND``
+    (read at each call) times the largest leading pivot of any mode; a
+    per-mode relative cut would keep directions in the weak modes that the
+    strong ones swamp.  The leading pivot of a column-pivoted QR is the
+    block's largest column norm, and the largest over all modes is that of
+    the first or the last mode, so the threshold is known before any
+    factorisation.
 
     ``condition_estimate`` is ``cond(mass)`` times the R-diagonal spread
     over all modes, largest leading pivot over smallest trailing one.  As
@@ -231,7 +228,7 @@ def modal_lstsq_solve(
     squares: one broadcast forms a chunk and one sum along its contiguous
     axis gives its column norms.  Each block's transpose is the
     Fortran-order matrix that ``dgeqp3`` factors in place; then the chunk's
-    R diagonals are read, and its thresholds and ranks set, at once, and
+    R diagonals are read, and its ranks set, at once, and
     ``dormqr`` and ``dtrtrs`` solve each mode that keeps columns straight
     into its rows of the rotated load and of ``D`` (``_solve_stack``).  The
     residual and the pivot spread are summed once, in mode order.  A system
@@ -268,6 +265,8 @@ def modal_lstsq_solve(
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
         top = max(form(lam[[0]])[1][0], form(lam[[-1]])[1][0])
+        # a zero system keeps nothing (a cut of 0 would keep its zero pivots)
+        cut = RCOND * top if top > 0.0 else math.inf
         d = np.zeros((nk, nc))
         colmax = np.empty(nk)
         ranks = np.empty(nk, dtype=np.intp)
@@ -276,10 +275,7 @@ def modal_lstsq_solve(
         for k0 in range(0, nk, per):
             k1 = min(nk, k0 + per)
             blocks, colmax[k0:k1] = form(lam[k0:k1])
-            # a zero block's threshold, RCOND * top / 0, is infinite
-            cuts = np.full(k1 - k0, math.inf)
-            np.divide(RCOND * top, colmax[k0:k1], out=cuts, where=colmax[k0:k1] > 0.0)
-            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(lapack, blocks, rhs[k0:k1], d[k0:k1], cuts)
+            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(lapack, blocks, rhs[k0:k1], d[k0:k1], cut)
             norms += chunk_norms
 
         # one mode at a time, in mode order: a pairwise sum rounds differently

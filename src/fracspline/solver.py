@@ -287,24 +287,12 @@ def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
     return z
 
 
-# Points per block of ``evaluate``: as many as one term per (space, time)
-# slot pair fills in this many bytes (6553 points at 4 x 10 slots).  The
-# terms are not stored: a block works in the two kernels' scratch, 3 x (4 +
-# 10) float64 words per point at those slots (2.1 MiB).  A block costs a
-# couple of hundred small NumPy operations besides its arithmetic; at half
-# this budget the benchmark's evaluate-field pass took a fifth longer.
+# Bytes of the kernel scratch of one block of ``evaluate``: 3 x (S_x + S_t)
+# float64 words per point, S the slots of a basis (6241 points at 4 + 10
+# slots, 2.0 MiB).  A block costs a couple of hundred small NumPy operations
+# besides its arithmetic; at half this budget the benchmark's evaluate-field
+# pass took a fifth longer.
 _BLOCK_BYTES = 2 << 20
-
-
-def _views(buf, m, *shapes):
-    """Consecutive C-contiguous views of ``buf``, of ``shapes`` each with
-    a last axis of length ``m``."""
-    views, lo = [], 0
-    for shape in shapes:
-        size = math.prod(shape) * m
-        views.append(buf[lo : lo + size].reshape(*shape, m))
-        lo += size
-    return views
 
 
 def evaluate(sol: Solution, t, x):
@@ -351,15 +339,15 @@ def evaluate(sol: Solution, t, x):
             f"got {t_arr.shape} and {x_arr.shape}"
         ) from None
     spatial, temporal = sol.spatial, sol.temporal
-    # slots per point: ceil(cutoff), the value cutoff being the support
+    # slots per point: the effective support, the value cutoff
     wx, wt = spatial.spline.effective_support, temporal.spline.effective_support
     n = t_b.size
-    block = max(1, min(n, _BLOCK_BYTES // (8 * wx * wt)))
+    block = max(1, min(n, _BLOCK_BYTES // (8 * 3 * (wx + wt))))
     # One allocation holds the scratch of every block: freed whole, the C
     # allocator hands it back on the next call, while separate arrays of
     # this size can go back to the system and fault in again page by page,
     # which costs more than the arithmetic on them.
-    work = np.empty((3 * wx + 3 * wt) * block)
+    work = np.empty(3 * (wx + wt) * block)
     # every slot column of a point in the domain lies in -1 .. n_cols
     n_x, n_t = spatial.combinations.shape[1] + 2, sol.coeffs.shape[1] + 2
     pair = np.zeros((n_x, n_t))
@@ -378,7 +366,8 @@ def evaluate(sol: Solution, t, x):
         # scratch of the block's own width: a take into a strided view is
         # twice as slow, and the iterator may hand out less than a block
         m = t_blk.size
-        x_scratch, t_scratch = _views(work, m, (3, wx), (3, wt))
+        x_scratch = work[: 3 * wx * m].reshape(3, wx, m)
+        t_scratch = work[3 * wx * m : 3 * (wx + wt) * m].reshape(3, wt, m)
         xv, x_first = spatial.supported_translates(x_blk, x_scratch)
         tv, t_first = temporal.supported_translates(t_blk, t_scratch)
         # the rest of each kernel's scratch is free now: the time kernel's

@@ -168,6 +168,25 @@ def test_load_rejects_a_forcing_that_does_not_broadcast():
         assemble_load_matrix(table, lambda t, x: np.ones(3), np.array([0.25, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "forcing, count, first",
+    [
+        (lambda t, x: np.where(t > 0.5, np.nan, t * np.sin(np.pi * x)), 16, 0.53125),  # NaN past t = 1/2
+        (lambda t, x: np.full(np.broadcast(t, x).shape, np.inf), 32, 0.03125),
+    ],
+    ids=["nan", "inf"],
+)
+def test_load_rejects_a_forcing_that_is_not_finite(forcing, count, first):
+    # such a load gave NaN coefficients and a NaN residual with no error
+    table = spatial_operators(build_spatial(4, 3))[2]
+    times = np.arange(1, 33) / 32
+    with pytest.raises(ValueError, match=rf"not finite at {count} of 32 times, the first t={first}$"):
+        assemble_load_matrix(table, forcing, times)
+    problem = ProblemSpec(name="not finite", order=0.5, forcing=forcing)
+    with pytest.raises(ValueError, match="not finite"):
+        solver.solve(problem, solver.SolveConfig(gamma=0.5, j=4, s=4))
+
+
 # The temporal collocation tables and the load are built inside ``solve``;
 # these tests read them where ``solve`` hands them to the modal solve, and
 # check the load against one built column by column.  The load table and the

@@ -309,6 +309,23 @@ class TestTableCommand:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "table", "curves"])
+    def test_out_directory_that_does_not_exist_builds_nothing(self, command, monkeypatch, capsys, tmp_path):
+        # a missing directory is refused before any cell is built, not found
+        # when the output is written after the last cell; for curves --out is
+        # a file-name prefix, whose directory is checked
+        def refuse(*args):
+            raise AssertionError("built a cell")
+
+        monkeypatch.setattr(cli, "_build_cell", refuse)
+        missing = tmp_path / "missing"
+        argv = [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--out", str(missing / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: --out: no directory {str(missing)!r}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_beta_bound_admits_16(self, capsys):
         argv = ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--format", "csv"]
         assert main([*argv, "--beta", str(cli.BETA_MAX)]) == 0

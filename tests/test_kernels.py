@@ -65,13 +65,14 @@ def test_basis_matrix_random_weights_and_shifts():
             )
 
 
-def _widened(t, first, width, scale, shift0, weights, expo, cutoff):
-    """The dense table over every column the slots reach, on the table or
-    off it, and the column of each slot in it: slot i of a point sits in
-    column ``first - i`` of the table that starts at ``shift0``."""
+def _widened(t, first, width, scale, shift0, weights, expo):
+    """The dense table, cut at ``width``, over every column the slots reach,
+    on the table or off it, and the column of each slot in it: slot i of a
+    point sits in column ``first - i`` of the table that starts at
+    ``shift0``."""
     cols = first - np.arange(width)[:, None]
     lo = int(cols.min())
-    dense = column_loop_basis_matrix(t, scale, shift0 + lo, int(cols.max()) - lo + 1, weights, expo, cutoff)
+    dense = column_loop_basis_matrix(t, scale, shift0 + lo, int(cols.max()) - lo + 1, weights, expo, float(width))
     return dense, cols - lo
 
 
@@ -85,15 +86,20 @@ def _assert_slots_are_the_dense_rows(t, values, cols, dense):
     assert np.array_equal(scattered, dense)
 
 
-def _slot_first(t, scale, shift0, expo, cutoff):
+def _slot_first(t, scale, shift0, expo):
     """The column of slot 0: ``floor(scale t) - shift0``, one less at a knot
-    when the cutoff is an integer and ``expo`` is not, so that the cutoff's
-    own argument falls in the last slot."""
+    when ``expo`` is not an integer, so that the cutoff's own argument falls
+    in the last slot."""
     st = scale * t
     first = np.floor(st) - shift0
-    if float(cutoff).is_integer() and not float(expo).is_integer():
+    if not float(expo).is_integer():
         first -= st == np.floor(st)
     return first
+
+
+def _supported(t, width, *args):
+    """The kernel's slots of ``t`` for a sum cut at ``width``, in fresh scratch."""
+    return kernels.supported_translates(t, *args, np.empty((3, width, t.size)))
 
 
 @pytest.mark.parametrize("points", ["grid", "random"])
@@ -104,46 +110,43 @@ def _slot_first(t, scale, shift0, expo, cutoff):
         (3.5, 16.0, -9.0, 25, None),  # temporal beta 3.5 at s = 4
         (2.5, 16.0, -13.0, 29, None),
         (0.0, 16.0, 0.0, 16, 1.0),
-        (3.5, 16.0, -9.0, 25, 7.5),  # non-integer cutoff
         (-0.3, 16.0, -3.0, 21, None),  # negative degree
     ],
 )
 def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, cutoff, points):
+    # the cutoff is the spline's effective support (None: the scanned one)
     sp = FractionalBSpline(degree)
-    cutoff = float(sp.effective_support) if cutoff is None else cutoff
+    width = sp.effective_support
+    assert cutoff in (None, width)
     # every knot of a basis of n_cols translates, where a cutoff's own
     # argument can be live; the slots of its end points reach past it
     knots = np.arange(shift0, shift0 + n_cols + 1) / scale
-    t = np.concatenate([_points(points), [0.0, 1.0], knots])
-    args = (scale, shift0, sp.value_weights, degree, cutoff)
-    values, first = kernels.supported_translates(t, *args)
-    width = math.ceil(cutoff)
+    t = np.concatenate([_points(points), [0.0, 1.0], knots[knots >= 0.0]])
+    args = (scale, shift0, sp.value_weights, degree)
+    values, first = _supported(t, width, *args)
     assert values.shape == (width, t.size) and first.shape == (t.size,)
     # slot i holds translate floor(scale t) - i (one less at a knot), in
     # column first - i, and its value is the dense entry, with no table edge
-    assert np.array_equal(first, _slot_first(t, scale, shift0, degree, cutoff))
+    assert np.array_equal(first, _slot_first(t, scale, shift0, degree))
     dense, cols = _widened(t, first, width, *args)
     _assert_slots_are_the_dense_rows(t, values, cols, dense)
 
 
 def test_supported_translates_random_weights_and_shifts():
     rng = np.random.default_rng(13)
-    # -1e-20: the fraction of scale * t rounds up to 1, so the zeroth power
-    # counts one term more than the slot index; the multiples of 1/64 are
-    # knots at every scale
-    t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200), [-1e-20]])
-    # (3.5, 10.0) and the last three: integer cutoffs of exponents that are
-    # not integers, where a knot moves to the unit on its left
-    for expo, cutoff in ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.5, 4.0), (-0.3, 4.0), (0.7, 1.0)):
-        width = math.ceil(cutoff)
+    # the multiples of 1/64 are knots at every scale
+    t = np.concatenate([np.arange(65) / 64.0, rng.uniform(0.0, 1.2, 200)])
+    # (3.5, 10) and the last three: exponents that are not integers, where a
+    # knot moves to the unit on its left
+    for expo, width in ((0.0, 3), (3.5, 10), (2.5, 4), (-0.3, 4), (0.7, 1)):
         # weight vectors shorter and longer than the window of a point
         for n_weights in (max(width - 2, 1), width + 4):
             w = rng.standard_normal(n_weights)
             for scale in (8.0, 16.0, 32.0):
-                args = (scale, float(rng.integers(-12, 4)), w, expo, cutoff)
-                values, first = kernels.supported_translates(t, *args)
+                args = (scale, float(rng.integers(-12, 4)), w, expo)
+                values, first = _supported(t, width, *args)
                 assert values.shape == (width, t.size)
-                assert np.array_equal(first, _slot_first(t, *args[:2], expo, cutoff))
+                assert np.array_equal(first, _slot_first(t, *args[:2], expo))
                 dense, cols = _widened(t, first, width, *args)
                 _assert_slots_are_the_dense_rows(t, values, cols, dense)
 
@@ -153,19 +156,19 @@ def test_supported_translates_random_weights_and_shifts():
     [
         (3.0, 8.0, -3.0, 4.0),  # spatial cubic at j = 3
         (3.5, 64.0, -9.0, None),  # temporal beta 3.5 at s = 6
-        (3.5, 16.0, -9.0, 7.5),  # non-integer cutoff
     ],
 )
 def test_scratch_beyond_values_is_free_after_the_call(degree, scale, shift0, cutoff):
     # evaluate works in scratch[1:] once the kernel returns: overwriting it
     # must leave the returned values and columns as a fresh call gives them
     sp = FractionalBSpline(degree)
-    cutoff = float(sp.effective_support) if cutoff is None else cutoff
-    width = math.ceil(cutoff)
+    width = sp.effective_support
+    assert cutoff in (None, width)
     # knots, random points and times whose fraction is summed term by term
     t = np.concatenate([np.arange(65) / 64.0, _points("random"), [5e-324, 1e-300, 2.0**-60], np.arange(1, 97) / 96])
-    args = (scale, shift0, sp.value_weights, degree, cutoff)
-    want_values, want_first = kernels.supported_translates(t, *args)
+    args = (scale, shift0, sp.value_weights, degree)
+    want_values, want_first = _supported(t, width, *args)
+    # scratch wider than the call, as a block's scratch serves a shorter last block
     scratch = np.empty((3, width, t.size + 5))
     values, first = kernels.supported_translates(t, *args, scratch)
     assert np.shares_memory(values, scratch[0])

@@ -469,8 +469,9 @@ class TestModeLoopOracle:
         g = rng.standard_normal((12, 5))
         modes = spatial_modes(np.eye(3), np.diag([0.0, 1.0, 2.0]))
         load = rng.standard_normal((3, 12))
-        # the zero block's threshold is rcond * top / 0: the library takes it
-        # without a RuntimeWarning (an error under pytest), the oracle may not
+        # the library cuts every block at RCOND * top, which the zero block's
+        # pivots never reach; the oracle's per-block cut, RCOND * top / 0 of
+        # the leading pivot, may warn (a RuntimeWarning is an error under pytest)
         coeffs, rep = modal_lstsq_solve(modes, a, g, load)
         with np.errstate(divide="ignore", invalid="ignore"):
             want_coeffs, want_rep = oracle_modal_lstsq_solve(modes, a, g, load)
