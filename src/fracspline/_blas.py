@@ -3,13 +3,17 @@ that NumPy and SciPy load.
 
 The solve needs four LAPACK routines, and SciPy's compiled module
 ``scipy.linalg._flapack`` holds them.  ``flapack`` loads that module without
-the ``scipy.linalg`` package, whose Python side (about 0.25 s and 24 MiB)
-the solve does not use.  It reuses the module when ``scipy.linalg`` was
-imported first.  Otherwise it imports the top-level ``scipy`` package
-(SciPy's own start-up, such as its DLL paths on Windows), loads the module
-from its file and registers it under its own name, so a later ``import
-scipy.linalg`` reuses the same module object.  Where the file is not where
-SciPy puts it today, it imports the module through ``scipy.linalg``.
+running any of SciPy's Python: not the ``scipy.linalg`` package (about
+0.25 s and 24 MiB), nor the top-level ``scipy`` package (about 8 ms and
+1 MiB, with ``subprocess``, ``sysconfig`` and more).  It reuses the module
+when ``scipy.linalg`` was imported first.  Otherwise it finds SciPy's
+install directory from the import system's spec of ``scipy``, loads the
+module from its file, and with it SciPy's OpenBLAS, and registers it under
+its own name, so a later ``import scipy.linalg`` reuses the same module
+object.  Where that load fails, it imports the ``scipy`` package and loads
+the file once more: SciPy's own start-up sets up what the file needs, such
+as its DLL directories on Windows.  Where the file is not where SciPy puts
+it today, it imports the module through ``scipy.linalg``.
 
 NumPy and SciPy wheels each bundle their own OpenBLAS, and each sizes its
 thread pool to the whole machine.  The rounding of a blocked factorisation
@@ -64,16 +68,27 @@ _flapack_lock = threading.Lock()
 
 
 def _flapack_file() -> str | None:
-    """Path of SciPy's ``linalg/_flapack`` extension file, or ``None``."""
-    import scipy
-
-    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    """Path of SciPy's ``linalg/_flapack`` extension file, or ``None``;
+    found without importing SciPy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    stem = os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack")
     return next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)), None)
+
+
+def _load(path: str) -> ModuleType:
+    """The LAPACK extension module at ``path``, executed, not registered."""
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def flapack() -> ModuleType:
     """SciPy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
-    once per process without the ``scipy.linalg`` package."""
+    once per process from its file, without the ``scipy`` package unless
+    the file needs SciPy's start-up to load."""
     with _flapack_lock:
         module = sys.modules.get(_FLAPACK)
         if module is not None:
@@ -83,9 +98,12 @@ def flapack() -> ModuleType:
             from scipy.linalg import _flapack
 
             return _flapack
-        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        try:
+            module = _load(path)
+        except (ImportError, OSError):
+            import scipy  # SciPy's start-up, then the file once more
+
+            module = _load(path)
         sys.modules[_FLAPACK] = module
         return module
 

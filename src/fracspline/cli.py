@@ -14,8 +14,9 @@ command then only emits:
 * ``curves`` -- one gnuplot-ready data file per gamma, columns ``s`` then
   one error column per beta, at fixed ``-j``
 
-Exit codes: 0 success, 2 configuration error (a bad flag, or an ``--out``
-in a directory that does not exist; nothing written), 3 solver failure.
+Exit codes: 0 success, 2 configuration error (a bad flag, an empty
+``--out`` path, or an ``--out`` in a directory that does not exist; nothing
+written), 3 solver failure.
 Inside a sweep a failing cell becomes a NaN sentinel row, its exception is
 named on stderr, and the sweep keeps going.
 """
@@ -268,7 +269,10 @@ def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
     threads = getattr(args, "threads", 1)  # solve has no --threads
     if not 1 <= threads <= THREADS_MAX:
         raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {threads}")
-    # a path, or for curves a file-name prefix: either way its directory must exist
+    # a path, or for curves a file-name prefix (which may be empty): either
+    # way its directory must exist
+    if args.out == "" and args.command != "curves":
+        raise ConfigError("--out: empty path")
     out_dir = os.path.dirname(args.out or "")
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"--out: no directory {out_dir!r}")

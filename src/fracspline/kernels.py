@@ -96,10 +96,10 @@ def supported_translates(t, scale, shift0, weights, expo, scratch):
     ``t >= 0``, for a sum cut at an integer ``S`` (a spline's value cutoff,
     its effective support).
 
-    The call works in ``scratch``, a float64 array of shape ``(3, S, m)``
-    with ``m >= len(t)``, and reads ``S`` off it.  A translate ``r`` is
-    live at ``t`` only where its argument ``scale * t - r`` lies in ``[0,
-    S]`` (``_live``).  The ``S`` translates ``r = floor(scale * t) - i``, i
+    The call works in ``scratch``, a C-contiguous float64 array of shape
+    ``(3, S, m)`` with ``m >= len(t)``, and reads ``S`` off it.  A
+    translate ``r`` is live at ``t`` only where its argument ``scale * t -
+    r`` lies in ``[0, S]`` (``_live``).  The ``S`` translates ``r = floor(scale * t) - i``, i
     = 0 .. S-1, have the arguments ``u0 + i``, ``u0`` the fraction of
     ``scale * t``: every live one but the cutoff itself, which is live only
     for an ``expo`` that is not an integer, and only at a knot (``u0 ==
@@ -122,9 +122,10 @@ def supported_translates(t, scale, shift0, weights, expo, scratch):
     last one, whose argument is the largest and so the most coarsely
     rounded; then ``u0 + i`` equals ``u[i]`` bit for bit.  The other
     points, whose fraction has bits below the unit in the last place of
-    ``u[i]`` (small ``scale * t``), are summed term by term.  Either way
-    each sum adds its terms one at a time in the order of ``_power_sum``,
-    so a value does not depend on the other points of the call.
+    ``u[i]`` (small ``scale * t``), are summed term by term
+    (``_slot_power_sum``), in ``scratch[1:]`` as well.  Either way each sum
+    adds its terms one at a time in the order of ``_power_sum``, so a value
+    does not depend on the other points of the call.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -138,13 +139,53 @@ def supported_translates(t, scale, shift0, weights, expo, scratch):
         knot = u0 == 0.0
         fl -= knot
         u0 += knot
-    first = (fl - shift0).astype(np.intp)
-    u_top = st - (fl - top)
     _unit_step_sum(u0, w, expo, values, power, term)
-    rest = (u_top - top != u0).nonzero()[0]
+    rest = (st - (fl - top) - top != u0).nonzero()[0]
     if rest.size:
-        u = st[rest] - (fl[rest] - np.arange(width)[:, None])
-        vals = _power_sum(u.ravel(), w, expo).reshape(u.shape)
-        vals[~_live(u, expo, float(width))] = 0.0
-        values[:, rest] = vals
-    return values, first
+        # the (S, len(rest)) sums, then as many words of one term at a
+        # time, in the rows that _unit_step_sum leaves free
+        free = scratch[1:].reshape(-1)
+        n = width * rest.size
+        sums, spare = free[:n].reshape(width, -1), free[n : 2 * n].reshape(width, -1)
+        _slot_power_sum(st[rest], fl[rest], w, expo, sums, spare)
+        values[:, rest] = sums
+    return values, (fl - shift0).astype(np.intp)
+
+
+def _slot_power_sum(st, fl, w, expo, out, v):
+    """``_power_sum`` of the slot arguments ``u = st - (fl - i)``, i = 0 ..
+    S-1, of every point into ``out``, slot-major, shape (S, points), zeroed
+    past the cutoff S; ``v`` is scratch of the same shape.
+
+    ``u`` lies in ``[i, i + 1]``, so the argument ``u - k`` of term k is
+    below 0 in the slots i < k - 1, at most 0 in slot k - 1 (where only the
+    zeroth power counts it) and at least 0 from slot k on; the term is
+    formed in ``v`` in those slots alone, and the arguments again for each
+    term, which spares a third (S, points) array.  Each step is the float
+    operation of ``_power_sum`` (``v ** expo`` through the same array
+    operator).  A term ``_power_sum`` leaves out, at a zero argument, is 0
+    here, and adding it changes no sum (a sum of terms is never -0), so the
+    sums are bit-identical; so is a sum that ``_live`` rules out at the low
+    end, whose terms are all 0.
+    """
+    width = out.shape[0]
+    slot = np.arange(width, dtype=np.float64)[:, None]
+
+    def args(lo):
+        np.subtract(fl, slot[lo:], out=v[lo:])
+        return np.subtract(st, v[lo:], out=v[lo:])
+
+    out.fill(0.0)
+    for k, wk in enumerate(w[: width + 1].tolist()):
+        lo = max(k - 1, 0) if expo == 0.0 else k
+        u, acc = args(lo), out[lo:]
+        u -= k
+        if expo == 0.0:
+            np.add(acc, wk, out=acc, where=u >= 0.0)
+            continue
+        if expo < 0.0:
+            u[u == 0.0] = np.inf  # whose power is 0, as 0's is not
+        u **= expo
+        u *= wk
+        acc += u
+    np.copyto(out, 0.0, where=_past(args(0), expo, float(width)))

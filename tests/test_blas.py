@@ -150,9 +150,9 @@ def _run(code: str, *args: str) -> str:
     return out.stdout.splitlines()[-1]
 
 
-# one solve, its LAPACK module loaded one of three ways: whether the solve
-# imported the scipy.linalg package, whether the routines it calls are the
-# objects scipy.linalg exports, the coefficient bytes and the report
+# one solve, its LAPACK module loaded one of four ways: which of the scipy
+# and scipy.linalg packages the solve imported, whether the routines it calls
+# are the objects scipy.linalg exports, the coefficient bytes and the report
 LOADED_SOLVE = """
 import hashlib, json, sys, warnings
 from fracspline import _blas, problems, solver
@@ -160,34 +160,53 @@ warnings.simplefilter("ignore")
 order = sys.argv[1]
 if order == "fallback":
     _blas._flapack_file = lambda: None
+if order == "retry":
+    load, loads = _blas._load, []
+
+    def refused_once(path):
+        loads.append(path)
+        if len(loads) == 1:
+            raise ImportError("first load refused")
+        return load(path)
+
+    _blas._load = refused_once
 if order == "import first":
     import scipy.linalg
 sol, report = solver.solve(problems.example1(0.5), solver.SolveConfig(gamma=0.5, j=5, s=4, beta=3.5))
-package = "scipy.linalg" in sys.modules
+packages = [name for name in ("scipy", "scipy.linalg") if name in sys.modules]
 import scipy.linalg
 from scipy.linalg import _flapack
 same = [
     getattr(_blas.flapack(), name) is getattr(scipy.linalg.lapack, name)
     for name in ("dsygvd", "dgeqp3", "dormqr", "dtrtrs")
 ] + [_blas.flapack() is _flapack is sys.modules["scipy.linalg._flapack"]]
+if order == "retry":
+    same.append(len(loads) == 2)
 print(json.dumps({
-    "package": package, "same": same,
+    "packages": packages, "same": same,
     "coeffs": hashlib.sha256(sol.coeffs.tobytes()).hexdigest(), "report": repr(report),
 }))
 """
 
 
 def test_every_way_of_loading_lapack_binds_the_same_routines_and_bits():
-    # solve then import scipy.linalg (the module loaded from its file), import
-    # it first (the module reused), and a file lookup that finds nothing (the
-    # import through scipy.linalg)
-    runs = {order: json.loads(_run(LOADED_SOLVE, order)) for order in ("solve first", "import first", "fallback")}
-    assert {order: run.pop("package") for order, run in runs.items()} == {
-        "solve first": False, "import first": True, "fallback": True
+    # solve then import scipy.linalg (the module loaded from its file, no
+    # SciPy package imported), import it first (the module reused), a first
+    # file load that fails (the scipy package's start-up, then the file once
+    # more) and a file lookup that finds nothing (the import through
+    # scipy.linalg)
+    orders = ("solve first", "import first", "retry", "fallback")
+    runs = {order: json.loads(_run(LOADED_SOLVE, order)) for order in orders}
+    assert {order: run.pop("packages") for order, run in runs.items()} == {
+        "solve first": [],
+        "import first": ["scipy", "scipy.linalg"],
+        "retry": ["scipy"],
+        "fallback": ["scipy", "scipy.linalg"],
     }
+    assert runs["retry"]["same"].pop() is True  # the file loaded twice
     for order, run in runs.items():
         assert run["same"] == [True] * 5, order
-    assert runs["solve first"] == runs["import first"] == runs["fallback"]
+    assert runs["solve first"] == runs["import first"] == runs["retry"] == runs["fallback"]
 
 
 def test_lapack_file_is_the_one_scipy_linalg_loads():

@@ -248,9 +248,18 @@ class TestTableCommand:
                 for levels in (["-j", "inf", "-s", "3"], ["-j", "nan", "-s", "3"], ["-j", "3", "-s", "inf"])
                 for command in ("solve", "table")
             ),
+            # an empty path names no file (for curves it is an empty prefix)
+            *(
+                [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--out", ""]
+                for command in ("solve", "table")
+            ),
         ],
     )
-    def test_bad_configs_exit_2(self, argv, capsys):
+    def test_bad_configs_exit_2(self, argv, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved a cell")
+
+        monkeypatch.setattr(cli, "_measure", refuse)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error")
