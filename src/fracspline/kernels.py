@@ -7,9 +7,10 @@ cutoff]`` (``[0, cutoff]`` for the zeroth power; an integer power also at a
 finite cutoff).  ``basis_matrix`` evaluates the sum once per distinct
 argument that can be nonzero (on dyadic grids they repeat along the
 diagonals, so a table costs about one column); ``supported_translates``
-returns only the translates that can be nonzero at each point, as slot
-values and one integer column per point, for a caller that evaluates a
-block of points at a time in scratch it reuses.
+returns only the translates that can be nonzero at each point, summed at
+their exact arguments (bit-identical to the table wherever its arguments
+are floats too), as slot values and one integer column per point, for a
+caller that evaluates a block of points at a time in scratch it reuses.
 """
 
 import math
@@ -36,15 +37,11 @@ def _power_sum(u, w, expo):
     return out
 
 
-def _past(u, expo, cutoff):
-    """Mask of the arguments beyond the cutoff (an integer power with a
-    finite cutoff is also 0 at the cutoff itself)."""
-    return u >= cutoff if float(expo).is_integer() and math.isfinite(cutoff) else u > cutoff
-
-
 def _live(u, expo, cutoff):
-    """Mask of the arguments at which the truncated-power sum can be nonzero."""
-    return (u >= 0.0 if expo == 0.0 else u > 0.0) & ~_past(u, expo, cutoff)
+    """Mask of the arguments at which the truncated-power sum can be nonzero
+    (an integer power with a finite cutoff is also 0 at the cutoff itself)."""
+    past = u >= cutoff if float(expo).is_integer() and math.isfinite(cutoff) else u > cutoff
+    return (u >= 0.0 if expo == 0.0 else u > 0.0) & ~past
 
 
 def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):
@@ -71,7 +68,8 @@ def _unit_step_sum(u0, w, expo, out, power, term):
     for an ``expo`` that is not an integer); ``power`` and ``term`` are
     scratch of the same shape.
 
-    Term k of slot i has argument ``u0 + i - k``.  For k > i it is below 0,
+    Term k of slot i has argument ``u0 + i - k``, power row ``i - k`` (each
+    argument rounded once, from its exact value).  For k > i it is below 0,
     or 0 at ``u0 == 1``, which ``_power_sum`` counts for the zeroth power
     alone, so one truncated power per slot serves every term; the terms are
     added in the order of ``_power_sum``.  Only slot 0 can hold a zero
@@ -108,29 +106,23 @@ def supported_translates(t, scale, shift0, weights, expo, scratch):
     and ``u0 = 1``.  Returns ``(values, first)``: ``values``, a view of
     ``scratch[0]``, slot-major, shape ``(S, len(t))``, and ``first``, the
     column ``r - shift0`` of slot 0 as one integer per point; slot i sits
-    in column ``first - i``.  ``values[i, p]`` is bit-identical to the
-    ``basis_matrix`` entry of translate ``shift0 + first[p] - i`` at
-    ``t[p]`` in any table that holds it: there is no table edge, and a
-    caller whose table ends reads the slots past it against 0
-    coefficients.  ``scratch[1:]`` is free once the call returns (nothing
-    returned views it), for the caller to overwrite.
+    in column ``first - i``.  There is no table edge: a caller whose table
+    ends reads the slots past it against 0 coefficients.  ``scratch[1:]``
+    is free once the call returns (nothing returned views it), for the
+    caller to overwrite.
 
-    The arguments of a point are ``u[i] = scale * t - r``, its ``u0`` plus
-    i.  Where that sum is exact, the point needs one truncated power per
-    slot instead of one per slot and term (``_unit_step_sum``), knots
-    included.  The sum is exact in every slot exactly when it is in the
-    last one, whose argument is the largest and so the most coarsely
-    rounded; then ``u0 + i`` equals ``u[i]`` bit for bit.  The other
-    points, whose fraction has bits below the unit in the last place of
-    ``u[i]`` (small ``scale * t``), are summed term by term
-    (``_slot_power_sum``), in ``scratch[1:]`` as well.  Either way each sum
-    adds its terms one at a time in the order of ``_power_sum``, so a value
-    does not depend on the other points of the call.
+    ``values[i, p]`` is the sum at the exact argument ``u0 + i`` (``u0 =
+    scale * t - floor(scale * t)`` is exact), one truncated power per slot
+    (``_unit_step_sum``), its terms added in the order of ``_power_sum``,
+    so a value does not depend on the other points of the call.  Where
+    ``u0 + i`` is a float, as at every dyadic point and knot, it is
+    bit-identical to the ``basis_matrix`` entry of translate ``shift0 +
+    first[p] - i`` at ``t[p]``.  Elsewhere (a fraction with bits below the
+    unit in the last place of ``u0 + i``, at small ``scale * t``) that
+    table rounds the argument twice, and the slot is within a few ``eps``
+    times ``sum_k |w[k] (u - k)_+**expo|`` of the exact sum.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    width = scratch.shape[1]
-    top = width - 1
     values, power, term = scratch[:, :, : t.shape[0]]
     st = scale * t
     fl = np.floor(st)
@@ -139,53 +131,5 @@ def supported_translates(t, scale, shift0, weights, expo, scratch):
         knot = u0 == 0.0
         fl -= knot
         u0 += knot
-    _unit_step_sum(u0, w, expo, values, power, term)
-    rest = (st - (fl - top) - top != u0).nonzero()[0]
-    if rest.size:
-        # the (S, len(rest)) sums, then as many words of one term at a
-        # time, in the rows that _unit_step_sum leaves free
-        free = scratch[1:].reshape(-1)
-        n = width * rest.size
-        sums, spare = free[:n].reshape(width, -1), free[n : 2 * n].reshape(width, -1)
-        _slot_power_sum(st[rest], fl[rest], w, expo, sums, spare)
-        values[:, rest] = sums
+    _unit_step_sum(u0, np.ascontiguousarray(weights, dtype=np.float64), expo, values, power, term)
     return values, (fl - shift0).astype(np.intp)
-
-
-def _slot_power_sum(st, fl, w, expo, out, v):
-    """``_power_sum`` of the slot arguments ``u = st - (fl - i)``, i = 0 ..
-    S-1, of every point into ``out``, slot-major, shape (S, points), zeroed
-    past the cutoff S; ``v`` is scratch of the same shape.
-
-    ``u`` lies in ``[i, i + 1]``, so the argument ``u - k`` of term k is
-    below 0 in the slots i < k - 1, at most 0 in slot k - 1 (where only the
-    zeroth power counts it) and at least 0 from slot k on; the term is
-    formed in ``v`` in those slots alone, and the arguments again for each
-    term, which spares a third (S, points) array.  Each step is the float
-    operation of ``_power_sum`` (``v ** expo`` through the same array
-    operator).  A term ``_power_sum`` leaves out, at a zero argument, is 0
-    here, and adding it changes no sum (a sum of terms is never -0), so the
-    sums are bit-identical; so is a sum that ``_live`` rules out at the low
-    end, whose terms are all 0.
-    """
-    width = out.shape[0]
-    slot = np.arange(width, dtype=np.float64)[:, None]
-
-    def args(lo):
-        np.subtract(fl, slot[lo:], out=v[lo:])
-        return np.subtract(st, v[lo:], out=v[lo:])
-
-    out.fill(0.0)
-    for k, wk in enumerate(w[: width + 1].tolist()):
-        lo = max(k - 1, 0) if expo == 0.0 else k
-        u, acc = args(lo), out[lo:]
-        u -= k
-        if expo == 0.0:
-            np.add(acc, wk, out=acc, where=u >= 0.0)
-            continue
-        if expo < 0.0:
-            u[u == 0.0] = np.inf  # whose power is 0, as 0's is not
-        u **= expo
-        u *= wk
-        acc += u
-    np.copyto(out, 0.0, where=_past(args(0), expo, float(width)))

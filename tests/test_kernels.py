@@ -1,13 +1,16 @@
-"""Kernel fills against the column-by-column oracle: equal bit for bit."""
+"""Kernel fills against the column-by-column oracle, bit for bit wherever
+both evaluate the same float arguments, and the slot kernel against the sums
+at its exact arguments, within a bound stated here."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fracspline import kernels
 from fracspline.bspline import FractionalBSpline
-from kernel_oracle import column_loop_basis_matrix
+from kernel_oracle import column_loop_basis_matrix, exact_translate_sums
 
 # (spline degree, derivative order or None): expo is the degree for values
 # and degree - order for derivatives, so this covers expo 0, 3, 2.5 and 3.2.
@@ -97,6 +100,19 @@ def _slot_first(t, scale, shift0, expo):
     return first
 
 
+def _float_args(t, scale, expo, width):
+    """Mask of the points whose slot arguments ``u0 + i``, i < ``width``, are
+    all floats, so that the dense table's twice-rounded arguments are the
+    kernel's: the last slot's, the largest, is the most coarsely rounded.
+    Every knot is one, and so is every dyadic point whose denominator is a
+    few powers of two beyond ``scale``."""
+    st = scale * t
+    u0 = st - np.floor(st)
+    if not float(expo).is_integer():
+        u0[u0 == 0.0] = 1.0  # a knot is the right end of the unit to its left
+    return (u0 + (width - 1)) - (width - 1) == u0
+
+
 def _supported(t, width, *args):
     """The kernel's slots of ``t`` for a sum cut at ``width``, in fresh scratch."""
     return kernels.supported_translates(t, *args, np.empty((3, width, t.size)))
@@ -129,7 +145,11 @@ def test_supported_translates_equal_dense_table(degree, scale, shift0, n_cols, c
     # column first - i, and its value is the dense entry, with no table edge
     assert np.array_equal(first, _slot_first(t, scale, shift0, degree))
     dense, cols = _widened(t, first, width, *args)
-    _assert_slots_are_the_dense_rows(t, values, cols, dense)
+    # bit for bit where the table's arguments are the kernel's, at every
+    # dyadic point; test_slots_within_eps_of_exact_sums bounds the others
+    same = _float_args(t, scale, degree, width)
+    assert same.all() or points == "random"
+    _assert_slots_are_the_dense_rows(t[same], values[:, same], cols[:, same], dense[same])
 
 
 def test_supported_translates_random_weights_and_shifts():
@@ -148,7 +168,9 @@ def test_supported_translates_random_weights_and_shifts():
                 assert values.shape == (width, t.size)
                 assert np.array_equal(first, _slot_first(t, *args[:2], expo))
                 dense, cols = _widened(t, first, width, *args)
-                _assert_slots_are_the_dense_rows(t, values, cols, dense)
+                same = _float_args(t, args[0], expo, width)
+                assert same[:65].all()
+                _assert_slots_are_the_dense_rows(t[same], values[:, same], cols[:, same], dense[same])
 
 
 @pytest.mark.parametrize(
@@ -164,7 +186,7 @@ def test_scratch_beyond_values_is_free_after_the_call(degree, scale, shift0, cut
     sp = FractionalBSpline(degree)
     width = sp.effective_support
     assert cutoff in (None, width)
-    # knots, random points and times whose fraction is summed term by term
+    # knots, random points and times whose slot arguments are not all floats
     t = np.concatenate([np.arange(65) / 64.0, _points("random"), [5e-324, 1e-300, 2.0**-60], np.arange(1, 97) / 96])
     args = (scale, shift0, sp.value_weights, degree)
     want_values, want_first = _supported(t, width, *args)
@@ -176,3 +198,63 @@ def test_scratch_beyond_values_is_free_after_the_call(degree, scale, shift0, cut
         scratch[1:] = garbage
         assert np.array_equal(values.view(np.uint64), want_values.view(np.uint64))
         assert np.array_equal(first, want_first)
+
+
+# Every slot is the sum at its exact argument u0 + i to within C_EXACT * eps
+# times the sum of its terms' magnitudes, plus C_EXACT times the smallest
+# subnormal per term for the terms below the float range.  The budget covers
+# one rounding of each argument (|expo| eps / 2 after the power), of the
+# power, of the product and of each addition; the worst over these points
+# is 1.93 eps, at expo 3.5.
+C_EXACT = 4
+
+
+def _exact_points(scale):
+    """Points in [0, 1] whose slot arguments are floats and points whose
+    slot arguments are not: knots, random points, a non-dyadic grid, points
+    an ulp either side of a knot, and tiny and subnormal times."""
+    near = np.arange(1.0, 5.0) / scale
+    return np.concatenate([
+        np.arange(9) / scale, np.arange(9) / 8, np.random.default_rng(3).uniform(0.0, 1.0, 16),
+        np.arange(1, 25) / 24, np.linspace(0.0, 1.0, 1024)[1:9],
+        near * (1.0 + 2.0**-52), near * (1.0 - 2.0**-53), [5e-324, 1e-300, 2.0**-60],
+    ])
+
+
+@pytest.mark.parametrize("s", [4, 6, 8])
+@pytest.mark.parametrize("degree", [-0.3, 0.0, 0.5, 2.5, 3.0, 3.5, 4.0])
+def test_slots_within_eps_of_exact_sums(degree, s):
+    sp = FractionalBSpline(degree)
+    width, scale, weights = sp.effective_support, float(2**s), sp.value_weights
+    t = _exact_points(scale)
+    values, first = _supported(t, width, scale, 0.0, weights, degree)
+    # the points whose last slot argument is not a float (a sum cut at 1 has
+    # one slot, whose argument u0 always is)
+    assert (~_float_args(t, scale, degree, width)).sum() >= 10 or width == 1
+    # slot i holds translate first - i; the translates either side of the
+    # slots, i = -1 and i = width, must be 0 at their exact arguments
+    r = first - np.arange(-1, width + 1)[:, None]
+    exact, magnitude = exact_translate_sums(t, scale, r, weights, degree, float(width))
+    assert np.all(magnitude[[0, -1]] == 0.0)
+    eps, tiny = Fraction(2) ** -52, Fraction(2) ** -1074
+    for i, p in np.ndindex(values.shape):
+        error = abs(Fraction(values[i, p]) - exact[i + 1, p])
+        assert error <= C_EXACT * (eps * Fraction(magnitude[i + 1, p]) + (i + 1) * tiny), (
+            f"t = {t[p]!r}, slot {i}: error {float(error):.3e}, magnitude {magnitude[i + 1, p]:.3e}"
+        )
+
+
+def test_translate_one_past_the_cutoff_is_no_slot():
+    # at t = (1 + 2**-52) / 16 the exact argument of translate -9 at s = 4 is
+    # 10 + 2**-52, past the cutoff S = 10 of beta 3.5, so no slot holds it;
+    # the dense table rounds that argument to 10 and holds the tail value there
+    sp = FractionalBSpline(3.5)
+    width, weights = sp.effective_support, sp.value_weights
+    t = np.array([(1.0 + 2.0**-52) / 16])
+    _, first = _supported(t, width, 16.0, 0.0, weights, 3.5)
+    slots = first[0] - np.arange(width)
+    assert width == 10 and slots.min() == -8
+    exact, magnitude = exact_translate_sums(t, 16.0, np.array([[-9]]), weights, 3.5, float(width))
+    assert exact[0, 0] == 0 and magnitude[0, 0] == 0.0
+    dense = kernels.basis_matrix(t, 16.0, -9.0, 1, weights, 3.5, float(width))
+    assert dense[0, 0] == pytest.approx(-3.4e-8, rel=0.01)

@@ -566,7 +566,9 @@ class TestEvaluate:
         x_edge = np.arange(2**sol.config.j + 1) / 2**sol.config.j
         tt, xx = np.meshgrid(t_edge, x_edge, indexing="ij")
         # ... times whose fraction of 2**s t does not fit beside the integer
-        # part of every argument (summed term by term) ...
+        # part of every argument, which the kernel sums at the exact argument
+        # and the table at a twice-rounded one: the powers they differ by
+        # underflow or are absorbed, at beta > 0 ...
         tiny = np.array([5e-324, 1e-300, 2.0**-60])
         # ... and random points
         t = np.concatenate([tt.ravel(), tiny, rng.uniform(0.0, horizon, 20_000)])
@@ -590,9 +592,11 @@ class TestEvaluate:
         assert np.array_equal([evaluate(sol, ti, xi) for ti, xi in zip(t[:edges], x[:edges])], want[:edges])
 
     @pytest.mark.parametrize("beta", [2.5, 3.5])
-    def test_dyadic_grid_takes_no_term_by_term_sum(self, beta, monkeypatch):
-        # at a time knot the cutoff's own argument is live; the knot is taken
-        # as the right end of the unit to its left, one power per slot
+    def test_dyadic_grid_matches_slot_order_oracle(self, beta):
+        # every slot argument of a dyadic point is a float, so the kernel's
+        # sums are the table's bit for bit; at a time knot the cutoff's own
+        # argument is live, and the knot is taken as the right end of the
+        # unit to its left
         horizon = 2
         sol, _ = self._random_solution(beta, horizon)
         q = max(sol.config.s, sol.config.j) + 1  # every knot, both ends and the midpoints
@@ -600,17 +604,7 @@ class TestEvaluate:
         x_grid = np.arange(2**q + 1) / 2**q
         tt, xx = np.meshgrid(t_grid, x_grid, indexing="ij")
         t, x = tt.ravel(), xx.ravel()
-        want = _slot_order_values(sol, t, x)
-        calls = []
-        power_sum = kernels._power_sum
-
-        def counted(*args):
-            calls.append(args[0].size)
-            return power_sum(*args)
-
-        monkeypatch.setattr(kernels, "_power_sum", counted)
-        assert np.array_equal(evaluate(sol, t, x), want)
-        assert calls == []
+        assert np.array_equal(evaluate(sol, t, x), _slot_order_values(sol, t, x))
 
     @staticmethod
     def _beyond_output(sol, t, x):
@@ -637,9 +631,9 @@ class TestEvaluate:
     def test_broadcast_grid_scratch_is_one_block(self):
         # a grid of broadcast inputs is read a block at a time, not copied
         # whole (two copies would be twice the output); neither grid's times
-        # are dyadic, so those in t < 1/2 take the kernel's term-by-term
-        # sums, which work in the kernel's scratch too (2.81, 2.49 and 2.69
-        # MiB for 769 points a side, 2.83, 2.54 and 2.76 MiB for 1024)
+        # are dyadic, and their slots take the same one power per slot as
+        # any other point's (2.75, 2.44 and 2.64 MiB for 769 points a side,
+        # 2.71, 2.44 and 2.64 MiB for 1024)
         for g in (np.arange(769) / 768, np.linspace(0.0, 1.0, 1024)):
             for beta in (3.0, 3.5, 4.0):
                 sol, _ = self._random_solution(beta)
