@@ -141,9 +141,9 @@ def build_spatial(j: int, n: int = 3) -> SpatialBasis:
     Requires ``n >= 1`` and ``2**j >= 2 n`` so the two endpoint zones do not
     overlap.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (type(n) is int and n >= 1):
         raise ValueError(f"spatial degree must be a positive integer, got {n!r}")
-    if not (isinstance(j, int) and j >= 1):
+    if not (type(j) is int and j >= 1):
         raise ValueError(f"spatial level must be a positive integer, got {j!r}")
     if 2**j < 2 * n:
         raise ValueError(f"level {j} too coarse for degree {n}: need 2**j >= {2 * n}")
@@ -207,9 +207,9 @@ def build_temporal(
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> TemporalBasis:
     """Build the collocation basis at time level ``s`` on horizon ``[0, T]``."""
-    if not (isinstance(s, int) and s >= 0):
+    if not (type(s) is int and s >= 0):
         raise ValueError(f"time level must be a non-negative integer, got {s!r}")
-    if not (isinstance(T, int) and T >= 1):
+    if not (type(T) is int and T >= 1):
         raise ValueError(f"horizon must be a positive integer, got {T!r}")
     spline = FractionalBSpline(float(beta), tail_tol)
     S = spline.effective_support

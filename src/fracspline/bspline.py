@@ -55,7 +55,7 @@ class FractionalBSpline:
     Parameters
     ----------
     degree : float
-        Spline degree ``alpha > -1/2``.
+        Spline degree ``alpha > -1/2``, finite.
     tail_tol : float
         Threshold below which the decaying tail is treated as zero when the
         effective support is measured.  Integer degrees ignore it (their
@@ -76,8 +76,8 @@ class FractionalBSpline:
 
     def __post_init__(self):
         d = float(self.degree)
-        if not d > -0.5:
-            raise ValueError(f"degree must exceed -1/2, got {d!r}")
+        if not (d > -0.5 and math.isfinite(d)):
+            raise ValueError(f"degree must be finite and exceed -1/2, got {d!r}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
         object.__setattr__(self, "degree", d)

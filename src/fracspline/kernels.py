@@ -1,16 +1,18 @@
 """Evaluation kernels: translate tables of one truncated-power sum.
 
-Every table holds dilated integer translates of one truncated-power sum,
-``f(scale * t - r)``; the spline's own values are a one-column table.  An
-entry depends on its argument alone and is exactly 0 outside ``(0,
-cutoff]`` (``[0, cutoff]`` for the zeroth power; an integer power also at a
-finite cutoff).  ``basis_matrix`` evaluates the sum once per distinct
-argument that can be nonzero (on dyadic grids they repeat along the
-diagonals, so a table costs about one column); ``supported_translates``
-returns only the translates that can be nonzero at each point, summed at
-their exact arguments (bit-identical to the table wherever its arguments
-are floats too), as slot values and one integer column per point, for a
-caller that evaluates a block of points at a time in scratch it reuses.
+Every table holds dilated integer translates of one truncated-power sum
+``f(u) = sum_k w[k] (u - k)_+**expo`` at ``u = scale * t - r``; the spline's
+own values are a one-column table.  ``(u - k)_+`` counts where ``u - k >
+0`` (``>= 0`` for the zeroth power), and an entry is exactly 0 outside
+``(0, cutoff]`` (``[0, cutoff]`` for the zeroth power; an integer power
+also at a finite cutoff).  Both entries sum one set of slots: slot i of a
+point is the translate ``r = floor(scale * t) - i``, whose argument is
+exactly ``u0 + i`` (``u0`` the fraction of ``scale * t``, ``_unit_args``),
+and is summed at that exact argument (``_unit_step_sum``), to within 4 eps
+times ``sum_k |w[k] (u - k)_+**expo|``.  ``supported_translates`` returns
+the slots of each point, for a caller that evaluates a block of points at
+a time in scratch it reuses; ``basis_matrix`` scatters them into a dense
+table, so table and slots are the same numbers at every point.
 """
 
 import math
@@ -20,61 +22,67 @@ import numpy as np
 __all__ = ["basis_matrix", "supported_translates"]
 
 
-def _power_sum(u, w, expo):
-    """``sum_k w[k] * (u - k)_+**expo`` on a contiguous float64 vector, with
-    no cutoff.  ``(u - k)_+`` counts where ``u - k > 0`` (``>= 0`` when
-    ``expo == 0``, so the zeroth power is right-continuous at the knot);
-    ``expo`` may be negative but must stay above -1/2."""
-    out = np.zeros_like(u)
-    if expo == 0.0:
-        for k in range(w.shape[0]):
-            out[u - k >= 0.0] += w[k]
-    else:
-        for k in range(w.shape[0]):
-            v = u - k
-            m = v > 0.0
-            out[m] += w[k] * v[m] ** expo
-    return out
-
-
-def _live(u, expo, cutoff):
-    """Mask of the arguments at which the truncated-power sum can be nonzero
-    (an integer power with a finite cutoff is also 0 at the cutoff itself)."""
-    past = u >= cutoff if float(expo).is_integer() and math.isfinite(cutoff) else u > cutoff
-    return (u >= 0.0 if expo == 0.0 else u > 0.0) & ~past
+def _unit_args(t, scale, expo):
+    """``(floor, u0)`` of ``scale * t``, slot i holding translate ``floor -
+    i`` at the exact argument ``u0 + i``.  For a sum cut at ``S`` the slots
+    i = 0 .. S-1 hold every live argument but the cutoff itself, which is
+    live only for an ``expo`` that is not an integer, and only at a knot
+    (``u0 == 0``), whose zero argument is not.  So for such an ``expo`` a
+    knot is taken as the right end of the unit to its left: ``floor`` one
+    less and ``u0 = 1``."""
+    st = scale * t
+    fl = np.floor(st)
+    u0 = st - fl
+    if not float(expo).is_integer():
+        knot = u0 == 0.0
+        fl -= knot
+        u0 += knot
+    return fl, u0
 
 
 def basis_matrix(t, scale, shift0, n_cols, weights, expo, cutoff):
     """Tabulate dilated translates of one truncated-power sum.
 
-    ``out[i, c] = _power_sum(scale * t[i] - (shift0 + c))`` for ``c = 0 ..
-    n_cols-1``, zeroed outside ``_live`` (``cutoff = np.inf``: no cutoff).
-    The sum is evaluated once per distinct live argument with the float
-    operations of ``_power_sum``, so the table is bit-identical to filling
-    it column by column.
+    ``out[p, c]`` is the sum at the exact argument ``scale * t[p] - (shift0
+    + c)``, ``c = 0 .. n_cols-1``, cut at ``cutoff``, an integer or
+    ``np.inf`` (a non-integer raises ``ValueError``); a row of a non-finite
+    ``t`` is 0.  The slots are summed once per distinct fraction ``u0`` (a
+    handful on a dyadic grid) and slot i of a point is written to column
+    ``first - i``; there are ``min(cutoff, max(first) + 1)`` slots.
     """
+    if math.isfinite(cutoff) and not float(cutoff).is_integer():
+        raise ValueError(f"cutoff must be an integer or inf, got {cutoff!r}")
     t = np.ascontiguousarray(t, dtype=np.float64)
-    u = scale * t[:, None] - (shift0 + np.arange(n_cols))
-    live = _live(u, expo, cutoff)
-    args, inverse = np.unique(u[live], return_inverse=True)
-    out = np.zeros_like(u)
-    out[live] = _power_sum(args, np.ascontiguousarray(weights, dtype=np.float64), expo)[inverse]
+    finite = np.isfinite(t)
+    fl, u0 = _unit_args(np.where(finite, t, 0.0), scale, expo)
+    first = np.where(finite, fl - shift0, -1).astype(np.intp)  # no slot at nan or +-inf
+    out = np.zeros((t.shape[0], n_cols))
+    width = int(min(cutoff, first.max(initial=-1) + 1))
+    if width <= 0:
+        return out
+    fractions, inverse = np.unique(u0, return_inverse=True)
+    slots = _unit_step_sum(fractions, weights, expo, *np.empty((3, width, fractions.shape[0])))
+    # at most min(width, n_cols) slots of a point land in the table, from slot first - n_cols + 1
+    i = np.maximum(first - n_cols + 1, 0) + np.arange(min(width, n_cols))[:, None]
+    k, p = np.nonzero((i < width) & (i <= first))
+    i = i[k, p]
+    out[p, first[p] - i] = slots[i, inverse[p]]
     return out
 
 
 def _unit_step_sum(u0, w, expo, out, power, term):
-    """``_power_sum`` of the arguments ``u0 + i`` of every point into ``out``,
+    """The sums at the arguments ``u0 + i`` of every point into ``out``,
     slot-major, shape (slots, points), for ``0 <= u0 < 1`` (``u0 == 1`` only
     for an ``expo`` that is not an integer); ``power`` and ``term`` are
     scratch of the same shape.
 
     Term k of slot i has argument ``u0 + i - k``, power row ``i - k`` (each
     argument rounded once, from its exact value).  For k > i it is below 0,
-    or 0 at ``u0 == 1``, which ``_power_sum`` counts for the zeroth power
-    alone, so one truncated power per slot serves every term; the terms are
-    added in the order of ``_power_sum``.  Only slot 0 can hold a zero
-    argument, where ``0**expo`` is 0 (1 for the zeroth power, which counts
-    ``u == 0``) and a negative ``expo`` is kept out.
+    or 0 at ``u0 == 1``, which counts for the zeroth power alone, so one
+    truncated power per slot serves every term; the terms are added in the
+    order of k, so a slot does not depend on the other points.  Only slot 0
+    can hold a zero argument, where ``0**expo`` is 0 (1 for the zeroth
+    power, which counts ``u == 0``) and a negative ``expo`` is kept out.
     """
     width = out.shape[0]
     np.add(u0, np.arange(width, dtype=np.float64)[:, None], out=power)
@@ -83,53 +91,29 @@ def _unit_step_sum(u0, w, expo, out, power, term):
     else:
         np.power(power, expo, out=power)
     out.fill(0.0)
-    for k, wk in enumerate(w[:width].tolist()):
+    for k, wk in enumerate(np.asarray(w, dtype=np.float64)[:width].tolist()):
         np.multiply(power[: width - k], wk, out=term[k:])
         np.add(out[k:], term[k:], out=out[k:])
     return out
 
 
 def supported_translates(t, scale, shift0, weights, expo, scratch):
-    """The translates of ``basis_matrix`` that can be nonzero at each point
-    ``t >= 0``, for a sum cut at an integer ``S`` (a spline's value cutoff,
-    its effective support).
+    """The slots of each point ``t >= 0`` for a sum cut at an integer ``S``
+    (a spline's value cutoff, its effective support): every translate that
+    can be nonzero there.
 
     The call works in ``scratch``, a C-contiguous float64 array of shape
-    ``(3, S, m)`` with ``m >= len(t)``, and reads ``S`` off it.  A
-    translate ``r`` is live at ``t`` only where its argument ``scale * t -
-    r`` lies in ``[0, S]`` (``_live``).  The ``S`` translates ``r = floor(scale * t) - i``, i
-    = 0 .. S-1, have the arguments ``u0 + i``, ``u0`` the fraction of
-    ``scale * t``: every live one but the cutoff itself, which is live only
-    for an ``expo`` that is not an integer, and only at a knot (``u0 ==
-    0``), whose zero argument is not.  So for such an ``expo`` a knot is
-    taken as the right end of the unit to its left: every ``r`` one less
-    and ``u0 = 1``.  Returns ``(values, first)``: ``values``, a view of
-    ``scratch[0]``, slot-major, shape ``(S, len(t))``, and ``first``, the
-    column ``r - shift0`` of slot 0 as one integer per point; slot i sits
-    in column ``first - i``.  There is no table edge: a caller whose table
-    ends reads the slots past it against 0 coefficients.  ``scratch[1:]``
-    is free once the call returns (nothing returned views it), for the
-    caller to overwrite.
-
-    ``values[i, p]`` is the sum at the exact argument ``u0 + i`` (``u0 =
-    scale * t - floor(scale * t)`` is exact), one truncated power per slot
-    (``_unit_step_sum``), its terms added in the order of ``_power_sum``,
-    so a value does not depend on the other points of the call.  Where
-    ``u0 + i`` is a float, as at every dyadic point and knot, it is
-    bit-identical to the ``basis_matrix`` entry of translate ``shift0 +
-    first[p] - i`` at ``t[p]``.  Elsewhere (a fraction with bits below the
-    unit in the last place of ``u0 + i``, at small ``scale * t``) that
-    table rounds the argument twice, and the slot is within a few ``eps``
-    times ``sum_k |w[k] (u - k)_+**expo|`` of the exact sum.
+    ``(3, S, m)`` with ``m >= len(t)``, and reads ``S`` off it.  Returns
+    ``(values, first)``: ``values``, a view of ``scratch[0]``, slot-major,
+    shape ``(S, len(t))``, and ``first``, the column ``floor - shift0`` of
+    slot 0 as one integer per point; slot i sits in column ``first - i``
+    and is the ``basis_matrix`` entry there.  There is no table edge: a
+    caller whose table ends reads the slots past it against 0
+    coefficients.  ``scratch[1:]`` is free once the call returns (nothing
+    returned views it), for the caller to overwrite.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     values, power, term = scratch[:, :, : t.shape[0]]
-    st = scale * t
-    fl = np.floor(st)
-    u0 = st - fl
-    if not float(expo).is_integer():
-        knot = u0 == 0.0
-        fl -= knot
-        u0 += knot
-    _unit_step_sum(u0, np.ascontiguousarray(weights, dtype=np.float64), expo, values, power, term)
+    fl, u0 = _unit_args(t, scale, expo)
+    _unit_step_sum(u0, weights, expo, values, power, term)
     return values, (fl - shift0).astype(np.intp)

@@ -2,13 +2,14 @@
 
 ``column_loop_basis_matrix`` fills a table the direct way, one
 ``column_loop_truncated_power_sum`` call per column over every point, with
-no support restriction and no reuse of repeated arguments.
-``kernels.basis_matrix`` must reproduce it bit for bit, and so must the
-spline's own values, a one-column table; so must
-``kernels.supported_translates`` at the points whose arguments are floats
-in both.  ``exact_translate_sums`` is the sum at the exact argument
-``scale * t - r`` of a translate, which ``supported_translates`` is held
-to at every point.  Slow on large tables; use them in tests only.
+no support restriction and no reuse of repeated arguments.  It rounds each
+argument ``scale * t - r`` before it subtracts a term's integer, so
+``kernels.basis_matrix`` and ``kernels.supported_translates``, which sum
+at the exact argument, reproduce it bit for bit only at the points whose
+slot arguments are floats (every dyadic point and knot, and the spline's
+own values at scale 1).  ``exact_translate_sums`` is the sum at the exact
+argument of a translate, which both kernel entries are held to at every
+point.  Slow on large tables; use them in tests only.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from scipy.special import binom
 
 from combination_oracle import loop_combinations
+from kernel_oracle import exact_translate_sums
 from fracspline import basis
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import FractionalBSpline
@@ -95,17 +97,28 @@ def test_first_derivative_by_finite_difference():
     fd = (basis.eval_many(x + h) - basis.eval_many(x - h)) / (2.0 * h)
     np.testing.assert_allclose(basis.eval_many(x, deriv=1), fd, atol=5e-4)
     # d/dx of a degree-n translate is the difference of two degree-(n-1)
-    # translates: 2**j (B(2**j x - k) - B(2**j x - k - 1))
+    # translates: 2**j (B(2**j x - k) - B(2**j x - k - 1)).  Both that float
+    # reference and the library's table are held to the sums at the exact
+    # arguments 2**j x - k: the reference to rtol = atol = 1e-12, the table
+    # to the kernel's bound, 4 eps times the sum of its terms' magnitudes
+    # (test_kernels.C_EXACT), times 2**j
     x = np.linspace(0.0, 1.0, 97)
+    eps = Fraction(2) ** -52
     for n in (2, 3, 4):
         lower = FractionalBSpline(n - 1.0)
         for j in (3, 5):
-            basis = build_spatial(j, n)
-            u = 2.0**j * x[:, None] - np.arange(-n, 2**j)
-            diff = 2.0**j * (lower(u) - lower(u - 1.0))
-            np.testing.assert_allclose(
-                basis.eval_many(x, 1), diff @ basis.combinations.T, rtol=1e-12, atol=1e-12
-            )
+            basis, scale = build_spatial(j, n), 2.0**j
+            r = np.arange(-n, 2**j)
+            u = scale * x[:, None] - r
+            diff = scale * (lower(u) - lower(u - 1.0))
+            got = basis.translate_values(x, 1)
+            weights, expo, cutoff = basis.spline._terms(1.0, scale + n)
+            exact, magnitude = exact_translate_sums(x, scale, np.repeat(r[:, None], x.size, axis=1), weights, expo, cutoff)
+            exact = exact.T * int(scale)
+            np.testing.assert_allclose(diff, exact.astype(float), rtol=1e-12, atol=1e-12)
+            for p, c in np.ndindex(got.shape):
+                bound = 4 * eps * Fraction(float(magnitude[c, p] * scale))
+                assert abs(Fraction(got[p, c]) - exact[p, c]) <= bound, (n, j, x[p], r[c])
 
 
 def test_build_spatial_validation():
@@ -117,6 +130,8 @@ def test_build_spatial_validation():
         build_spatial(3.0, 3)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         build_spatial(3, 0)
+    with pytest.raises(ValueError):
+        build_spatial(5, True)  # a bool is an int subclass, but no degree
 
 
 def test_interior_member_is_a_pure_translate():
@@ -251,3 +266,9 @@ def test_build_temporal_validation():
         build_temporal(3, 3.0, T=0)
     with pytest.raises(ValueError):
         build_temporal(2.0, 3.0)  # type: ignore[arg-type]
+    with pytest.raises(ValueError):
+        build_temporal(3, math.inf)
+    with pytest.raises(ValueError):
+        build_temporal(True, 3.5)  # a bool is an int subclass, but no level
+    with pytest.raises(ValueError):
+        build_temporal(3, 3.5, T=True)

@@ -166,6 +166,8 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         FractionalBSpline(-2.0)
     with pytest.raises(ValueError):
+        FractionalBSpline(math.inf)
+    with pytest.raises(ValueError):
         FractionalBSpline(3.5, tail_tol=0.0)
     with pytest.raises(ValueError):
         FractionalBSpline(3.5, tail_tol=2.0)

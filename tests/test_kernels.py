@@ -1,6 +1,7 @@
-"""Kernel fills against the column-by-column oracle, bit for bit wherever
-both evaluate the same float arguments, and the slot kernel against the sums
-at its exact arguments, within a bound stated here."""
+"""Kernel fills against the column-by-column oracle, bit for bit only at the
+points whose slot arguments are floats, where both evaluate the same
+arguments, and tables and slots against the sums at their exact arguments,
+within a bound stated here."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from fracspline import kernels
+from fracspline.assembly import gauss_rule
 from fracspline.bspline import FractionalBSpline
 from kernel_oracle import column_loop_basis_matrix, exact_translate_sums
 
@@ -45,17 +47,21 @@ def test_basis_matrix_equals_column_loop(degree, order, cutoff_kind, points):
     got = kernels.basis_matrix(t, *args)
     want = column_loop_basis_matrix(t, *args)
     assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # bit for bit where the table's arguments are the kernel's, at every
+    # dyadic point; test_slots_within_eps_of_exact_sums bounds the others
+    same = _float_args(t, args[0], args[4], _table_width(t, *args))
+    assert same.all() or points == "random"
+    assert np.array_equal(got[same], want[same])
 
 
 def test_basis_matrix_random_weights_and_shifts():
     rng = np.random.default_rng(11)
     t = np.concatenate([np.arange(65) / 64.0, rng.uniform(-0.2, 1.2, 200)])
     # the one-column table on wide arguments is the sum the spline evaluates
-    # itself through; the pairs after the fourth add the zeroth power and a
+    # itself through; the pairs after the third add the zeroth power and a
     # negative exponent without a cutoff and integer powers cut at a finite one
     wide = np.random.default_rng(42).uniform(-3.0, 15.0, 257)
-    pairs = ((0.0, 3.0), (1.0, 6.5), (3.5, 10.0), (2.7, math.inf), (0.0, math.inf),
+    pairs = ((0.0, 3.0), (3.5, 10.0), (2.7, math.inf), (0.0, math.inf),
              (-0.3, math.inf), (-0.3, 4.0), (3.0, 4.0), (3.0, 10.0), (2.5, 4.0))
     for expo, cutoff in pairs:
         w = rng.standard_normal(9)
@@ -63,9 +69,19 @@ def test_basis_matrix_random_weights_and_shifts():
             (t, 8.0, -3.0, 13), (t, 32.0, -9.0, 41), (t, 16.0, 2.0, 5), (wide, 1.0, 0.0, 1)
         ):
             args = (scale, shift0, n_cols, w, expo, cutoff)
-            assert np.array_equal(
-                kernels.basis_matrix(pts, *args), column_loop_basis_matrix(pts, *args)
-            )
+            got, want = kernels.basis_matrix(pts, *args), column_loop_basis_matrix(pts, *args)
+            same = _float_args(pts, scale, expo, _table_width(pts, *args))
+            assert same[:65].all() or pts is wide
+            assert np.array_equal(got[same], want[same])
+    # a cutoff is a number of slots: an integer or inf
+    with pytest.raises(ValueError, match="cutoff"):
+        kernels.basis_matrix(t, 8.0, -3.0, 13, rng.standard_normal(9), 1.0, 6.5)
+    # a point at nan or +-inf has no translate in the table, and raises no
+    # invalid-value warning (which the test configuration makes an error)
+    odd = np.array([0.5, np.nan, np.inf, -np.inf])
+    for expo, cutoff in ((3.0, 4.0), (3.5, 10.0), (2.5, math.inf), (0.0, math.inf)):
+        table = kernels.basis_matrix(odd, 16.0, -9.0, 25, np.ones(12), expo, cutoff)
+        assert table[0].any() and not table[1:].any()
 
 
 def _widened(t, first, width, scale, shift0, weights, expo):
@@ -111,6 +127,12 @@ def _float_args(t, scale, expo, width):
     if not float(expo).is_integer():
         u0[u0 == 0.0] = 1.0  # a knot is the right end of the unit to its left
     return (u0 + (width - 1)) - (width - 1) == u0
+
+
+def _table_width(t, scale, shift0, n_cols, weights, expo, cutoff):
+    """The table's slot count: the slots up to its last column, at most the
+    cutoff."""
+    return int(min(cutoff, _slot_first(t, scale, shift0, expo).max() + 1))
 
 
 def _supported(t, width, *args):
@@ -200,12 +222,12 @@ def test_scratch_beyond_values_is_free_after_the_call(degree, scale, shift0, cut
         assert np.array_equal(first, want_first)
 
 
-# Every slot is the sum at its exact argument u0 + i to within C_EXACT * eps
-# times the sum of its terms' magnitudes, plus C_EXACT times the smallest
-# subnormal per term for the terms below the float range.  The budget covers
-# one rounding of each argument (|expo| eps / 2 after the power), of the
-# power, of the product and of each addition; the worst over these points
-# is 1.93 eps, at expo 3.5.
+# Every slot and every table entry is the sum at its exact argument to
+# within C_EXACT * eps times the sum of its terms' magnitudes, plus C_EXACT
+# times the smallest subnormal per term for the terms below the float range.
+# The budget covers one rounding of each argument (|expo| eps / 2 after the
+# power), of the power, of the product and of each addition; the worst over
+# these points is 1.93 eps, at expo 3.5.
 C_EXACT = 4
 
 
@@ -221,33 +243,75 @@ def _exact_points(scale):
     ])
 
 
+def _assert_within_eps_of_exact(t, got, exact, magnitude, terms):
+    """Each entry of ``got``, a sum of at most ``terms`` terms at ``t`` (all
+    broadcast to its shape), within the C_EXACT bound of ``exact``; exactly
+    0 where it has no live term."""
+    t, terms = np.broadcast_to(t, got.shape), np.broadcast_to(terms, got.shape)
+    dead = (magnitude == 0.0) & (exact == 0)
+    assert np.all(got[dead] == 0.0)
+    eps, tiny = Fraction(2) ** -52, Fraction(2) ** -1074
+    for idx in zip(*np.nonzero(~dead)):
+        error = abs(Fraction(got[idx]) - exact[idx])
+        assert error <= C_EXACT * (eps * Fraction(magnitude[idx]) + int(terms[idx]) * tiny), (
+            f"t = {t[idx]!r}, entry {idx}: error {float(error):.3e}, magnitude {magnitude[idx]:.3e}"
+        )
+
+
 @pytest.mark.parametrize("s", [4, 6, 8])
 @pytest.mark.parametrize("degree", [-0.3, 0.0, 0.5, 2.5, 3.0, 3.5, 4.0])
 def test_slots_within_eps_of_exact_sums(degree, s):
     sp = FractionalBSpline(degree)
     width, scale, weights = sp.effective_support, float(2**s), sp.value_weights
+    shift0, n_cols = float(1 - width), 2**s + width - 1
     t = _exact_points(scale)
-    values, first = _supported(t, width, scale, 0.0, weights, degree)
+    values, first = _supported(t, width, scale, shift0, weights, degree)
     # the points whose last slot argument is not a float (a sum cut at 1 has
     # one slot, whose argument u0 always is)
     assert (~_float_args(t, scale, degree, width)).sum() >= 10 or width == 1
     # slot i holds translate first - i; the translates either side of the
     # slots, i = -1 and i = width, must be 0 at their exact arguments
-    r = first - np.arange(-1, width + 1)[:, None]
+    r = shift0 + first - np.arange(-1, width + 1)[:, None]
     exact, magnitude = exact_translate_sums(t, scale, r, weights, degree, float(width))
     assert np.all(magnitude[[0, -1]] == 0.0)
-    eps, tiny = Fraction(2) ** -52, Fraction(2) ** -1074
-    for i, p in np.ndindex(values.shape):
-        error = abs(Fraction(values[i, p]) - exact[i + 1, p])
-        assert error <= C_EXACT * (eps * Fraction(magnitude[i + 1, p]) + (i + 1) * tiny), (
-            f"t = {t[p]!r}, slot {i}: error {float(error):.3e}, magnitude {magnitude[i + 1, p]:.3e}"
-        )
+    sums = exact[1:-1], magnitude[1:-1], np.broadcast_to(np.arange(1, width + 1)[:, None], values.shape)
+    _assert_within_eps_of_exact(t, values, *sums)
+    # the value table of a temporal basis (n_cols translates): its entries
+    # at the slots' translates are held to the same exact sums, and its rows
+    # are the slots bit for bit, 0 at every other translate
+    table = kernels.basis_matrix(t, scale, shift0, n_cols, weights, degree, float(width))
+    cols = first - np.arange(width)[:, None]
+    on = (cols >= 0) & (cols < n_cols)
+    rows = np.broadcast_to(np.arange(t.size), cols.shape)
+    _assert_within_eps_of_exact(t[rows[on]], table[rows[on], cols[on]], *(a[on] for a in sums))
+    scattered = np.zeros_like(table)
+    scattered[rows[on], cols[on]] = values[on]
+    assert np.array_equal(scattered.view(np.uint64), table.view(np.uint64))
+
+
+def test_fractional_derivative_table_within_eps_of_exact_sums():
+    # the D^gamma table of beta 3.5 at s = 4, gamma 0.5, on the Gauss rule of
+    # an error norm: an infinite tail, so every translate left of a point is
+    # live there
+    sp = FractionalBSpline(3.5)
+    t, _ = gauss_rule(4, 5)
+    u_max = 16.0 * t.max() + sp.effective_support - 1
+    weights, expo, cutoff = sp._terms(0.5, u_max)
+    assert cutoff == math.inf
+    shift0, n_cols = float(1 - sp.effective_support), 16 + sp.effective_support - 1
+    assert not _float_args(t, 16.0, expo, int(u_max) + 1).all()
+    table = kernels.basis_matrix(t, 16.0, shift0, n_cols, weights, expo, cutoff)
+    r = np.repeat(shift0 + np.arange(n_cols)[:, None], t.size, axis=1)
+    exact, magnitude = exact_translate_sums(t, 16.0, r, weights, expo, cutoff)
+    # an entry at slot i = first - column has at most i + 1 live terms
+    terms = _slot_first(t, 16.0, shift0, expo) - np.arange(n_cols)[:, None] + 1
+    _assert_within_eps_of_exact(t, table.T, exact, magnitude, terms)
 
 
 def test_translate_one_past_the_cutoff_is_no_slot():
     # at t = (1 + 2**-52) / 16 the exact argument of translate -9 at s = 4 is
-    # 10 + 2**-52, past the cutoff S = 10 of beta 3.5, so no slot holds it;
-    # the dense table rounds that argument to 10 and holds the tail value there
+    # 10 + 2**-52, past the cutoff S = 10 of beta 3.5, so no slot holds it,
+    # and the table, whose entries are the slots, holds 0 there
     sp = FractionalBSpline(3.5)
     width, weights = sp.effective_support, sp.value_weights
     t = np.array([(1.0 + 2.0**-52) / 16])
@@ -256,5 +320,5 @@ def test_translate_one_past_the_cutoff_is_no_slot():
     assert width == 10 and slots.min() == -8
     exact, magnitude = exact_translate_sums(t, 16.0, np.array([[-9]]), weights, 3.5, float(width))
     assert exact[0, 0] == 0 and magnitude[0, 0] == 0.0
-    dense = kernels.basis_matrix(t, 16.0, -9.0, 1, weights, 3.5, float(width))
-    assert dense[0, 0] == pytest.approx(-3.4e-8, rel=0.01)
+    table = kernels.basis_matrix(t, 16.0, -9.0, 1, weights, 3.5, float(width))
+    assert table[0, 0] == 0.0
