@@ -27,7 +27,6 @@ import numpy as np
 
 from . import kernels
 from .specfun import binomial_row
-from .specfun import gamma as _gamma
 
 __all__ = ["DEFAULT_TAIL_TOL", "FractionalBSpline"]
 
@@ -45,7 +44,7 @@ def _weight_row(degree: float, k_max: int, order: float = 0.0) -> np.ndarray:
     order + 1)``, k = 0..k_max, of the order-``order`` derivative (order 0:
     the value)."""
     signs = np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
-    return signs * binomial_row(degree + 1.0, k_max) / _gamma(degree - order + 1.0)
+    return signs * binomial_row(degree + 1.0, k_max) / math.gamma(degree - order + 1.0)
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,14 @@ from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_a
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bounds; the library accepts any level or degree that fits in memory.
 LEVEL_RANGE = (2, 8)
-# from degree 10 up the mass matrix of the endpoint combinations is not
+# from degree 9 up the mass matrix of the endpoint combinations is not
 # positive definite in double precision, so the solve's eigensolve fails
-ALPHA_MAX = 9
-# the truncated-power sums of the time spline cancel as beta grows: on 257
-# points of [0, 1] its translates sum to 1 within 2.2e-8 at beta = 16, below
-# DEFAULT_TAIL_TOL, but 2.1e-7 at 18 and 0.69 at 30, and beta = 170 overflows
-BETA_MAX = 16.0
+ALPHA_MAX = 8
+# a fractional time spline's truncated-power sum cancels as beta grows: from
+# beta ~5.5 the support scan reads the noise as tail (S = 63-64, against at
+# most 9 on [4, 5.4]), and on 257 points of [0, 1] the translates sum to 1
+# within 1.1e-5 at 6.5, 9.3e-4 at 8.5 and 1.09 at 11.5; on [2, 5] within 6.2e-7
+BETA_MAX = 5.0
 # range of --threads, a flag that selects nothing: sweep cells run one at a time
 THREADS_MAX = 64
 

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .specfun import gamma as _gamma
 from .specfun import kummer_1f1
 
 __all__ = ["ProblemSpec", "example1", "example2"]
@@ -46,7 +45,7 @@ def example1(order: float) -> ProblemSpec:
     """
     if not 0.0 < order <= 1.0:
         raise ValueError(f"derivative order must lie in (0, 1], got {order!r}")
-    c = 2.0 / _gamma(3.0 - order)
+    c = 2.0 / math.gamma(3.0 - order)
     w = 2.0 * math.pi
 
     def forcing(t, x):
@@ -83,7 +82,7 @@ def example2(order: float) -> ProblemSpec:
     if not 0.0 < order < 1.0:
         raise ValueError(f"derivative order must lie in (0, 1), got {order!r}")
     w = math.pi
-    norm = w / _gamma(2.0 - order)
+    norm = w / math.gamma(2.0 - order)
 
     def forcing(t, x):
         tt = np.asarray(t, dtype=np.float64)

@@ -1,9 +1,8 @@
 """Special functions used by the spline machinery.
 
-The gamma function normalises every truncated power and is implemented here
-once (Lanczos, relative error below 1e-13).  CPython's ``math.gamma`` is its
-own, more accurate Lanczos code, not libm's; it is not used because the
-Dirichlet bounds of the basis tests rest on the rounding of this one.
+The generalised binomial row and Kummer's 1F1.  The gamma function that
+normalises every truncated power is the standard library's ``math.gamma``;
+every argument the package passes it is above 1/2, away from its poles.
 """
 
 import math
@@ -14,7 +13,6 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "binomial_row",
-    "gamma",
     "kummer_1f1",
 ]
 
@@ -25,47 +23,6 @@ class PoleError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series did not reach the requested tolerance within the term cap."""
-
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below
-# 1e-13 on the reflection-reduced domain, which is ample for the
-# double-precision pipeline built on top.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Euler gamma function of a real argument.
-
-    Raises
-    ------
-    PoleError
-        If ``x`` is zero or a negative integer.
-    """
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"gamma argument must be finite, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma pole at non-positive integer {x!r}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def binomial_row(alpha: float, k_max: int) -> np.ndarray:

@@ -10,13 +10,13 @@ slow quadrature only checks that form.  Living here, it keeps
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, Optional
 
 from scipy import integrate
 
 from fracspline.specfun import ConvergenceError
-from fracspline.specfun import gamma as _gamma
 
 
 def caputo_oracle(
@@ -84,4 +84,4 @@ def caputo_oracle(
         raise ConvergenceError(
             f"Caputo quadrature error estimate {abserr:.2e} too large at t={t}"
         )
-    return val / _gamma(2.0 - order)
+    return val / math.gamma(2.0 - order)

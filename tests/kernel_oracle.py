@@ -23,7 +23,12 @@ import numpy as np
 
 def column_loop_truncated_power_sum(u, weights, expo, cutoff):
     """``sum_k weights[k] * (u - k)_+**expo``, zeroed above ``cutoff`` (at
-    and above it for an integer ``expo``)."""
+    and above it for an integer ``expo``).
+
+    A compactly supported sum, an integer ``expo >= 1`` cut at a finite ``S
+    > expo``, is summed from the nearer end of its support: from ``S/2`` on
+    it is ``(-1)**(S-1-expo) sum_k weights[k] * (S - u - k)_+**expo``, each
+    argument ``(S - k) - u`` rounded once."""
     u = np.ascontiguousarray(u, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     out = np.zeros_like(u)
@@ -35,6 +40,14 @@ def column_loop_truncated_power_sum(u, weights, expo, cutoff):
             v = u - k
             m = v > 0.0
             out[m] += w[k] * v[m] ** expo
+    if 1.0 <= expo < cutoff < math.inf and float(expo).is_integer():
+        sign = -1.0 if (cutoff - 1 - expo) % 2 else 1.0
+        right = np.zeros_like(u)
+        for k in range(w.shape[0]):
+            v = (cutoff - k) - u
+            m = v > 0.0
+            right[m] += sign * w[k] * v[m] ** expo
+        out = np.where(u >= cutoff / 2, right, out)
     if float(expo).is_integer() and math.isfinite(cutoff):
         # a compactly supported integer-power sum vanishes at its cutoff too
         out[u >= cutoff] = 0.0

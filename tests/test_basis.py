@@ -8,9 +8,9 @@ from scipy.special import binom
 
 from combination_oracle import loop_combinations
 from kernel_oracle import exact_translate_sums
-from fracspline import basis
+from fracspline import basis, cli
 from fracspline.basis import build_spatial, build_temporal
-from fracspline.bspline import FractionalBSpline
+from fracspline.bspline import DEFAULT_TAIL_TOL, FractionalBSpline
 
 
 # ---------------------------------------------------------------- spatial
@@ -50,16 +50,26 @@ def test_translate_range():
     assert dropped_profiles(basis).shape == (2, 19)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, cli.ALPHA_MAX + 1))
 def test_dirichlet_ends(n):
     basis = build_spatial(4, n)
-    ends = basis.eval_many(np.array([0.0, 1.0]))
+    x = np.array([0.0, 1.0])
+    ends = basis.eval_many(x)
     # at x = 1 the last interior translate sits at the end of its support,
     # where it is exactly 0; only the n - 1 right endpoint combinations
-    # cancel, to rounding, and their truncated-power terms grow about 2x per
-    # degree
+    # cancel, to rounding
     np.testing.assert_array_equal(ends[1, : basis.size - (n - 1)], 0.0)
-    assert np.max(np.abs(ends)) < 1e-14 * 2.0 ** (n - 3)
+    assert np.max(np.abs(ends[0])) < 1e-14 * 2.0 ** (n - 3)
+    # each translate at an end is summed from the nearer end of its support,
+    # so the translate values at x = 1 are those at x = 0 in reverse order,
+    # bit for bit, as the combinations are; x = 1 is then x = 0 up to the
+    # rounding of two dot products of at most n nonzero terms, each within
+    # n eps times the sum of its terms' magnitudes.  Summed from the left end
+    # instead, x = 1 read 1.4e-14 at degree 4 and 3.9e-10 at degree 8
+    values, c = basis.translate_values(x), basis.combinations
+    assert np.array_equal(values[1], values[0][::-1]) and np.array_equal(c, c[::-1, ::-1])
+    magnitude = np.abs(values[0]) @ np.abs(c).T
+    assert np.all(np.abs(ends[1][::-1] - ends[0]) <= 2 * n * np.finfo(float).eps * magnitude)
     # left combination i vanishes to order i at x = 0: its derivatives of
     # order < i are zero there (order nu carries the factor 2**(4 nu))
     for i in range(1, n):
@@ -197,6 +207,24 @@ def test_combinations_and_degeneracy_checks_match_scipys_null_space(monkeypatch)
 )
 def test_temporal_size(s, beta, expected):
     assert build_temporal(s, beta).size == expected
+
+
+def test_every_admitted_beta_from_2_has_a_sane_time_basis():
+    # Bounds stated before the run, on a 0.1 grid of [2, cli.BETA_MAX]: a
+    # support of at most 16 translates, and translates that sum to 1 on 257
+    # points of [0, 1] within 8 DEFAULT_TAIL_TOL (1.2e-6), what truncating
+    # each translate's tail at that tolerance leaves; the worst seen is
+    # 6.2e-7, at beta = 2.2, with S = 15.  A fractional spline's sum cancels
+    # as beta grows: from beta ~5.5 the support scan read that noise as tail
+    # (S = 63-64) and the sum was off by 1.1e-5 at 6.5 and 1.09 at 11.5.  The
+    # grid starts at 2 because below beta ~ 1 the slow tail itself reaches
+    # the cap of 64 translates (off by 4.6e-4 at beta = 0.2): a matter of
+    # tail_tol, not of cancellation.
+    t = np.linspace(0.0, 1.0, 257)
+    for beta in np.arange(20, round(10 * cli.BETA_MAX) + 1) / 10:
+        tb = build_temporal(4, float(beta))
+        assert tb.spline.effective_support <= 16, beta
+        assert np.abs(tb.eval_many(t).sum(axis=1) - 1.0).max() <= 8 * DEFAULT_TAIL_TOL, beta
 
 
 def test_temporal_range_and_horizon():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,7 +8,6 @@ from scipy.interpolate import BSpline
 
 from caputo_oracle import caputo_oracle
 from fracspline.bspline import DEFAULT_TAIL_TOL, FractionalBSpline
-from fracspline.specfun import gamma
 from kernel_oracle import column_loop_truncated_power_sum
 from refinement_mask import mask
 
@@ -28,7 +28,7 @@ def test_truncated_power_basics():
 def test_finite_diff_weights_alternate():
     # the degree-2.5 value weights are the fractional forward-difference
     # weights (-1)**k C(3.5, k), normalised by gamma(3.5)
-    w = FractionalBSpline(2.5).value_weights * gamma(3.5)
+    w = FractionalBSpline(2.5).value_weights * math.gamma(3.5)
     for k in range(5):
         assert w[k] == pytest.approx((-1.0) ** k * float(mpmath.binomial(3.5, k)), rel=1e-14)
 
@@ -58,6 +58,32 @@ def test_values_and_derivatives_equal_the_column_loop(degree):
         weights = b.derivative_weights(order, math.floor(end))
         want = column_loop_truncated_power_sum(t, weights, degree - order, cutoff)
         assert np.array_equal(b.frac_derivative(order, t), want)
+
+
+# An integer-degree spline is summed from the nearer end of its support, so
+# its values and first derivatives are within C_NEAR eps of the exact
+# B-spline times the sum of the magnitudes of the nearer end's terms; the
+# worst over these points is 1.54 eps (degree 9).  Summed from the left end,
+# the far end's terms cancel and the bound fails from degree 2 on.
+C_NEAR = 4
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])
+def test_integer_degree_within_eps_of_exact_bspline(n, order):
+    b = FractionalBSpline(float(n))
+    support, expo = n + 1, n - order
+    # the exact weights (-1)**k C(n+1, k) / (n - order)!, not the float ones
+    weights = [Fraction((-1) ** k * math.comb(support, k), math.factorial(expo)) for k in range(support + 1)]
+    rng = np.random.default_rng(2018 + n)
+    t = np.concatenate([rng.uniform(0.0, support, 401), np.arange(2 * support + 1) / 2])
+    got = b(t) if order == 0 else b.frac_derivative(1.0, t)
+    eps = Fraction(2) ** -52
+    for value, u in zip(got.tolist(), map(Fraction, t.tolist())):
+        exact = sum(w * (u - k) ** expo for k, w in enumerate(weights) if u > k)
+        near = min(u, support - u)
+        magnitude = sum(abs(w) * (near - k) ** expo for k, w in enumerate(weights) if near > k)
+        assert abs(Fraction(value) - exact) <= C_NEAR * eps * magnitude, (float(u), value, float(exact))
 
 
 def test_integer_specialization_matches_scipy():

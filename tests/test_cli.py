@@ -279,7 +279,7 @@ class TestTableCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --quad-points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alpha", ["-1", "0", "10", "100"])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "9", "10", "100"])
     @pytest.mark.parametrize("command", ["solve", "table"])
     def test_alpha_bound_builds_nothing(self, command, alpha, monkeypatch, capsys):
         # --alpha 100 -j 8 would build a degree-100 space on a 101-point rule;
@@ -291,30 +291,31 @@ class TestTableCommand:
         argv = [command, "--example", "1", "--gamma", "0.5", "-j", "8", "-s", "3", "--alpha", alpha]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"configuration error: --alpha: degree {alpha} outside 1..9\n"
+        assert captured.err == f"configuration error: --alpha: degree {alpha} outside 1..8\n"
         assert captured.out == ""
 
-    def test_alpha_bound_admits_every_degree_up_to_9(self):
+    def test_alpha_bound_admits_every_degree_up_to_alpha_max(self):
         parser = cli._build_parser()
-        for alpha in range(1, 10):
+        assert cli.ALPHA_MAX == 8
+        for alpha in range(1, cli.ALPHA_MAX + 1):
             args = parser.parse_args(["solve", "--example", "1", "--gamma", "0.5", "-j", "8", "-s", "3", "--alpha", str(alpha)])
             assert cli._build_cell(args, 0.5, 3.5, 8, 3).config.alpha == alpha
 
     @pytest.mark.parametrize("command", ["solve", "table", "curves"])
     def test_beta_bound_builds_nothing(self, command, monkeypatch, capsys, tmp_path):
-        # past 16 the time spline's translates no longer sum to 1 within the
-        # tail tolerance (--beta 60 exited 0 with l2_error 1.03, 170 ended in
+        # from about 5.5 a fractional time spline's support scan reads cancellation
+        # noise as tail (--beta 15.5 exited 0 with l2_error 0.39, 170 ended in
         # an overflow); the bound comes before the first cell is built, and a
         # list is refused for any one entry
         def refuse(*args):
             raise AssertionError("built a cell")
 
         monkeypatch.setattr(cli, "_build_cell", refuse)
-        betas = "16.5" if command == "solve" else "3.5,16.5"
+        betas = "5.5" if command == "solve" else "3.5,5.5"
         argv = [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--beta", betas]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "configuration error: --beta: degree 16.5 exceeds 16\n"
+        assert captured.err == "configuration error: --beta: degree 5.5 exceeds 5\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -335,11 +336,11 @@ class TestTableCommand:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
-    def test_beta_bound_admits_16(self, capsys):
+    def test_beta_bound_admits_beta_max(self, capsys):
         argv = ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--format", "csv"]
         assert main([*argv, "--beta", str(cli.BETA_MAX)]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert float(row[CSV_COLUMNS.index("beta")]) == 16.0
+        assert float(row[CSV_COLUMNS.index("beta")]) == cli.BETA_MAX == 5.0
         assert float(row[CSV_COLUMNS.index("l2_error")]) < 1e-2
 
     @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])
@@ -631,13 +632,14 @@ def test_runtime_covers_error_report(command, monkeypatch, capsys):
 
 
 def test_indefinite_mass_prints_infinite_condition(capsys):
-    # degree 9's mass matrix is indefinite in double precision; the summary
-    # shows an inf estimate and the solve warns, where it printed a negative one
-    argv = ["solve", "--example", "1", "--gamma", "0.5", "--alpha", "9", "-j", "5", "-s", "4", "--beta", "3"]
+    # degree 8's mass matrix is indefinite in double precision at j = 5; the
+    # summary shows an inf estimate and the solve warns, where it printed a
+    # negative one
+    argv = ["solve", "--example", "1", "--gamma", "0.5", "--alpha", "8", "-j", "5", "-s", "4", "--beta", "3"]
     with pytest.warns(UserWarning, match="condition estimate inf exceeds") as record:
         assert main(argv) == 0
     assert "  condition estimate inf\n" in capsys.readouterr().out
-    assert "degree-9 mass matrix is not positive definite" in str(record[0].message)
+    assert "degree-8 mass matrix is not positive definite" in str(record[0].message)
 
 
 def _refuse_constant(name):
@@ -647,7 +649,7 @@ def _refuse_constant(name):
 @pytest.mark.parametrize("command", ["solve", "table"])
 def test_infinite_condition_is_null_in_strict_json(capsys, command):
     # the same cell: a strict parser reads its rows, where a bare Infinity stood
-    argv = [command, "--example", "1", "--gamma", "0.5", "--alpha", "9", "-j", "5", "-s", "4", "--beta", "3"]
+    argv = [command, "--example", "1", "--gamma", "0.5", "--alpha", "8", "-j", "5", "-s", "4", "--beta", "3"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         assert main(argv + ["--format", "json"]) == 0

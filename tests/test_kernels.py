@@ -145,6 +145,7 @@ def _supported(t, width, *args):
     "degree,scale,shift0,n_cols,cutoff",
     [
         (3.0, 8.0, -3.0, 11, 4.0),  # spatial cubic at j = 3
+        (4.0, 16.0, -4.0, 20, 5.0),  # an odd support, whose middle slot takes either end
         (3.5, 16.0, -9.0, 25, None),  # temporal beta 3.5 at s = 4
         (2.5, 16.0, -13.0, 29, None),
         (0.0, 16.0, 0.0, 16, 1.0),

@@ -313,12 +313,17 @@ class TestModalLstsq:
         spread = _lstsq(a.copy(), np.ones(10))[1].condition_estimate
         assert rep.condition_estimate == pytest.approx(1e3 * spread, rel=1e-10)
 
-    @pytest.mark.parametrize("j, alpha", [(5, alpha) for alpha in range(1, 10)] + [(8, 9)])
+    @pytest.mark.parametrize("j, alpha", [(5, alpha) for alpha in range(1, 10)] + [(6, 8), (8, 9)])
     def test_mass_condition(self, j, alpha):
-        # from degree 8 the mass matrix can have a negative eigenvalue in double
-        # precision while its eigensolve still succeeds; the ratio would then be
-        # a negative number, so the condition is inf
+        # at degree 8 the mass matrix can have a negative eigenvalue in double
+        # precision while its eigensolve still succeeds (at j = 5 and 6); the
+        # ratio would then be a negative number, so the condition is inf.  At
+        # degree 9, past the CLI's degrees, the eigensolve fails
         mass, stiffness, _ = spatial_operators(build_spatial(j, alpha))
+        if alpha == 9:
+            with pytest.raises(np.linalg.LinAlgError, match="of B is not positive definite"):
+                spatial_modes(mass, stiffness)
+            return
         with _blas.single_thread():
             eigs = np.linalg.eigvalsh(mass)
         assert (eigs[0] > 0.0) == (alpha < 8)
@@ -397,10 +402,19 @@ class TestOneRankRule:
 
 class TestEigh:
     @pytest.mark.parametrize(
-        "j, alpha", [(j, alpha) for alpha in (1, 3, 5, 9) for j in range(3, 9) if 2**j >= 2 * alpha]
+        "j, alpha", [(j, alpha) for alpha in (1, 3, 5, 8, 9) for j in range(3, 9) if 2**j >= 2 * alpha]
     )
     def test_spatial_pencil_matches_scipy_bit_for_bit(self, j, alpha):
         mass, stiffness, _ = spatial_operators(build_spatial(j, alpha))
+        if alpha == 9:
+            # past the CLI's degrees the mass matrix does not factor: both
+            # fail, in the same words
+            with pytest.raises(np.linalg.LinAlgError) as ours:
+                linalg.eigh(stiffness, mass)
+            with pytest.raises(np.linalg.LinAlgError) as scipys:
+                scipy.linalg.eigh(stiffness, mass)
+            assert str(ours.value) == str(scipys.value)
+            return
         lam, v = linalg.eigh(stiffness, mass)
         want_lam, want_v = scipy.linalg.eigh(stiffness, mass)
         assert np.array_equal(lam, want_lam)

@@ -5,30 +5,7 @@ import numpy as np
 import pytest
 
 from fracspline import specfun
-from fracspline.specfun import ConvergenceError, PoleError, binomial_row, gamma, kummer_1f1
-
-
-class TestGamma:
-    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 25.5, 100.25])
-    def test_matches_stdlib(self, x):
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
-
-    @pytest.mark.parametrize("x", [-0.5, -1.5, -2.3, -7.8])
-    def test_reflection_branch(self, x):
-        assert gamma(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-12)
-
-    def test_half_integer_closed_form(self):
-        # Gamma(-1/2) = -2 sqrt(pi)
-        assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
-    def test_poles(self, x):
-        with pytest.raises(PoleError):
-            gamma(x)
-
-    def test_overflow_rejected(self):
-        with pytest.raises((PoleError, OverflowError)):
-            gamma(500.0)
+from fracspline.specfun import ConvergenceError, PoleError, binomial_row, kummer_1f1
 
 
 class TestGenBinomial:
