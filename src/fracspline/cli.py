@@ -36,19 +36,14 @@ from typing import Optional, Sequence
 from .basis import build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
-from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
+from .solver import BETA_MAX, ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
 
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
-# CLI-level sanity bounds; the library accepts any level or degree that fits in memory.
+# CLI-level sanity bounds; the library accepts any level or spatial degree that fits in memory.
 LEVEL_RANGE = (2, 8)
 # from degree 9 up the mass matrix of the endpoint combinations is not
 # positive definite in double precision, so the solve's eigensolve fails
 ALPHA_MAX = 8
-# a fractional time spline's truncated-power sum cancels as beta grows: from
-# beta ~5.5 the support scan reads the noise as tail (S = 63-64, against at
-# most 9 on [4, 5.4]), and on 257 points of [0, 1] the translates sum to 1
-# within 1.1e-5 at 6.5, 9.3e-4 at 8.5 and 1.09 at 11.5; on [2, 5] within 6.2e-7
-BETA_MAX = 5.0
 # range of --threads, a flag that selects nothing: sweep cells run one at a time
 THREADS_MAX = 64
 

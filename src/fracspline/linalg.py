@@ -20,13 +20,13 @@ their own (``spatial_modes``) whose result serves every solve at one spatial
 level; ``modal_lstsq_solve`` takes them and runs the mode loop.  At sweep
 sizes a block's QR takes tens of microseconds, about what a few NumPy calls
 cost.  So the loop works a chunk of modes at a time, in one scratch per call
-that holds a 1 MiB chunk of blocks and their squares: one broadcast forms
-the chunk and one reduction its column norms, ``dgeqp3`` factors each block
-in place, the chunk's ranks are read off its R diagonals at once, and past
-that each mode that keeps columns makes only its ``dormqr`` and ``dtrtrs``
-calls.  It is the one least-squares entry point, so the rank rule has one
-home; a single block ``a`` is its one-mode case (``lam = 0``, ``v = 1``,
-``g = 0``).  Both steps run at one BLAS thread
+that holds a 2 MiB chunk of blocks: one broadcast forms the chunk,
+``dgeqp3`` factors each block in place, the chunk's ranks and trailing
+pivots are read off its R diagonals at once, and past that each mode that
+keeps columns makes only its ``dormqr`` and ``dtrtrs`` calls.  The report
+is read off those diagonals too.  It is the one least-squares entry point,
+so the rank rule has one home; a single block ``a`` is its one-mode case
+(``lam = 0``, ``v = 1``, ``g = 0``).  Both steps run at one BLAS thread
 (``_blas``): the blocks are small enough that a second thread only adds
 overhead, and the rounding of the factorisation then depends on neither the
 caller's thread count nor the machine's core count.  The cap is
@@ -63,10 +63,14 @@ __all__ = [
 # filters the near-null directions that put a floor under every error column.
 RCOND = 1e-8
 
-# Bytes of one chunk of the mode loop's blocks (its scratch holds a chunk and
-# the chunk's squares): one chunk holds every mode of a curves cell, and a
-# level-8 block (513 x 265, 1.04 MiB) alone fills one.
-_CHUNK_BYTES = 1 << 20
+# Bytes of one chunk of the mode loop's blocks, its one scratch: one chunk
+# holds every mode of a curves cell, and a level-8 block (513 x 265, 1.04 MiB)
+# alone fills one.  At 1 MiB a warm pass of the benchmark's solve ladder (its
+# six cells with their error reports) took about 2,100 minor page faults and
+# 0.039-0.044 s against none and 0.035-0.036 s here (medians of 40 passes on
+# a 2-core machine, getrusage of the process itself); the chunk size changes
+# no block's bits.
+_CHUNK_BYTES = 2 << 20
 
 def eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric pencil ``a v = b v diag(w)``, ``b``
@@ -112,11 +116,11 @@ def _solve_stack(
     before the first one below ``cut``, one absolute threshold for every
     block (``inf`` keeps nothing); the dropped columns keep zero
     coefficients (basic solution).  The stack ends up holding the factors
-    and ``rhs[k]`` its residual part past the rank.  Returns the ranks, the R-diagonal spreads (leading over trailing
-    pivot of the whole diagonal, ``inf`` when the trailing one is zero) and
-    the residual norms, one per block.
+    and ``rhs[k]`` its residual part past the rank.  Returns the ranks, the
+    trailing pivots (the last ``|R|`` diagonal entry, kept or not) and the
+    residual norms, one per block.
     """
-    count, n, _ = stack.shape
+    n = stack.shape[1]
     # workspace sized for the blocked algorithm (nb = 128); a query call
     # would copy the (large) matrix a second time
     lwork = max(3 * (n + 1), 2 * n + (n + 1) * 128)
@@ -128,13 +132,9 @@ def _solve_stack(
         factors.append((jpvt, tau))
 
     diag = np.abs(np.diagonal(stack, axis1=1, axis2=2))
-    lead, last = diag[:, 0], diag[:, -1]
     # the diagonal of a pivoted R is non-increasing in exact arithmetic;
     # cut at the first drop below threshold to be safe
     ranks = np.logical_and.accumulate(diag >= cut, axis=1).sum(axis=1)
-    # full-diagonal spread, not just the kept block: the estimate should keep
-    # reporting how unstable the column family is even when the cut dropped some
-    spread = np.divide(lead, last, out=np.full(count, math.inf), where=last > 0.0)
 
     norms = []
     for block, c, xk, (jpvt, tau), rank in zip(stack, rhs, x, factors, ranks.tolist()):
@@ -155,7 +155,7 @@ def _solve_stack(
             xk[jpvt[:rank] - 1] = c[:rank]  # jpvt is 1-based
         tail = c[rank:]  # all of b when nothing is kept
         norms.append(math.sqrt(tail @ tail))
-    return ranks, spread, norms
+    return ranks, diag[:, -1], norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,26 +214,26 @@ def modal_lstsq_solve(
     strong ones swamp.  The leading pivot of a column-pivoted QR is the
     block's largest column norm, and the largest over all modes is that of
     the first or the last mode, so the threshold is known before any
-    factorisation.
+    factorisation; those two blocks are the only ones whose column norms
+    are taken.
 
-    ``condition_estimate`` is ``cond(mass)`` times the R-diagonal spread
-    over all modes, largest leading pivot over smallest trailing one.  As
-    ``cond(V)**2 == cond(mass)``, that estimates an upper bound on the
-    condition of the whole system.  ``rank`` counts the columns kept over
-    all modes.
+    ``condition_estimate`` is ``cond(mass)`` times the largest leading pivot
+    over the smallest trailing pivot, the last R-diagonal entry of any
+    mode, kept or not.  As ``cond(V)**2 == cond(mass)``, that estimates an
+    upper bound on the condition of the whole system.  ``rank`` counts the
+    columns kept over all modes.
 
     The blocks ``a + lam_k g`` are formed in a C-order ``(modes, n_t, n_pts)``
-    chunk of at most 1 MiB (at least one block), as many modes at a time as
-    fit, in one scratch allocated once per call that holds a chunk and its
-    squares: one broadcast forms a chunk and one sum along its contiguous
-    axis gives its column norms.  Each block's transpose is the
-    Fortran-order matrix that ``dgeqp3`` factors in place; then the chunk's
-    R diagonals are read, and its ranks set, at once, and
-    ``dormqr`` and ``dtrtrs`` solve each mode that keeps columns straight
-    into its rows of the rotated load and of ``D`` (``_solve_stack``).  The
-    residual and the pivot spread are summed once, in mode order.  A system
-    with no rows or no columns is a ``ValueError``, raised before any
-    allocation or LAPACK call.
+    chunk of at most 2 MiB (at least one block), as many modes at a time as
+    fit, in one scratch allocated once per call, where the two end modes'
+    blocks are formed first for the threshold.  One broadcast forms a
+    chunk.  Each block's transpose is the Fortran-order matrix that
+    ``dgeqp3`` factors in place; then the chunk's R diagonals are read, and
+    its ranks and trailing pivots set, at once, and ``dormqr`` and
+    ``dtrtrs`` solve each mode that keeps columns straight into its rows of
+    the rotated load and of ``D`` (``_solve_stack``).  The residual is summed
+    once, in mode order.  A system with no rows or no columns is a
+    ``ValueError``, raised before any allocation or LAPACK call.
     """
     lam, v = modes.lam, modes.v
     # C-contiguous (n_t, n_pts) views, made contiguous once rather than per chunk
@@ -250,39 +250,38 @@ def modal_lstsq_solve(
         raise ValueError(f"load has shape {load.shape}, expected {(nk, npts)}")
 
     per = max(1, _CHUNK_BYTES // (8 * nc * npts))  # modes per chunk
-    blocks_buf, squares_buf = np.empty((2, min(per, nk), nc, npts))
-
-    def form(lams):
-        """The blocks of ``lams`` at the head of the scratch, and their largest column norms."""
-        blocks, squares = blocks_buf[: len(lams)], squares_buf[: len(lams)]
-        np.multiply(gt, lams[:, None, None], out=blocks)
-        blocks += at
-        np.multiply(blocks, blocks, out=squares)
-        return blocks, np.sqrt(np.add.reduce(squares, axis=2).max(axis=1))
+    scratch = np.empty((min(per, nk), nc, npts))
 
     lapack = _blas.flapack()
     with _blas.single_thread():
         rhs = v.T @ load
         # ||a_c + lam g_c||**2 is convex in lam: its maximum is at an end of the sorted lam
-        top = max(form(lam[[0]])[1][0], form(lam[[-1]])[1][0])
+        end, end_max2 = scratch[0], []
+        for lam_end in lam[[0, -1]]:
+            np.multiply(gt, lam_end, out=end)
+            end += at
+            end *= end
+            end_max2.append(np.add.reduce(end, axis=1).max())
+        top = math.sqrt(max(end_max2))  # the largest column norm, as sqrt is monotone
         # a zero system keeps nothing (a cut of 0 would keep its zero pivots)
         cut = RCOND * top if top > 0.0 else math.inf
         d = np.zeros((nk, nc))
-        colmax = np.empty(nk)
         ranks = np.empty(nk, dtype=np.intp)
-        spread = np.empty(nk)
+        trailing = np.empty(nk)
         norms = []
         for k0 in range(0, nk, per):
             k1 = min(nk, k0 + per)
-            blocks, colmax[k0:k1] = form(lam[k0:k1])
-            ranks[k0:k1], spread[k0:k1], chunk_norms = _solve_stack(lapack, blocks, rhs[k0:k1], d[k0:k1], cut)
+            blocks = scratch[: k1 - k0]
+            np.multiply(gt, lam[k0:k1, None, None], out=blocks)
+            blocks += at
+            ranks[k0:k1], trailing[k0:k1], chunk_norms = _solve_stack(lapack, blocks, rhs[k0:k1], d[k0:k1], cut)
             norms += chunk_norms
 
         # one mode at a time, in mode order: a pairwise sum rounds differently
         residual2 = 0.0
         for norm in norms:
             residual2 += norm**2
-        floor = (colmax / spread).min()  # smallest trailing pivot over all modes
+        floor = trailing.min()  # smallest trailing pivot over all modes
         cond = float(modes.mass_cond * (top / floor if floor > 0.0 else math.inf))
         rank = int(ranks.sum())
         return v @ d, LeastSquaresReport(math.sqrt(residual2), cond, rank, rank < nk * nc)

@@ -53,6 +53,11 @@ __all__ = [
 ]
 
 ILL_CONDITION_THRESHOLD = 1e12
+# a fractional time spline's truncated-power sum cancels as beta grows: from
+# beta ~5.5 the support scan reads the noise as tail (S = 63-64, against at
+# most 9 on [4, 5.4]), and on 257 points of [0, 1] the translates sum to 1
+# within 1.1e-5 at 6.5, 9.3e-4 at 8.5 and 1.09 at 11.5; on [2, 5] within 6.2e-7
+BETA_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class SolveConfig:
             raise ValueError(f"level j={self.j} too coarse for degree alpha={self.alpha}: need 2**j >= {2 * self.alpha}")
         if isinstance(self.beta, bool) or not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
+        if self.beta > BETA_MAX:
+            raise ValueError(f"beta={self.beta!r} exceeds {BETA_MAX:g}: the time spline's sums cancel past it")
         if self.gamma >= self.beta + 0.5:
             raise ValueError(
                 f"gamma={self.gamma!r} needs beta > gamma - 1/2, got beta={self.beta!r}"
@@ -172,14 +179,11 @@ class _Shared:
             return self.entries[key][0]
 
 
-def _read_only(*arrays: Optional[np.ndarray]) -> int:
+def _read_only(*arrays: np.ndarray) -> int:
     """Make ``arrays`` read-only; return their total bytes."""
-    nbytes = 0
     for arr in arrays:
-        if arr is not None:
-            arr.flags.writeable = False
-            nbytes += arr.nbytes
-    return nbytes
+        arr.flags.writeable = False
+    return sum(arr.nbytes for arr in arrays)
 
 
 # Two (8, 8) cells' worth of level-only entries (one cell's come to 14.8 MiB).
@@ -211,10 +215,7 @@ def _build_temporal_level(s: int, beta: float, horizon: int, tail_tol: float, q:
     basis = build_temporal(s, beta, horizon, tail_tol)
     nodes = np.arange(1, 2**q * horizon + 1, dtype=np.float64) / 2**q
     z = _ic_nullspace(basis)
-    g = basis.eval_many(nodes)
-    if z is not None:
-        g = g @ z
-    g = np.asfortranarray(g)
+    g = np.asfortranarray(basis.eval_many(nodes) @ z)
     return (basis, nodes, z, g), _read_only(basis.spline.value_weights, nodes, z, g)
 
 
@@ -228,11 +229,11 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     """Discretise and solve one manufactured (or user) problem.
 
     Returns the solution together with the least-squares diagnostics; a
-    condition estimate beyond 1e12 (``cond(mass)`` times the R-diagonal
-    spread over all modes) triggers a warning, matching the observed
-    breakdown regime of the redundant translate family; an infinite
-    ``cond(mass)`` is named in it as a mass matrix that is not positive
-    definite in double precision.  Only the order-gamma
+    condition estimate beyond 1e12 (``cond(mass)`` times the largest leading
+    over the smallest trailing R pivot of any mode) triggers a warning,
+    matching the observed breakdown regime of the redundant translate
+    family; an infinite ``cond(mass)`` is named in it as a mass matrix that
+    is not positive definite in double precision.  Only the order-gamma
     table ``A`` and the load are built here; the rest is per-level and shared.
     """
     if abs(problem.order - config.gamma) > 1e-12:
@@ -248,15 +249,12 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     sbasis = level.basis
     tbasis, nodes, z, g_mat = _temporal_level(config)
     # the gamma table is built per solve, as gamma varies across a sweep
-    a_mat = tbasis.eval_many(nodes, config.gamma)
-    if z is not None:
-        a_mat = a_mat @ z
+    a_mat = tbasis.eval_many(nodes, config.gamma) @ z
 
     load = assemble_load_matrix(level.load_table, problem.forcing, nodes)
     coeffs, report = modal_lstsq_solve(level.modes, a_mat, g_mat, load)
     n_cols = a_mat.shape[1]
-    if z is not None:
-        coeffs = coeffs @ z.T
+    coeffs = coeffs @ z.T
 
     if report.condition_estimate > ILL_CONDITION_THRESHOLD:
         if report.rank_deficient:
@@ -274,13 +272,13 @@ def solve(problem: ProblemSpec, config: SolveConfig) -> tuple[Solution, LeastSqu
     return Solution(coeffs=coeffs, spatial=sbasis, temporal=tbasis, config=config), report
 
 
-def _ic_nullspace(tbasis: TemporalBasis) -> Optional[np.ndarray]:
-    """Null-space basis of the t = 0 value functional, or None if it
-    already vanishes on every translate."""
+def _ic_nullspace(tbasis: TemporalBasis) -> np.ndarray:
+    """Null-space basis of the t = 0 value functional.  Some translate is
+    nonzero at t = 0 in every basis ``build_temporal`` makes: r = -1 holds
+    ``B(1) = 1/Gamma(beta + 1)`` when the support has two or more
+    translates, and a one-translate support (beta = 0) holds ``B(0) = 1``."""
     g0 = tbasis.initial_values()
     pivot = int(np.argmax(np.abs(g0)))
-    if g0[pivot] == 0.0:
-        return None
     # the identity without the pivot's column, whose row then eliminates it
     z = np.delete(np.eye(g0.size), pivot, axis=1)
     z[pivot] = -np.delete(g0, pivot) / g0[pivot]

@@ -20,7 +20,9 @@ from fracspline.linalg import RCOND, LeastSquaresReport
 
 def oracle_lstsq_solve(a, b, rcond):
     """One block: ``dgeqp3``, a cut at the first pivot below ``rcond`` times
-    the leading one, then ``dormqr`` and ``dtrtrs`` on the kept columns."""
+    the leading one, then ``dormqr`` and ``dtrtrs`` on the kept columns.
+    Returns the solution, the block's report and its trailing pivot, the
+    last ``|R|`` diagonal entry, kept or not."""
     a = np.array(a, dtype=np.float64, order="F")
     c = np.array(b, dtype=np.float64).reshape(-1, 1)
     n = a.shape[1]
@@ -43,7 +45,8 @@ def oracle_lstsq_solve(a, b, rcond):
         x[jpvt[:rank] - 1] = y[:rank, 0]
     tail = c[rank:, 0]
     cond = float(diag[0] / diag[-1]) if diag.size and diag[-1] > 0 else math.inf
-    return x, LeastSquaresReport(math.sqrt(tail @ tail), cond, rank, rank < n or rank == 0)
+    report = LeastSquaresReport(math.sqrt(tail @ tail), cond, rank, rank < n or rank == 0)
+    return x, report, diag[-1]
 
 
 def oracle_modal_lstsq_solve(modes, a, g, load, rcond=RCOND):
@@ -62,10 +65,9 @@ def oracle_modal_lstsq_solve(modes, a, g, load, rcond=RCOND):
             block = np.multiply(gt, lam[k])
             block += at
             cm = np.sqrt(np.add.reduce(block * block, axis=1).max())
-            d[k], rep = oracle_lstsq_solve(block.T, rhs[k], rcond=rcond * top / cm)
+            d[k], rep, trailing = oracle_lstsq_solve(block.T, rhs[k], rcond=rcond * top / cm)
             rank += rep.rank
             residual2 += rep.residual_norm**2
-            floor = min(floor, cm / rep.condition_estimate)
-        spread = top / floor if floor > 0.0 else math.inf
-        cond = float(modes.mass_cond * spread)
+            floor = min(floor, trailing)
+        cond = float(modes.mass_cond * (top / floor if floor > 0.0 else math.inf))
         return v @ d, LeastSquaresReport(math.sqrt(residual2), cond, rank, rank < nk * nc)

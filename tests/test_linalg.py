@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -286,8 +287,8 @@ class TestModalLstsq:
 
     def test_table_order_does_not_change_the_result(self):
         rng = np.random.default_rng(181)
-        # the second stack (40 blocks of 80 x 50, 1.3 MB) spans two chunks of the mode loop
-        for nk, npts, nc in ((5, 30, 12), (40, 80, 50)):
+        # the second stack (70 blocks of 80 x 50, 2.1 MiB) spans two chunks of the mode loop
+        for nk, npts, nc in ((5, 30, 12), (70, 80, 50)):
             mass, stiffness = _spd(rng, nk, 2), _spd(rng, nk, 1)
             a = rng.standard_normal((npts, nc))
             g = rng.standard_normal((npts, nc))
@@ -463,7 +464,7 @@ class TestModeLoopOracle:
             (1.0, 5, 3, 2.5),
             (0.5, 5, 4, 3.5),
             (1.0, 5, 5, 4.0),
-            (0.5, 6, 6, 3.5),  # 65 blocks of 128 x 72 over five chunks
+            (0.5, 6, 6, 3.5),  # 65 blocks of 128 x 72 over three chunks
             (0.5, 6, 6, 3.0),  # as many, each with a residual: its sum is order-sensitive
             (0.5, 3, 2, 3.5),  # underdetermined 8 x 12 blocks
             (0.5, 3, 5, 3.0),  # the full-rank cubic cell
@@ -541,3 +542,27 @@ class TestModeLoopOracle:
         oracle_modal_lstsq_solve(*args)
         nk, (npts, nc) = args[0].lam.shape[0], args[1].shape
         assert calls["chunked"] == calls["oracle"] == [((npts, nc), 2 * nc + (nc + 1) * 128)] * nk
+
+
+class TestModeLoopScratch:
+    @pytest.mark.parametrize("j, s", [(5, 5), (6, 5), (5, 6)])
+    def test_scratch_is_one_chunk(self, monkeypatch, j, s):
+        # Bound stated before the run: a warm call's tracemalloc peak is at
+        # most one chunk of blocks, the rotated load (the load's bytes), the
+        # Fortran-order copy of the C-order a, D and V D (nk x nc each), plus
+        # 256 KiB for LAPACK's workspaces and NumPy's temporaries.  A scratch
+        # that also holds the chunk's squares peaks 0.8-1.1 MiB above it.
+        args = _cell_system(monkeypatch, 0.5, j, s, 3.5)
+        modes, a, _, load = args
+        nk, (npts, nc) = modes.lam.shape[0], a.shape
+        per = max(1, linalg._CHUNK_BYTES // (8 * nc * npts))
+        chunk = min(per, nk) * nc * npts * 8
+        bound = chunk + load.nbytes + a.nbytes + 2 * nk * nc * 8 + (256 << 10)
+        modal_lstsq_solve(*args)  # warm: SciPy's LAPACK module is loaded
+        tracemalloc.start()
+        try:
+            modal_lstsq_solve(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)

@@ -192,7 +192,7 @@ class TestModalSolve:
             top = max(colmax)
             rank, d = 0, []
             for block, cm, rhs in zip(blocks, colmax, v.T @ load):
-                x, block_rep = oracle_lstsq_solve(block, rhs, rcond=RCOND * top / cm)
+                x, block_rep, _ = oracle_lstsq_solve(block, rhs, rcond=RCOND * top / cm)
                 rank += block_rep.rank
                 d.append(x)
             expected = v @ np.array(d)
@@ -419,6 +419,14 @@ class TestSolveConfig:
         # the Galerkin rule follows from alpha (assembly.spatial_operators)
         with pytest.raises(TypeError, match="quad_points"):
             SolveConfig(gamma=0.5, j=3, s=3, quad_points=8)
+
+    def test_beta_above_beta_max_is_refused(self):
+        # from beta ~5.45 the time spline's support scan reads cancellation
+        # noise as tail, and its translates no longer sum to 1 (1.1e-5 off at
+        # 6.5); the library refuses such a beta, as the CLI does
+        with pytest.raises(ValueError, match="beta=5.5 exceeds 5"):
+            SolveConfig(gamma=0.5, j=3, s=3, beta=5.5)
+        assert SolveConfig(gamma=0.5, j=3, s=3, beta=5.0).beta == solver.BETA_MAX == 5.0
 
     def test_collocation_level_default(self):
         assert SolveConfig(gamma=0.5, j=3, s=4).collocation_level == 5
