@@ -2,8 +2,8 @@
 
 Three subcommands share one flag vocabulary and one cell plan (``_cells``).
 The plan parses the ``--gamma``/``--beta``/``-j``/``-s`` lists once, applies
-the command's defaults, checks the levels, ``--beta``, ``--threads``, the
-directory of ``--out`` and every cell before any cell runs, and orders the
+the command's defaults, checks the levels, ``--threads``, the directory of
+``--out`` and every cell's configuration before any cell runs, and orders the
 cells gamma, beta, s, j, each ascending, with duplicated entries kept.  Each
 command then only emits:
 
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .basis import build_spatial, build_temporal
 from .bspline import DEFAULT_TAIL_TOL
 from .problems import ProblemSpec, example1, example2
-from .solver import BETA_MAX, ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
+from .solver import ErrorReport, Solution, SolveConfig, error_report, l2_error_at_time, solve
 
 DEFAULT_CURVE_BETAS = (2.0, 2.5, 3.0, 3.5, 4.0)
 # CLI-level sanity bounds; the library accepts any level or spatial degree that fits in memory.
@@ -259,9 +259,6 @@ def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
         for v in levels:
             if not lo <= v <= hi:
                 raise ConfigError(f"{flag}: level {v} outside {lo}..{hi}")
-    for beta in betas:
-        if beta > BETA_MAX:
-            raise ConfigError(f"--beta: degree {beta:g} exceeds {BETA_MAX:g}")
     threads = getattr(args, "threads", 1)  # solve has no --threads
     if not 1 <= threads <= THREADS_MAX:
         raise ConfigError(f"--threads must lie in 1..{THREADS_MAX}, got {threads}")

@@ -16,7 +16,9 @@ from typing import Callable, Optional
 
 from scipy import integrate
 
-from fracspline.specfun import ConvergenceError
+
+class ConvergenceError(RuntimeError):
+    """The quadrature did not reach its tolerance."""
 
 
 def caputo_oracle(

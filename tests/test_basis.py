@@ -8,7 +8,7 @@ from scipy.special import binom
 
 from combination_oracle import loop_combinations
 from kernel_oracle import exact_translate_sums
-from fracspline import basis, cli
+from fracspline import basis, cli, solver
 from fracspline.basis import build_spatial, build_temporal
 from fracspline.bspline import DEFAULT_TAIL_TOL, FractionalBSpline
 
@@ -210,7 +210,7 @@ def test_temporal_size(s, beta, expected):
 
 
 def test_every_admitted_beta_from_2_has_a_sane_time_basis():
-    # Bounds stated before the run, on a 0.1 grid of [2, cli.BETA_MAX]: a
+    # Bounds stated before the run, on a 0.1 grid of [2, solver.BETA_MAX]: a
     # support of at most 16 translates, and translates that sum to 1 on 257
     # points of [0, 1] within 8 DEFAULT_TAIL_TOL (1.2e-6), what truncating
     # each translate's tail at that tolerance leaves; the worst seen is
@@ -221,7 +221,7 @@ def test_every_admitted_beta_from_2_has_a_sane_time_basis():
     # the cap of 64 translates (off by 4.6e-4 at beta = 0.2): a matter of
     # tail_tol, not of cancellation.
     t = np.linspace(0.0, 1.0, 257)
-    for beta in np.arange(20, round(10 * cli.BETA_MAX) + 1) / 10:
+    for beta in np.arange(20, round(10 * solver.BETA_MAX) + 1) / 10:
         tb = build_temporal(4, float(beta))
         assert tb.spline.effective_support <= 16, beta
         assert np.abs(tb.eval_many(t).sum(axis=1) - 1.0).max() <= 8 * DEFAULT_TAIL_TOL, beta

@@ -305,17 +305,18 @@ class TestTableCommand:
     def test_beta_bound_builds_nothing(self, command, monkeypatch, capsys, tmp_path):
         # from about 5.5 a fractional time spline's support scan reads cancellation
         # noise as tail (--beta 15.5 exited 0 with l2_error 0.39, 170 ended in
-        # an overflow); the bound comes before the first cell is built, and a
-        # list is refused for any one entry
+        # an overflow); SolveConfig refuses such a beta while the plan checks
+        # its cells, before the first cell runs, and a list is refused for any
+        # one entry
         def refuse(*args):
-            raise AssertionError("built a cell")
+            raise AssertionError("solved a cell")
 
-        monkeypatch.setattr(cli, "_build_cell", refuse)
+        monkeypatch.setattr(cli, "_measure", refuse)
         betas = "5.5" if command == "solve" else "3.5,5.5"
         argv = [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--beta", betas]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "configuration error: --beta: degree 5.5 exceeds 5\n"
+        assert captured.err == "configuration error: beta=5.5 exceeds 5: the time spline's sums cancel past it\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -338,9 +339,9 @@ class TestTableCommand:
 
     def test_beta_bound_admits_beta_max(self, capsys):
         argv = ["solve", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--format", "csv"]
-        assert main([*argv, "--beta", str(cli.BETA_MAX)]) == 0
+        assert main([*argv, "--beta", str(solver.BETA_MAX)]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert float(row[CSV_COLUMNS.index("beta")]) == cli.BETA_MAX == 5.0
+        assert float(row[CSV_COLUMNS.index("beta")]) == solver.BETA_MAX == 5.0
         assert float(row[CSV_COLUMNS.index("l2_error")]) < 1e-2
 
     @pytest.mark.parametrize("command, levels", [("table", ["-j", "3,4", "-s", "3"]), ("curves", ["-j", "3", "-s", "3,4"])])

@@ -1,12 +1,20 @@
 """Manufactured problems: exact fields, forcing consistency, domains."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from caputo_oracle import caputo_oracle
+from fracspline import solver
 from fracspline.problems import ProblemSpec, example1, example2
+from fracspline.solver import SolveConfig, solve
+
+# Bound stated before the run: example 2's forcing lies within
+# 1e-12 * max(1, |f|) of 40-digit mpmath for every t in [0, 3].
+FORCING_TOL = 1e-12
 
 
 class TestExample1:
@@ -83,9 +91,44 @@ class TestExample2:
             lhs = dt * math.sin(w * x) - float(p.exact_dxx(t, x))
             assert lhs == pytest.approx(float(p.forcing(t, x)), abs=1e-6)
 
+    @pytest.mark.parametrize("order", [0.05, 0.25, 0.5, 0.75, 0.95])
+    def test_forcing_against_mpmath(self, order):
+        # D^g sin(pi t) = pi t**(1-g) Re 1F1(1; 2-g; i pi t) / gamma(2-g), at
+        # x = 1/2 where sin(pi x) is 1; the grid holds 0, 1, 2 and 3 exactly
+        t = np.arange(61) / 20
+        got = example2(order).forcing(t, 0.5)
+        with mpmath.workdps(40):
+            for ti, fi in zip(t, got):
+                tm = mpmath.mpf(float(ti))
+                dt = mpmath.pi * tm ** (1 - mpmath.mpf(order)) / mpmath.gamma(2 - mpmath.mpf(order))
+                dt *= mpmath.re(mpmath.hyp1f1(1, 2 - mpmath.mpf(order), 1j * mpmath.pi * tm))
+                ref = float(dt + mpmath.pi**2 * mpmath.sin(mpmath.pi * tm))
+                assert abs(fi - ref) <= FORCING_TOL * max(1.0, abs(ref)), ti
+
+    @pytest.mark.parametrize("bad", [-0.1, 3.0001, math.nan])
+    def test_forcing_refuses_times_outside_its_series_range(self, bad):
+        # past t = 3 the alternating series cancels beyond 1e-12; a NaN time
+        # is refused too, alone or as one entry of the load's time column
+        p = example2(0.5)
+        for t in (bad, np.array([[0.5], [bad]])):
+            with pytest.raises(ValueError, match=r"t in \[0, 3\]"):
+                p.forcing(t, np.array([0.25, 0.5]))
+
+    def test_horizon_15_solve_is_refused_before_the_mode_loop(self, monkeypatch):
+        # the forcing used to reach 9.6e3 on [14, 15], where it stays below
+        # 11.3, and this solve returned l2_error 79 for a field of size 1
+        def refuse(*args):
+            raise AssertionError("ran the mode loop")
+
+        monkeypatch.setattr(solver, "modal_lstsq_solve", refuse)
+        problem = dataclasses.replace(example2(0.5), horizon=15)
+        config = SolveConfig(gamma=0.5, j=4, s=4, beta=3.0, horizon=15)
+        with pytest.raises(ValueError, match=r"t in \[0, 3\]"):
+            solve(problem, config)
+
     def test_forcing_is_real_valued(self):
-        # the confluent-hypergeometric route goes through complex arithmetic
-        # internally but the forcing itself must come back real
+        # the series is summed in real arithmetic; the forcing must come
+        # back as a real float64 array
         p = example2(0.6)
         out = p.forcing(0.7, np.linspace(0.0, 1.0, 5))
         assert np.isrealobj(out)

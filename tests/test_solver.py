@@ -433,7 +433,7 @@ class TestSolveConfig:
         assert SolveConfig(gamma=0.5, j=3, s=4, q=7).collocation_level == 7
 
     def test_degree_ten_is_accepted_and_fails_in_the_eigensolve(self):
-        # the CLI stops --alpha at 9; the library takes any degree, and from 10
+        # the CLI stops --alpha at 8; the library takes any degree, and from 10
         # up the mass matrix of the endpoint combinations is not positive definite
         config = SolveConfig(gamma=0.5, j=5, s=3, alpha=10)
         with pytest.raises(np.linalg.LinAlgError, match="leading minor of order .* of B is not positive definite"):
@@ -793,7 +793,7 @@ class TestCaputoOracle:
         assert d == pytest.approx(2.0 * 0.7**1.5 / math.gamma(2.5), abs=1e-7)
 
     def test_example2_rhs_consistency(self):
-        # cross-check the 1F1 closed form used by the manufactured problem
+        # cross-check the series the manufactured problem sums
         p = example2(0.5)
         t = 0.6
         d = caputo_oracle(
