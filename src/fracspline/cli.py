@@ -3,9 +3,10 @@
 Three subcommands share one flag vocabulary and one cell plan (``_cells``).
 The plan parses the ``--gamma``/``--beta``/``-j``/``-s`` lists once, applies
 the command's defaults, checks the levels, ``--threads``, the directory of
-``--out`` and every cell's configuration before any cell runs, and orders the
-cells gamma, beta, s, j, each ascending, with duplicated entries kept.  Each
-command then only emits:
+``--out``, every cell's configuration and, for ``curves``, that no two
+distinct gammas (file names) or betas (column heads) print alike, before any
+cell runs, and orders the cells gamma, beta, s, j, each ascending, with
+duplicated entries kept.  Each command then only emits:
 
 * ``solve``  -- the plan's one cell, human-readable summary (or
   ``--format csv|json``)
@@ -112,10 +113,6 @@ class _Cell:
 def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
     if not 1 <= args.alpha <= ALPHA_MAX:
         raise ConfigError(f"--alpha: degree {args.alpha} outside 1..{ALPHA_MAX}")
-    # q = LEVEL_RANGE[1] + 1 is the default collocation level of the finest cell
-    q_max = LEVEL_RANGE[1] + 1
-    if args.q is not None and not s <= args.q <= q_max:
-        raise ConfigError(f"-q: collocation level {args.q} outside {s}..{q_max}")
     problem = _make_problem(args.example, gamma)
     try:
         config = SolveConfig(
@@ -124,7 +121,6 @@ def _build_cell(args, gamma: float, beta: float, j: int, s: int) -> _Cell:
             s=s,
             alpha=args.alpha,
             beta=beta,
-            q=args.q,
             tail_tol=args.tail_tol,
         )
     except ValueError as exc:
@@ -200,7 +196,6 @@ def _add_common(p: argparse.ArgumentParser, *, sweep: bool) -> None:
     p.add_argument("--alpha", type=int, default=3, help="spatial spline degree (default 3)")
     p.add_argument("-j", default=None, help="spatial level(s)" if sweep else "spatial level")
     p.add_argument("-s", default=None, help="temporal level(s)" if sweep else "temporal level")
-    p.add_argument("-q", type=int, default=None, help="collocation level (default s+1)")
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     if sweep:
@@ -270,7 +265,16 @@ def _cells(args) -> tuple[tuple[list, ...], list[_Cell]]:
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"--out: no directory {out_dir!r}")
     axes = tuple(sorted(values) for values in (gammas, betas, ss, js))
-    return axes, [_build_cell(args, gamma, beta, j, s) for gamma, beta, s, j in itertools.product(*axes)]
+    cells = [_build_cell(args, gamma, beta, j, s) for gamma, beta, s, j in itertools.product(*axes)]
+    if args.command == "curves":
+        # a gamma names its file and a beta its column as printed by %g, so
+        # two distinct values that print alike would share one label
+        for flag, values in (("--gamma", gammas), ("--beta", betas)):
+            seen = {}
+            for v in values:
+                if seen.setdefault(f"{v:g}", v) != v:
+                    raise ConfigError(f"{flag}: {seen[f'{v:g}']!r} and {v!r} both print as {v:g}")
+    return axes, cells
 
 
 def _cmd_solve(args, cell: _Cell) -> int:
@@ -281,19 +285,14 @@ def _cmd_solve(args, cell: _Cell) -> int:
         text = json.dumps(_row_object(row), indent=2) + "\n"
     else:
         final_t = float(cell.config.horizon)
-        if cell.problem.exact is not None:
-            err_t = l2_error_at_time(sol, cell.problem.exact, final_t)
-            err_t_text = f"{err_t:.5e}"
-        else:
-            err_t_text = "n/a"
-        err_text = f"{rep.l2_error:.5e}" if not math.isnan(rep.l2_error) else "n/a"
+        err_t = l2_error_at_time(sol, cell.problem.exact, final_t)
         text = (
             f"{cell.problem.name}  gamma={cell.config.gamma:g}  beta={cell.config.beta:g}  "
             f"alpha={cell.config.alpha}  j={cell.config.j}  s={cell.config.s}  "
             f"q={cell.config.collocation_level}\n"
             f"  dof                {rep.dof}\n"
-            f"  l2 error           {err_text}   (space-time)\n"
-            f"  l2 error at t={final_t:g}    {err_t_text}   (space only)\n"
+            f"  l2 error           {rep.l2_error:.5e}   (space-time)\n"
+            f"  l2 error at t={final_t:g}    {err_t:.5e}   (space only)\n"
             f"  condition estimate {rep.condition_estimate:.5e}\n"
             f"  lsq residual       {rep.residual_norm:.5e}\n"
             f"  runtime            {row.runtime_ms:.1f} ms\n"
@@ -320,8 +319,7 @@ def _cmd_curves(args, axes: tuple[list, ...], cells: Sequence[_Cell]) -> int:
         # within one gamma the plan runs beta-major, then s
         columns = [[_f17(next(rows).l2_error) for _ in ss] for _ in betas]
         lines = [
-            f"# example {args.example}  gamma={gamma:g}  j={j}  alpha={args.alpha}  "
-            f"q={'s+1' if args.q is None else args.q}",
+            f"# example {args.example}  gamma={gamma:g}  j={j}  alpha={args.alpha}  q=s+1",
             f"# s  {beta_heads}",
             *(f"{s}  {'  '.join(errs)}" for s, *errs in zip(ss, *columns)),
         ]

@@ -13,13 +13,14 @@ collocation tables hold the interior nodes alone.
 stiffness (x) G) vec(coeffs) = vec(load)``: the spatial Gram matrices and
 the load come from ``assembly``, and the temporal tables ``A`` (order-gamma
 derivatives) and ``G`` (values) are the time basis evaluated at the
-interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T.
+interior dyadic nodes ``t = p 2**-q``, p = 1 .. 2**q T, at the one
+collocation level ``q = s + 1`` (``SolveConfig.collocation_level``).
 
 What depends on levels alone is built once per process and shared
 read-only through one store (``_SHARED``), bounded by the bytes of the
 arrays it holds: per ``(j, alpha)`` the basis, the eigenpairs of the Gram
 matrices and the load's value table (``_spatial_level``);
-per ``(s, beta, horizon, tail_tol, q)`` the time basis with its spline, the
+per ``(s, beta, horizon, tail_tol)`` the time basis with its spline, the
 nodes, the elimination and ``G`` after it (``_temporal_level``); and the
 value tables of both error norms.  A solve builds only ``A`` (gamma varies)
 and the load.  An evicted entry is built again, to the same bits.
@@ -64,9 +65,10 @@ BETA_MAX = 5.0
 class SolveConfig:
     """Discretisation parameters of one solve.
 
-    ``q`` is the dyadic collocation level (defaults to ``s + 1``, i.e. twice
-    as many collocation nodes as time translates per unit).  The rank cut
-    of the least-squares solve is fixed in ``linalg`` (``RCOND``).
+    The dyadic collocation level is ``s + 1`` (``collocation_level``), i.e.
+    twice as many collocation nodes as time translates per unit; there is
+    no field for it.  The rank cut of the least-squares solve is fixed in
+    ``linalg`` (``RCOND``).
     """
 
     gamma: float
@@ -74,7 +76,6 @@ class SolveConfig:
     s: int
     alpha: int = 3
     beta: float = 3.5
-    q: Optional[int] = None
     horizon: int = 1
     tail_tol: float = DEFAULT_TAIL_TOL
 
@@ -100,16 +101,12 @@ class SolveConfig:
             raise ValueError(
                 f"gamma={self.gamma!r} needs beta > gamma - 1/2, got beta={self.beta!r}"
             )
-        if self.q is not None and not (type(self.q) is int and self.q >= self.s):
-            raise ValueError(
-                f"collocation level q={self.q!r} must be an integer >= s={self.s!r}"
-            )
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
 
     @property
     def collocation_level(self) -> int:
-        return self.q if self.q is not None else self.s + 1
+        return self.s + 1
 
 
 @dataclass(frozen=True, eq=False)

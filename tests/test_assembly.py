@@ -191,7 +191,7 @@ def test_load_rejects_a_forcing_that_is_not_finite(forcing, count, first):
 # these tests read them where ``solve`` hands them to the modal solve, and
 # check the load against one built column by column.  The load table and the
 # eigenpairs come from the spatial level whose modes ``solve`` passed.
-def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
+def _operators_through_solve(monkeypatch, forcing, horizon, s):
     seen = {}
     real = solver.modal_lstsq_solve
 
@@ -201,7 +201,7 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
 
     monkeypatch.setattr(solver, "modal_lstsq_solve", capture)
     problem = ProblemSpec(name="capture", order=0.5, forcing=forcing, horizon=horizon)
-    config = solver.SolveConfig(gamma=0.5, j=3, s=s, q=q, horizon=horizon)
+    config = solver.SolveConfig(gamma=0.5, j=3, s=s, horizon=horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol, _ = solver.solve(problem, config)
@@ -209,6 +209,7 @@ def _operators_through_solve(monkeypatch, forcing, horizon, s, q):
     assert seen["modes"] is level.modes and sol.spatial is level.basis
     seen.update(table=level.load_table)
     x, w = gauss_rule(8, 3)
+    q = s + 1
     nodes = np.arange(1, 2**q * horizon + 1) / 2**q
     ref = _per_time_columns(sol.spatial.eval_many(x) * w[:, None], x, forcing, nodes)
     np.testing.assert_allclose(seen["load"], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
@@ -220,7 +221,7 @@ def _forcing(t, x):
 
 
 def test_collocation_interior_nodes(monkeypatch):
-    sol, seen = _operators_through_solve(monkeypatch, _forcing, 1, s=3, q=4)
+    sol, seen = _operators_through_solve(monkeypatch, _forcing, 1, s=3)
     nodes = np.arange(1, 17) / 16.0
     # the t = 0 value functional is eliminated, one column fewer
     z = solver._ic_nullspace(sol.temporal)
@@ -238,7 +239,7 @@ def test_collocation_interior_nodes(monkeypatch):
 
 
 def test_collocation_horizon_scales_node_count(monkeypatch):
-    sol, seen = _operators_through_solve(monkeypatch, _forcing, 2, s=3, q=3)
+    sol, seen = _operators_through_solve(monkeypatch, _forcing, 2, s=2)
     nodes = np.arange(1, 17) / 8.0
     assert seen["a"].shape[0] == seen["g"].shape[0] == seen["load"].shape[1] == 16
     np.testing.assert_array_equal(
@@ -248,7 +249,7 @@ def test_collocation_horizon_scales_node_count(monkeypatch):
 
 def test_assemble_system_shapes_and_ic_column(monkeypatch):
     for horizon in (1, 2):
-        sol, seen = _operators_through_solve(monkeypatch, _forcing, horizon, s=3, q=4)
+        sol, seen = _operators_through_solve(monkeypatch, _forcing, horizon, s=3)
         n_x, n_t, rows = sol.spatial.size, sol.temporal.size, 16 * horizon
         assert seen["modes"].lam.shape == (n_x,) and seen["modes"].v.shape == (n_x, n_x)
         assert seen["a"].shape == seen["g"].shape == (rows, n_t - 1)

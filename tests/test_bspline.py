@@ -186,6 +186,15 @@ def test_value_weights_length_tracks_support(degree, row):
     assert weights.shape == (row,)
 
 
+def test_support_scan_without_tail_keeps_its_floor():
+    # the beta = 3.5 spline has a tail past ceil(beta) + 1, but no value of it
+    # reaches tail_tol = 0.01, so the scan returns that floor: 6 weights
+    b = FractionalBSpline(3.5, tail_tol=0.01)
+    assert 0.0 < np.abs(b(np.arange(5.0, 64.0, 1 / 32))).max() < 0.01
+    assert b.effective_support == math.ceil(3.5) + 1 == 5
+    assert b.value_weights.shape == (6,)
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         FractionalBSpline(-0.5)

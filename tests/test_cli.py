@@ -234,8 +234,6 @@ class TestTableCommand:
                     ["--alpha", "0"],
                     ["--beta", "nan"],
                     ["--beta", "inf"],
-                    ["-q", "40"],  # asks for terabytes if it gets through
-                    ["-q", "10"],
                 )
                 for command in ("solve", "table")
             ),
@@ -253,17 +251,26 @@ class TestTableCommand:
                 [command, "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "2", "--out", ""]
                 for command in ("solve", "table")
             ),
+            # a list entry that is no number
+            ["table", "--example", "1", "--gamma", "0.5,abc", "-j", "3", "-s", "3"],
+            ["table", "--example", "1", "--gamma", "0.5", "--beta", "x", "-j", "3", "-s", "3"],
+            ["table", "--example", "1", "--gamma", "0.5", "-j", "3", "-s", "3,x"],
+            # distinct values that print alike under %g: one curve file name, one column head
+            ["curves", "--example", "1", "--gamma", "0.5,0.5000001", "--beta", "3", "-j", "3", "-s", "2,3"],
+            ["curves", "--example", "1", "--gamma", "0.5", "--beta", "3,3.0000001", "-j", "3", "-s", "2,3"],
         ],
     )
-    def test_bad_configs_exit_2(self, argv, capsys, monkeypatch):
+    def test_bad_configs_exit_2(self, argv, capsys, monkeypatch, tmp_path):
         def refuse(*args):
             raise AssertionError("solved a cell")
 
         monkeypatch.setattr(cli, "_measure", refuse)
+        monkeypatch.chdir(tmp_path)  # where curves would write its files
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error")
         assert captured.out == ""
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("points", ["33", "100000"])
     @pytest.mark.parametrize("command", ["solve", "table"])
@@ -278,6 +285,21 @@ class TestTableCommand:
             main([command, *FAST, "--quad-points", points])
         assert exc.value.code == 2
         assert "unrecognized arguments: --quad-points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["4", "10", "40"])
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_collocation_level_flag_builds_nothing(self, command, q, monkeypatch, capsys):
+        # the collocation level is s + 1 (SolveConfig.collocation_level); the
+        # removed -q ends in argparse's exit 2 before any cell or node table is built
+        def refuse(*args):
+            raise AssertionError("built a cell or a temporal level")
+
+        monkeypatch.setattr(cli, "_build_cell", refuse)
+        monkeypatch.setattr(solver, "_build_temporal_level", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *FAST, "-q", q])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -q" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["-1", "0", "9", "10", "100"])
     @pytest.mark.parametrize("command", ["solve", "table"])

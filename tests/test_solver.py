@@ -377,12 +377,12 @@ class TestSolveConfig:
             (dict(gamma=0.0, j=3, s=3), "gamma"),
             (dict(gamma=1.2, j=3, s=3), "gamma"),
             (dict(gamma=1.0, j=3, s=3, beta=0.4), "beta"),
-            (dict(gamma=0.5, j=3, s=5, q=4), "collocation level"),
+            (dict(gamma=1.0, j=3, s=3, beta=0.5), "beta"),  # gamma = beta + 1/2 is refused
             (dict(gamma=0.5, j=3, s=3, tail_tol=math.nan), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=0.0), "tail_tol"),
             (dict(gamma=0.5, j=3, s=3, alpha=2.5), "alpha"),
             (dict(gamma=0.5, j=3, s=3, tail_tol=2.0), "tail_tol"),
-            (dict(gamma=0.5, j=3, s=3, q=4.0), "collocation level"),
+            (dict(gamma=0.5, j=3, s=3, tail_tol=1.0), "tail_tol"),  # the open upper end
             (dict(gamma=0.5, j=3, s=3, alpha=0), "alpha"),
             (dict(gamma=0.5, j=3, s=3, beta=math.nan), "beta"),
             (dict(gamma=0.5, j=3, s=3, beta=math.inf), "beta"),
@@ -400,8 +400,10 @@ class TestSolveConfig:
             (dict(gamma=0.5, j=3, s=True), "time level"),
             (dict(gamma=0.5, j=3, s=3, alpha=True), "alpha"),
             (dict(gamma=0.5, j=3, s=3, horizon=True), "horizon"),
-            (dict(gamma=0.5, j=3, s=0, q=True), "collocation level"),
-            (dict(gamma=0.5, j=3, s=0, q=False), "collocation level"),  # 0 >= s, but no level
+            # one float past an upper bound
+            (dict(gamma=math.nextafter(1.0, 2.0), j=3, s=3), "gamma"),
+            (dict(gamma=0.5, j=3, s=3, beta=math.nextafter(solver.BETA_MAX, 6.0)), "exceeds"),
+            # a bool is no real number either
             (dict(gamma=0.5, j=3, s=3, beta=True), "beta must be finite"),
             (dict(gamma=True, j=3, s=3), "gamma"),
         ],
@@ -420,6 +422,11 @@ class TestSolveConfig:
         with pytest.raises(TypeError, match="quad_points"):
             SolveConfig(gamma=0.5, j=3, s=3, quad_points=8)
 
+    def test_has_no_q_field(self):
+        # the collocation level is s + 1 (collocation_level), not a per-solve option
+        with pytest.raises(TypeError, match="'q'"):
+            SolveConfig(gamma=0.5, j=3, s=3, q=4)
+
     def test_beta_above_beta_max_is_refused(self):
         # from beta ~5.45 the time spline's support scan reads cancellation
         # noise as tail, and its translates no longer sum to 1 (1.1e-5 off at
@@ -429,8 +436,8 @@ class TestSolveConfig:
         assert SolveConfig(gamma=0.5, j=3, s=3, beta=5.0).beta == solver.BETA_MAX == 5.0
 
     def test_collocation_level_default(self):
-        assert SolveConfig(gamma=0.5, j=3, s=4).collocation_level == 5
-        assert SolveConfig(gamma=0.5, j=3, s=4, q=7).collocation_level == 7
+        for s in (0, 4, 8):
+            assert SolveConfig(gamma=0.5, j=3, s=s).collocation_level == s + 1
 
     def test_degree_ten_is_accepted_and_fails_in_the_eigensolve(self):
         # the CLI stops --alpha at 8; the library takes any degree, and from 10
